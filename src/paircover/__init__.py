@@ -24,7 +24,6 @@ from .interactions import (
     Interaction,
     InteractionUniverse,
     coverage_curve,
-    covered_by,
     find_extension,
     verify_suite,
 )

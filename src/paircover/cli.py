@@ -52,9 +52,9 @@ def _cmd_generate(args) -> int:
 
     if args.method == "greedy":
         t0 = time.perf_counter()
-        suite = greedy_suite(system, cs, seed=args.seed)
-        wall = time.perf_counter() - t0
         universe = InteractionUniverse(system, cs)
+        suite = greedy_suite(system, cs, universe=universe, seed=args.seed)
+        wall = time.perf_counter() - t0
         report = {
             "method": "greedy",
             "seed": args.seed,

@@ -251,13 +251,6 @@ def validate_case(
     return not any(subsumes(case, a) for a in constraints.avoid)
 
 
-def assignment_blocked(
-    assignment: PartialAssignment, constraints: ConstraintSet
-) -> bool:
-    """True when some avoid tuple is already fully picked by ``assignment``."""
-    return any(assignment.extends(a) for a in constraints.avoid)
-
-
 @dataclass
 class TestSuite:
     """An ordered list of test cases over one factor system."""

@@ -20,6 +20,8 @@ from .core import (
     StructureError,
     TestCase,
     TestSuite,
+    subsumes,
+    validate_case,
 )
 
 
@@ -100,7 +102,7 @@ class InteractionUniverse:
 
     Interactions are ordered lexicographically by (i, j, a, b).  The level
     data lives in flat numpy arrays so coverage marking is a single gather
-    per case; ``index_of`` maps an Interaction back to its position.
+    per case.
     """
 
     def __init__(
@@ -143,7 +145,6 @@ class InteractionUniverse:
         self.f2 = arr[:, 2].copy()
         self.v2 = arr[:, 3].copy()
         self.weights = np.array(weights, dtype=np.int64)
-        self._index = {r: k for k, r in enumerate(rows)}
 
         # per factor pair (i, j): base offset into a dense pair-id table of
         # size card[i] * card[j]; entries are universe indices or -1
@@ -163,10 +164,6 @@ class InteractionUniverse:
     def __len__(self) -> int:
         return int(self.f1.shape[0])
 
-    @property
-    def size(self) -> int:
-        return len(self)
-
     def interaction(self, k: int) -> Interaction:
         return Interaction(
             int(self.f1[k]), int(self.v1[k]), int(self.f2[k]), int(self.v2[k])
@@ -175,27 +172,12 @@ class InteractionUniverse:
     def interactions(self) -> list[Interaction]:
         return [self.interaction(k) for k in range(len(self))]
 
-    def index_of(self, it: Interaction) -> int:
-        try:
-            return self._index[(it.i, it.a, it.j, it.b)]
-        except KeyError:
-            raise StructureError(f"interaction {it} is not in the universe") from None
-
-    def __contains__(self, it: Interaction) -> bool:
-        return (it.i, it.a, it.j, it.b) in self._index
-
     def case_pair_ids(self, levels: Iterable[int]) -> np.ndarray:
         """Universe indices of the achievable pairs a case contains."""
         arr = np.asarray(tuple(levels), dtype=np.int64)
         pos = self.slot_base + arr[self.slot_i] * self.slot_lj + arr[self.slot_j]
         ids = self.pair_id[pos]
         return ids[ids >= 0]
-
-
-def covered_by(case: TestCase, universe: InteractionUniverse) -> set[Interaction]:
-    """The achievable interactions contained in ``case``."""
-    case.validate_against(universe.system)
-    return {universe.interaction(int(k)) for k in universe.case_pair_ids(case.levels)}
 
 
 class CoverageState:
@@ -263,8 +245,6 @@ def verify_suite(
     if universe is None:
         universe = InteractionUniverse(system, constraints)
     problems: list[str] = []
-    from .core import subsumes, validate_case
-
     for r, tc in enumerate(suite):
         if not validate_case(tc, system, constraints):
             problems.append(f"case {r} violates an avoid tuple: {tc.levels}")

@@ -1,29 +1,22 @@
 """Binary integer programming layer: model container, backends, solving."""
 
 from .model import (
-    LinearConstraint,
     MilpModel,
     MilpSolution,
     SolveStatus,
-    export_lp,
     objective_value,
     verify_solution,
 )
-from .backends import BackendError, available_backends, get_backend, register_backend, solve
+from .backends import BackendError, solve
 from .reference import solve_reference
 
 __all__ = [
-    "LinearConstraint",
     "MilpModel",
     "MilpSolution",
     "SolveStatus",
-    "export_lp",
     "objective_value",
     "verify_solution",
     "BackendError",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "solve",
     "solve_reference",
 ]

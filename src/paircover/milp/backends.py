@@ -1,15 +1,11 @@
-"""Backend registry and the scipy (HiGHS) adapter.
+"""Solver backends by name, and the scipy (HiGHS) adapter.
 
-Backends are callables ``fn(model, time_limit=None, **opts) -> MilpSolution``
-registered under a name.  The built-in exact solver is "reference"; "scipy"
-delegates to scipy.optimize.milp, which drives HiGHS and handles much larger
-models.  Third parties can plug in their own solver with
-:func:`register_backend`.
+A backend is a callable ``fn(model, time_limit=None, **opts) -> MilpSolution``.
+The built-in exact solver is "reference"; "scipy" delegates to
+scipy.optimize.milp, which drives HiGHS and handles much larger models.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -22,26 +18,6 @@ class BackendError(PaircoverError):
     """Unknown backend name or a backend-level failure."""
 
 
-_REGISTRY: dict[str, Callable] = {}
-
-
-def register_backend(name: str, fn: Callable) -> None:
-    _REGISTRY[name] = fn
-
-
-def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: str) -> Callable:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise BackendError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
-
-
 def solve(
     model: MilpModel,
     backend: str = "reference",
@@ -49,7 +25,13 @@ def solve(
     **opts,
 ) -> MilpSolution:
     """Solve through the named backend."""
-    return get_backend(backend)(model, time_limit=time_limit, **opts)
+    try:
+        fn = _BACKENDS[backend]
+    except KeyError:
+        raise BackendError(
+            f"unknown backend {backend!r}; available: {', '.join(sorted(_BACKENDS))}"
+        ) from None
+    return fn(model, time_limit=time_limit, **opts)
 
 
 def _trivial_unconstrained(model: MilpModel) -> MilpSolution:
@@ -122,5 +104,4 @@ def solve_scipy(
     raise BackendError(f"scipy backend failed: status {res.status} ({res.message})")
 
 
-register_backend("reference", solve_reference)
-register_backend("scipy", solve_scipy)
+_BACKENDS = {"reference": solve_reference, "scipy": solve_scipy}

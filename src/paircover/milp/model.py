@@ -27,54 +27,47 @@ def _as_int(x, what: str) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One row: sum(coef * var) REL rhs over binary vars."""
-
-    coefs: tuple[tuple[int, int], ...]
-    rel: str
-    rhs: int
-    name: str
-
-
 class MilpModel:
     """A binary program assembled row by row.
 
     Variables are created with :meth:`add_var` and referenced by the integer
-    id it returns.  ``sense`` is "max" or "min".
+    id it returns.  ``sense`` is "max" or "min".  The objective and rows are
+    kept as the CSR lists :meth:`to_arrays` returns.
     """
 
-    def __init__(self, sense: str = "max", name: str = "model"):
+    def __init__(self, sense: str = "max"):
         if sense not in ("max", "min"):
             raise StructureError(f"sense must be 'max' or 'min', got {sense!r}")
         self.sense = sense
-        self.name = name
-        self._var_names: list[str] = []
         self._obj: list[int] = []
-        self._rows: list[LinearConstraint] = []
+        self._indptr: list[int] = [0]
+        self._vidx: list[int] = []
+        self._coef: list[int] = []
+        self._rel: list[int] = []
+        self._rhs: list[int] = []
         self._arrays: dict | None = None
 
     # -- construction -------------------------------------------------
 
-    def add_var(self, name: str | None = None, obj: int = 0) -> int:
-        vid = len(self._var_names)
-        self._var_names.append(name if name is not None else f"x{vid}")
+    def add_var(self, obj: int = 0) -> int:
         self._obj.append(_as_int(obj, "objective coefficient"))
         self._arrays = None
-        return vid
+        return len(self._obj) - 1
 
     def add_constraint(
         self,
         coefs: Mapping[int, int] | Iterable[tuple[int, int]],
         rel: str,
         rhs,
-        name: str | None = None,
     ) -> int:
-        if rel not in RELATIONS:
+        if rel not in _REL_CODE:
             raise StructureError(f"relation must be one of {RELATIONS}, got {rel!r}")
         items = list(coefs.items()) if isinstance(coefs, Mapping) else list(coefs)
+        if not items:
+            raise StructureError("constraint has no variables")
         seen: set[int] = set()
-        norm: list[tuple[int, int]] = []
+        vidx: list[int] = []
+        coef: list[int] = []
         for v, c in items:
             v = int(v)
             if not 0 <= v < self.nvars:
@@ -82,42 +75,34 @@ class MilpModel:
             if v in seen:
                 raise StructureError(f"constraint names var {v} twice")
             seen.add(v)
-            norm.append((v, _as_int(c, "constraint coefficient")))
-        if not norm:
-            raise StructureError("constraint has no variables")
-        cid = len(self._rows)
-        self._rows.append(
-            LinearConstraint(
-                tuple(norm), rel, _as_int(rhs, "rhs"), name if name else f"c{cid}"
-            )
-        )
+            vidx.append(v)
+            coef.append(_as_int(c, "constraint coefficient"))
+        rhs = _as_int(rhs, "rhs")
+        self._vidx.extend(vidx)
+        self._coef.extend(coef)
+        self._indptr.append(len(self._vidx))
+        self._rel.append(_REL_CODE[rel])
+        self._rhs.append(rhs)
         self._arrays = None
-        return cid
+        return len(self._rhs) - 1
 
     # -- inspection ---------------------------------------------------
 
     @property
     def nvars(self) -> int:
-        return len(self._var_names)
+        return len(self._obj)
 
     @property
     def ncons(self) -> int:
-        return len(self._rows)
+        return len(self._rhs)
 
     @property
     def nnz(self) -> int:
-        return sum(len(r.coefs) for r in self._rows)
-
-    def var_name(self, vid: int) -> str:
-        return self._var_names[vid]
+        return len(self._vidx)
 
     @property
     def objective(self) -> tuple[int, ...]:
         return tuple(self._obj)
-
-    @property
-    def rows(self) -> tuple[LinearConstraint, ...]:
-        return tuple(self._rows)
 
     def to_arrays(self) -> dict:
         """CSR view of the rows plus objective, cached until mutation.
@@ -127,28 +112,13 @@ class MilpModel:
         (int64[nc]).
         """
         if self._arrays is None:
-            nv, nc = self.nvars, self.ncons
-            indptr = np.zeros(nc + 1, dtype=np.int64)
-            vidx = np.empty(self.nnz, dtype=np.int32)
-            coef = np.empty(self.nnz, dtype=np.int64)
-            rel = np.empty(nc, dtype=np.int8)
-            rhs = np.empty(nc, dtype=np.int64)
-            k = 0
-            for c, row in enumerate(self._rows):
-                for v, a in row.coefs:
-                    vidx[k] = v
-                    coef[k] = a
-                    k += 1
-                indptr[c + 1] = k
-                rel[c] = _REL_CODE[row.rel]
-                rhs[c] = row.rhs
             self._arrays = {
                 "obj": np.array(self._obj, dtype=np.int64),
-                "indptr": indptr,
-                "vidx": vidx,
-                "coef": coef,
-                "rel": rel,
-                "rhs": rhs,
+                "indptr": np.array(self._indptr, dtype=np.int64),
+                "vidx": np.array(self._vidx, dtype=np.int32),
+                "coef": np.array(self._coef, dtype=np.int64),
+                "rel": np.array(self._rel, dtype=np.int8),
+                "rhs": np.array(self._rhs, dtype=np.int64),
             }
         return self._arrays
 
@@ -214,32 +184,3 @@ def verify_solution(model: MilpModel, values: np.ndarray, tol: float = 1e-6) -> 
             return False
     return True
 
-
-def _lp_term(coef: int, name: str, first: bool) -> str:
-    sign = "-" if coef < 0 else ("" if first else "+")
-    mag = abs(coef)
-    body = name if mag == 1 else f"{mag} {name}"
-    return f"{sign} {body}" if (sign and not first) else f"{sign}{body}"
-
-
-def export_lp(model: MilpModel) -> str:
-    """Render the model in CPLEX LP text format (all vars binary)."""
-    out: list[str] = [f"\\ {model.name}"]
-    out.append("Maximize" if model.sense == "max" else "Minimize")
-    terms = [
-        _lp_term(c, model.var_name(v), k == 0)
-        for k, (v, c) in enumerate((v, c) for v, c in enumerate(model._obj) if c != 0)
-    ]
-    out.append(" obj: " + (" ".join(terms) if terms else "0 " + model.var_name(0)))
-    out.append("Subject To")
-    rel_txt = {"<=": "<=", ">=": ">=", "==": "="}
-    for row in model.rows:
-        terms = [
-            _lp_term(c, model.var_name(v), k == 0) for k, (v, c) in enumerate(row.coefs)
-        ]
-        out.append(f" {row.name}: " + " ".join(terms) + f" {rel_txt[row.rel]} {row.rhs}")
-    out.append("Binary")
-    for v in range(model.nvars):
-        out.append(f" {model.var_name(v)}")
-    out.append("End")
-    return "\n".join(out) + "\n"

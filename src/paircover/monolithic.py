@@ -18,20 +18,19 @@ minimum suite size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     ConstraintSet,
     FactorSystem,
     PaircoverError,
     StructureError,
-    TestCase,
     TestSuite,
-    validate_case,
 )
 from .interactions import CoverageState, InteractionUniverse
 from .milp import MilpModel, MilpSolution, SolveStatus, solve
 from .milp.reference import solve_reference
+from .sequential import decode_case
 
 
 class ModelSizeError(PaircoverError):
@@ -48,36 +47,25 @@ DEFAULT_MAX_VARS = 200_000
 
 @dataclass
 class MonolithicModel:
-    """The assembled program plus everything needed to decode a solution."""
+    """The assembled program plus everything needed to decode a solution.
+
+    Slot c's x variables are the one-hot block starting at var
+    ``c * sum(cardinalities)``.
+    """
 
     milp: MilpModel
     system: FactorSystem
     constraints: ConstraintSet
     universe: InteractionUniverse
     m: int
-    x_index: dict = field(repr=False, default_factory=dict)  # (slot, factor, level) -> var
-    p_index: dict = field(repr=False, default_factory=dict)  # universe idx -> var
 
     def decode(self, values) -> TestSuite:
+        nx = sum(self.system.cardinalities)
         suite = TestSuite(self.system)
         for c in range(self.m):
-            levels = []
-            for i in range(self.system.n_factors):
-                pick = None
-                for a in range(self.system.cardinality(i)):
-                    if values[self.x_index[(c, i, a)]] == 1:
-                        if pick is not None:
-                            raise StructureError(
-                                f"slot {c} factor {i} has two levels set"
-                            )
-                        pick = a
-                if pick is None:
-                    raise StructureError(f"slot {c} factor {i} has no level set")
-                levels.append(pick)
-            tc = TestCase(tuple(levels))
-            if not validate_case(tc, self.system, self.constraints):
-                raise StructureError(f"decoded slot {c} violates an avoid tuple")
-            suite.append(tc)
+            suite.append(
+                decode_case(values, c * nx, self.system, self.constraints, f"slot {c}")
+            )
         return suite
 
 
@@ -96,78 +84,69 @@ def build_monolithic(
         universe = InteractionUniverse(system, constraints)
     n = system.n_factors
     card = system.cardinalities
+    nx = sum(card)
     nu = len(universe)
-    est_vars = m * sum(card) + m * nu + nu + m * len(constraints.must)
+    n_must = len(constraints.must)
+    est_vars = m * nx + m * nu + nu + m * n_must
     if est_vars > max_vars:
         raise ModelSizeError(
             f"monolithic model would need {est_vars} variables (cap {max_vars})"
         )
 
-    milp = MilpModel(sense="max", name=f"mono_m{m}")
-    x_index: dict = {}
-    for c in range(m):
-        for i in range(n):
-            for a in range(card[i]):
-                x_index[(c, i, a)] = milp.add_var(name=f"x_c{c}_f{i}_l{a}")
-    q_index: dict = {}
-    for c in range(m):
-        for u in range(nu):
-            q_index[(c, u)] = milp.add_var(name=f"q_c{c}_u{u}")
-    p_index: dict = {}
-    for u in range(nu):
-        p_index[u] = milp.add_var(name=f"p_u{u}", obj=1)
-    y_index: dict = {}
-    for g in range(len(constraints.must)):
-        for c in range(m):
-            y_index[(g, c)] = milp.add_var(name=f"y_g{g}_c{c}")
+    milp = MilpModel(sense="max")
+    base = [sum(card[:i]) for i in range(n)]
+
+    def x(c, f, v) -> int:
+        """The var of slot c picking level v of factor f."""
+        return c * nx + base[f] + int(v)
+
+    for _ in range(m * nx):
+        milp.add_var()
+    q0 = milp.nvars  # q of (slot c, pair u) is q0 + c * nu + u
+    for _ in range(m * nu):
+        milp.add_var()
+    p0 = milp.nvars  # p of pair u is p0 + u
+    for _ in range(nu):
+        milp.add_var(obj=1)
+    y0 = milp.nvars  # y of (must g, slot c) is y0 + g * m + c
+    for _ in range(n_must * m):
+        milp.add_var()
 
     # one level per factor per slot
     for c in range(m):
         for i in range(n):
-            milp.add_constraint(
-                {x_index[(c, i, a)]: 1 for a in range(card[i])},
-                "==",
-                1,
-                name=f"one_c{c}_f{i}",
-            )
+            milp.add_constraint({x(c, i, a): 1 for a in range(card[i])}, "==", 1)
     # q tied to both picks
     for c in range(m):
         for u in range(nu):
-            xi = x_index[(c, int(universe.f1[u]), int(universe.v1[u]))]
-            xj = x_index[(c, int(universe.f2[u]), int(universe.v2[u]))]
-            qv = q_index[(c, u)]
-            milp.add_constraint({qv: 1, xi: -1}, "<=", 0, name=f"qa_c{c}_u{u}")
-            milp.add_constraint({qv: 1, xj: -1}, "<=", 0, name=f"qb_c{c}_u{u}")
-            milp.add_constraint(
-                {xi: 1, xj: 1, qv: -1}, "<=", 1, name=f"ql_c{c}_u{u}"
-            )
+            xi = x(c, universe.f1[u], universe.v1[u])
+            xj = x(c, universe.f2[u], universe.v2[u])
+            qv = q0 + c * nu + u
+            milp.add_constraint({qv: 1, xi: -1}, "<=", 0)
+            milp.add_constraint({qv: 1, xj: -1}, "<=", 0)
+            milp.add_constraint({xi: 1, xj: 1, qv: -1}, "<=", 1)
     # p covered by some slot
     for u in range(nu):
-        coefs = {p_index[u]: 1}
+        coefs = {p0 + u: 1}
         for c in range(m):
-            coefs[q_index[(c, u)]] = -1
-        milp.add_constraint(coefs, "<=", 0, name=f"pu_u{u}")
+            coefs[q0 + c * nu + u] = -1
+        milp.add_constraint(coefs, "<=", 0)
     # avoid tuples per slot
     for c in range(m):
-        for t, av in enumerate(constraints.avoid):
-            coefs = {x_index[(c, f, v)]: 1 for f, v in av.picks}
-            milp.add_constraint(coefs, "<=", len(av) - 1, name=f"av{t}_c{c}")
+        for av in constraints.avoid:
+            milp.add_constraint({x(c, f, v): 1 for f, v in av.picks}, "<=", len(av) - 1)
     # must tuples: containment indicators, at least one slot fires
     for g, mu in enumerate(constraints.must):
         for c in range(m):
-            yv = y_index[(g, c)]
+            yv = y0 + g * m + c
             coefs = {yv: -1}
             for f, v in mu.picks:
-                milp.add_constraint(
-                    {yv: 1, x_index[(c, f, v)]: -1}, "<=", 0, name=f"ya_g{g}_c{c}_f{f}"
-                )
-                coefs[x_index[(c, f, v)]] = 1
-            milp.add_constraint(coefs, "<=", len(mu) - 1, name=f"yl_g{g}_c{c}")
-        milp.add_constraint(
-            {y_index[(g, c)]: 1 for c in range(m)}, ">=", 1, name=f"ysum_g{g}"
-        )
+                milp.add_constraint({yv: 1, x(c, f, v): -1}, "<=", 0)
+                coefs[x(c, f, v)] = 1
+            milp.add_constraint(coefs, "<=", len(mu) - 1)
+        milp.add_constraint({y0 + g * m + c: 1 for c in range(m)}, ">=", 1)
 
-    return MonolithicModel(milp, system, constraints, universe, m, x_index, p_index)
+    return MonolithicModel(milp, system, constraints, universe, m)
 
 
 def coverage_lower_bound(universe: InteractionUniverse) -> int:

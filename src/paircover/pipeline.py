@@ -113,18 +113,18 @@ def minimize_suite(
     if m == 0:
         return suite, {"status": "empty", "removed": 0}
 
-    milp = MilpModel(sense="min", name="setcover")
-    z = [milp.add_var(name=f"z_r{r}", obj=1) for r in range(m)]
+    milp = MilpModel(sense="min")
+    z = [milp.add_var(obj=1) for _ in range(m)]
     covers: dict[int, list[int]] = {}
     for r, tc in enumerate(suite):
         for u in universe.case_pair_ids(tc.levels):
             covers.setdefault(int(u), []).append(r)
-    for u, rows in sorted(covers.items()):
-        milp.add_constraint({z[r]: 1 for r in rows}, ">=", 1, name=f"cov_u{u}")
-    for g, mu in enumerate(constraints.must):
+    for _, rows in sorted(covers.items()):
+        milp.add_constraint({z[r]: 1 for r in rows}, ">=", 1)
+    for mu in constraints.must:
         carriers = [r for r, tc in enumerate(suite) if subsumes(tc, mu)]
         if carriers:  # a must not carried by the input cannot be required here
-            milp.add_constraint({z[r]: 1 for r in carriers}, ">=", 1, name=f"must_g{g}")
+            milp.add_constraint({z[r]: 1 for r in carriers}, ">=", 1)
 
     sol = solve(milp, backend=backend, time_limit=time_limit)
     stats = {
@@ -243,6 +243,7 @@ def run_pipeline(
         report.phase_wall_s["minimize"] = time.perf_counter() - t3
 
     report.final_size = len(suite)
+    # imported at call time: perfbench's tracer rebinds interactions.coverage_curve
     from .interactions import coverage_curve
 
     report.coverage_curve = coverage_curve(suite, universe)

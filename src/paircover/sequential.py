@@ -15,9 +15,7 @@ the lower bound out keeps the model smaller.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .core import (
     ConstraintSet,
@@ -38,31 +36,41 @@ class StepTimeout(PaircoverError):
     """A per-case solve produced no usable case within its budget."""
 
 
+def decode_case(
+    values, start: int, system: FactorSystem, constraints: ConstraintSet, what: str
+) -> TestCase:
+    """The case held by one-hot x variables from var ``start`` on.
+
+    The block has one variable per (factor, level), factors in index order
+    and levels in index order within each factor.  ``what`` names the case
+    in error messages.
+    """
+    levels = []
+    k = start
+    for i, card in enumerate(system.cardinalities):
+        picks = [a for a in range(card) if values[k + a] == 1]
+        if len(picks) > 1:
+            raise StructureError(f"{what}: factor {i} has two levels set")
+        if not picks:
+            raise StructureError(f"{what}: factor {i} has no level set")
+        levels.append(picks[0])
+        k += card
+    tc = TestCase(tuple(levels))
+    if not validate_case(tc, system, constraints):
+        raise StructureError(f"decoded {what} violates an avoid tuple")
+    return tc
+
+
 @dataclass
 class StepModel:
+    """The one-case program: x variables first, then one p per uncovered pair."""
+
     milp: MilpModel
     system: FactorSystem
     constraints: ConstraintSet
-    x_index: dict = field(repr=False, default_factory=dict)  # (factor, level) -> var
-    p_vars: list = field(repr=False, default_factory=list)  # aligned with uncovered_ids
-    uncovered_ids: list = field(repr=False, default_factory=list)
 
     def decode(self, values) -> TestCase:
-        levels = []
-        for i in range(self.system.n_factors):
-            pick = None
-            for a in range(self.system.cardinality(i)):
-                if values[self.x_index[(i, a)]] == 1:
-                    if pick is not None:
-                        raise StructureError(f"factor {i} has two levels set")
-                    pick = a
-            if pick is None:
-                raise StructureError(f"factor {i} has no level set")
-            levels.append(pick)
-        tc = TestCase(tuple(levels))
-        if not validate_case(tc, self.system, self.constraints):
-            raise StructureError("decoded step case violates an avoid tuple")
-        return tc
+        return decode_case(values, 0, self.system, self.constraints, "step case")
 
 
 def build_step(
@@ -73,36 +81,29 @@ def build_step(
     fixed: PartialAssignment | None = None,
 ) -> StepModel:
     """Assemble the one-case maximization over the given uncovered pairs."""
-    n = system.n_factors
     card = system.cardinalities
-    milp = MilpModel(sense="max", name="step")
-    x_index: dict = {}
-    for i in range(n):
-        for a in range(card[i]):
-            x_index[(i, a)] = milp.add_var(name=f"x_f{i}_l{a}")
+    base = [sum(card[:i]) for i in range(len(card))]  # x var of (i, 0)
+    milp = MilpModel(sense="max")
+    for _ in range(sum(card)):
+        milp.add_var()
     uncovered_ids = [int(u) for u in uncovered_ids]
-    p_vars: list[int] = []
-    for u in uncovered_ids:
-        p_vars.append(milp.add_var(name=f"p_u{u}", obj=int(universe.weights[u])))
+    p_vars = [milp.add_var(obj=int(universe.weights[u])) for u in uncovered_ids]
 
-    for i in range(n):
-        milp.add_constraint(
-            {x_index[(i, a)]: 1 for a in range(card[i])}, "==", 1, name=f"one_f{i}"
-        )
-    for k, u in enumerate(uncovered_ids):
-        xi = x_index[(int(universe.f1[u]), int(universe.v1[u]))]
-        xj = x_index[(int(universe.f2[u]), int(universe.v2[u]))]
-        milp.add_constraint({p_vars[k]: 1, xi: -1}, "<=", 0, name=f"pa_u{u}")
-        milp.add_constraint({p_vars[k]: 1, xj: -1}, "<=", 0, name=f"pb_u{u}")
-    for t, av in enumerate(constraints.avoid):
-        milp.add_constraint(
-            {x_index[(f, v)]: 1 for f, v in av.picks}, "<=", len(av) - 1, name=f"av{t}"
-        )
+    for i in range(len(card)):
+        milp.add_constraint({base[i] + a: 1 for a in range(card[i])}, "==", 1)
+    for p, u in zip(p_vars, uncovered_ids):
+        xi = base[universe.f1[u]] + int(universe.v1[u])
+        xj = base[universe.f2[u]] + int(universe.v2[u])
+        milp.add_constraint({p: 1, xi: -1}, "<=", 0)
+        milp.add_constraint({p: 1, xj: -1}, "<=", 0)
+    for av in constraints.avoid:
+        milp.add_constraint({base[f] + v: 1 for f, v in av.picks}, "<=", len(av) - 1)
     if fixed is not None:
+        fixed.validate_against(system)  # an out-of-range pick would alias another var
         for f, v in fixed.picks:
-            milp.add_constraint({x_index[(f, v)]: 1}, "==", 1, name=f"fix_f{f}")
+            milp.add_constraint({base[f] + v: 1}, "==", 1)
 
-    return StepModel(milp, system, constraints, x_index, p_vars, uncovered_ids)
+    return StepModel(milp, system, constraints)
 
 
 def generate_single_case(

@@ -15,38 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from paircover.core import (
-    ConstraintSet,
-    Factor,
-    FactorSystem,
-    PartialAssignment,
-    TestCase,
-)
-
-
-def make_system(cards, prefix="F"):
-    return FactorSystem(
-        tuple(
-            Factor(f"{prefix}{i}", tuple(f"v{a}" for a in range(c)))
-            for i, c in enumerate(cards)
-        )
-    )
-
-
-def bbu_instance():
-    system = FactorSystem(
-        (
-            Factor("Modulation", ("QPSK", "16-QAM", "64-QAM", "256-QAM")),
-            Factor("Bandwidth", ("20 MHz", "50 MHz", "100 MHz", "200 MHz")),
-            Factor("MIMO", ("SU-MIMO", "MU-MIMO", "Massive MIMO", "No MIMO")),
-            Factor("Coding Rate", ("1/3", "1/2", "3/4", "5/6")),
-        )
-    )
-    constraints = ConstraintSet(
-        avoid=(PartialAssignment(((0, 0), (1, 3))),),
-        must=(PartialAssignment(((0, 3), (1, 3), (2, 1))),),
-    )
-    return system, constraints
+from paircover.core import ConstraintSet, PartialAssignment, TestCase
 
 
 def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from paircover import cli
-from paircover.bench import make_bbu, random_avoids, tail_fraction
+from paircover.bench import make_bbu, make_system, random_avoids, tail_fraction
 from paircover.core import ConstraintSet, TestSuite
 from paircover.gcp import partition_musts
 from paircover.greedy import greedy_suite
@@ -27,7 +27,7 @@ from paircover.milp import MilpModel, SolveStatus, solve_reference
 from paircover.monolithic import minimal_suite
 from paircover.pipeline import PipelineConfig, minimize_suite, run_pipeline
 
-from conftest import brute_force_milp, make_system, oracle_min_suite_size, random_constraints
+from conftest import brute_force_milp, oracle_min_suite_size, random_constraints
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 

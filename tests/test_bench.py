@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from paircover.bench import (
@@ -5,6 +7,7 @@ from paircover.bench import (
     classic_instances,
     competition_ranks,
     make_bbu,
+    make_system,
     performance_profile,
     random_instance,
     records_to_csv,
@@ -15,8 +18,9 @@ from paircover.bench import (
 )
 from paircover.core import ConstraintSet
 from paircover.interactions import InteractionUniverse
+from paircover.io import load_model
 
-from conftest import make_system
+MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
 class TestTailFraction:
@@ -99,6 +103,9 @@ class TestInstances:
         system, cs = make_bbu()
         assert system.cardinalities == (4, 4, 4, 4)
         assert len(cs.avoid) == 1 and len(cs.must) == 1
+
+    def test_bbu_matches_model_file(self):
+        assert load_model(MODELS_DIR / "bbu_5g.model") == make_bbu()
 
     def test_random_instance_deterministic(self):
         a_sys, a_cs = random_instance(7)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from paircover import cli
+from paircover.interactions import InteractionUniverse
 from paircover.io import load_model, read_suite_csv
 
 MODEL_TEXT = """\
@@ -60,6 +61,22 @@ class TestGenerate:
         assert captured.out.startswith("A,B,C")
         # must tuples are outside greedy's contract; the CLI says so
         assert "greedy ignores MUST" in captured.err
+
+    def test_greedy_builds_universe_once(self, model_file, tmp_path, monkeypatch):
+        builds = []
+        init = InteractionUniverse.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(InteractionUniverse, "__init__", counting_init)
+        report = tmp_path / "report.json"
+        argv = ["generate", "--model", str(model_file), "--method", "greedy"]
+        argv += ["--out", str(tmp_path / "suite.csv"), "--report", str(report)]
+        assert cli.main(argv) == 0
+        assert len(builds) == 1
+        assert json.loads(report.read_text())["coverage_curve"][-1] == 1.0
 
     def test_monolithic_small(self, tmp_path):
         model = tmp_path / "tiny.model"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from paircover.bench import make_system
 from paircover.core import (
     ConstraintSet,
     Factor,
@@ -10,12 +11,9 @@ from paircover.core import (
     StructureError,
     TestCase,
     TestSuite,
-    assignment_blocked,
     subsumes,
     validate_case,
 )
-
-from conftest import make_system
 
 
 class TestFactor:
@@ -118,11 +116,6 @@ class TestConstraintSet:
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 1))),))
         assert validate_case(TestCase((0, 0)), sys_, cs)
         assert not validate_case(TestCase((0, 1)), sys_, cs)
-
-    def test_assignment_blocked(self):
-        cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 1))),))
-        assert assignment_blocked(PartialAssignment(((0, 0), (1, 1), (2, 0))), cs)
-        assert not assignment_blocked(PartialAssignment(((0, 0),)), cs)
 
 
 class TestTestSuite:

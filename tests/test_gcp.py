@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from paircover.bench import make_bbu, make_system
 from paircover.core import ConstraintSet, PartialAssignment, StructureError
 from paircover.gcp import incompatibility_edges, partition_musts
 from paircover.interactions import find_extension
 
-from conftest import bbu_instance, make_system, random_constraints
+from conftest import random_constraints
 
 
 def pa(*picks):
@@ -94,7 +95,7 @@ class TestPartitionMusts:
         assert part.groups == [[0]]  # indices are into the subset
 
     def test_bbu_musts_fit_one_case(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         part = partition_musts(sys_, cs)
         assert part.n_groups == 1
         assert find_extension(part.merged[0], sys_, cs) is not None

@@ -1,10 +1,11 @@
 import pytest
 
+from paircover.bench import make_bbu, make_system
 from paircover.core import ConstraintSet, PartialAssignment, validate_case
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, verify_suite
 
-from conftest import bbu_instance, make_system, random_constraints
+from conftest import random_constraints
 
 
 def full_and_valid(suite, system, constraints):
@@ -24,7 +25,7 @@ class TestGreedySuite:
         assert 9 <= len(suite) <= 15
 
     def test_respects_avoids(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         suite = greedy_suite(sys_, cs)
         for tc in suite:
             assert validate_case(tc, sys_, cs)
@@ -32,7 +33,7 @@ class TestGreedySuite:
         assert ok, problems
 
     def test_deterministic_per_seed(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         a = greedy_suite(sys_, cs, seed=7)
         b = greedy_suite(sys_, cs, seed=7)
         assert a.to_array().tolist() == b.to_array().tolist()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paircover.bench import make_bbu, make_system
 from paircover.core import (
     ConstraintSet,
     PartialAssignment,
@@ -16,16 +17,13 @@ from paircover.interactions import (
     Interaction,
     InteractionUniverse,
     coverage_curve,
-    covered_by,
     find_extension,
     verify_suite,
 )
 
 from conftest import (
     achievable_pairs,
-    bbu_instance,
     enumerate_valid_cases,
-    make_system,
     random_constraints,
 )
 
@@ -76,14 +74,12 @@ class TestUniverse:
             assert got == want
 
     def test_bbu_drops_one_blocked_level_pair(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         uni = InteractionUniverse(sys_, cs)
         assert sys_.total_pairs == 96
         assert len(uni) == 95
         missing = Interaction(0, 0, 1, 3)  # the avoided combination itself
-        assert missing not in uni
-        with pytest.raises(StructureError):
-            uni.index_of(missing)
+        assert missing not in uni.interactions()
 
     def test_weights(self):
         sys_ = make_system([2, 3, 4])
@@ -103,9 +99,9 @@ class TestUniverse:
         assert got == {(0, 0, 1, 1), (0, 0, 2, 0), (1, 1, 2, 0)}
 
     def test_covered_by(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         uni = InteractionUniverse(sys_, cs)
-        pairs = covered_by(TestCase((3, 3, 1, 0)), uni)
+        pairs = [uni.interaction(int(k)) for k in uni.case_pair_ids((3, 3, 1, 0))]
         assert len(pairs) == 6
         assert Interaction(0, 3, 1, 3) in pairs
 
@@ -151,7 +147,7 @@ class TestVerifySuite:
         assert ok and problems == []
 
     def test_detects_each_failure_kind(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         uni = InteractionUniverse(sys_, cs)
         # invalid case
         bad = TestSuite(sys_, [TestCase((0, 3, 0, 0))])

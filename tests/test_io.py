@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from paircover.bench import make_bbu, make_system
 from paircover.core import ConstraintSet, ParseError, PartialAssignment, TestCase, TestSuite
 from paircover.io import (
     format_model,
@@ -16,8 +17,6 @@ from paircover.io import (
     write_suite_csv,
     read_suite_csv,
 )
-
-from conftest import bbu_instance, make_system
 
 BBU_TEXT = """\
 # radio configuration matrix
@@ -98,7 +97,7 @@ class TestParseModel:
 
 class TestSuiteCsv:
     def test_round_trip(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         suite = TestSuite(sys_, [TestCase((0, 0, 0, 0)), TestCase((3, 3, 1, 2))])
         text = suite_to_csv(suite)
         lines = text.strip().split("\n")
@@ -113,7 +112,7 @@ class TestSuiteCsv:
             suite_from_csv("wrong,header\nx,y\n", sys_)
 
     def test_unknown_level(self):
-        sys_, _ = bbu_instance()
+        sys_, _ = make_bbu()
         text = "Modulation,Bandwidth,MIMO,Coding Rate\nQPSK,20 MHz,SU-MIMO,7/8\n"
         with pytest.raises(ParseError) as exc:
             suite_from_csv(text, sys_)

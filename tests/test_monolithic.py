@@ -1,5 +1,6 @@
 import pytest
 
+from paircover.bench import make_system
 from paircover.core import ConstraintSet, PartialAssignment, StructureError
 from paircover.interactions import CoverageState, InteractionUniverse
 from paircover.monolithic import (
@@ -10,7 +11,7 @@ from paircover.monolithic import (
     minimal_suite,
 )
 
-from conftest import make_system, oracle_min_suite_size, random_constraints
+from conftest import oracle_min_suite_size, random_constraints
 
 
 class TestBuildMonolithic:
@@ -27,11 +28,16 @@ class TestBuildMonolithic:
     def test_must_adds_indicators(self):
         sys_ = make_system([2, 2])
         cs = ConstraintSet(must=(PartialAssignment(((0, 1),)),))
-        mono = build_monolithic(sys_, cs, m=3)
-        names = [mono.milp.var_name(v) for v in range(mono.milp.nvars)]
-        assert sum(1 for n in names if n.startswith("y_")) == 3
-        rows = [r.name for r in mono.milp.rows]
-        assert "ysum_g0" in rows
+        plain = build_monolithic(sys_, ConstraintSet(), m=3).milp
+        milp = build_monolithic(sys_, cs, m=3).milp
+        # one y per slot, appended last
+        assert milp.nvars == plain.nvars + 3
+        # per slot: y <= x and the containment row; then one "some slot" row
+        assert milp.ncons == plain.ncons + 3 * 2 + 1
+        arr = milp.to_arrays()
+        last = arr["vidx"][arr["indptr"][-2] :].tolist()
+        assert last == [plain.nvars, plain.nvars + 1, plain.nvars + 2]
+        assert (arr["rel"][-1], arr["rhs"][-1]) == (1, 1)  # sum of y >= 1
 
     def test_rejects_zero_slots(self):
         sys_ = make_system([2, 2])

@@ -1,5 +1,6 @@
 import pytest
 
+from paircover.bench import make_bbu, make_system
 from paircover.core import (
     ConstraintSet,
     PaircoverError,
@@ -16,12 +17,12 @@ from paircover.pipeline import (
     run_pipeline,
 )
 
-from conftest import bbu_instance, make_system, oracle_min_suite_size, random_constraints
+from conftest import oracle_min_suite_size, random_constraints
 
 
 class TestApplyWarmStart:
     def test_filters_invalid_rows(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         warm = TestSuite(
             sys_,
             [
@@ -65,7 +66,7 @@ class TestMinimizeSuite:
         assert ok, problems
 
     def test_never_larger_and_preserves_musts(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         raw = greedy_suite(sys_, cs, seed=3)
         carrier = TestCase((3, 3, 1, 0))
         raw.append(carrier)
@@ -106,7 +107,7 @@ class TestMinimizeSuite:
 
 class TestRunPipeline:
     def test_end_to_end_reference_instance(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         suite, report = run_pipeline(sys_, cs)
         ok, problems = verify_suite(suite, cs)
         assert ok, problems
@@ -124,7 +125,7 @@ class TestRunPipeline:
         assert len(suite) >= 9
 
     def test_warm_start_reduces_generation(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         warm = greedy_suite(sys_, cs, seed=11)
         cold_suite, cold = run_pipeline(sys_, cs, config=PipelineConfig())
         warm_suite, hot = run_pipeline(sys_, cs, warm_start=warm)
@@ -134,14 +135,14 @@ class TestRunPipeline:
         assert ok, problems
 
     def test_presatisfied_musts_skip_phase1(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         warm = TestSuite(sys_, [TestCase((3, 3, 1, 0))])  # carries the must
         _, report = run_pipeline(sys_, cs, warm_start=warm, config=PipelineConfig(alpha=1.0))
         assert report.must_presatisfied == 1
         assert report.phase1_cases == 0
 
     def test_unweighted_config(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         suite, report = run_pipeline(sys_, cs, config=PipelineConfig(weighted=False))
         assert not report.weighted
         ok, problems = verify_suite(suite, cs)
@@ -156,7 +157,7 @@ class TestRunPipeline:
         assert report.final_size == report.raw_size
 
     def test_curve_monotone(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         _, report = run_pipeline(sys_, cs)
         curve = report.coverage_curve
         assert curve == sorted(curve)

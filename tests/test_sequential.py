@@ -1,5 +1,6 @@
 import pytest
 
+from paircover.bench import make_bbu, make_system
 from paircover.core import (
     ConstraintSet,
     PartialAssignment,
@@ -13,8 +14,6 @@ from paircover.sequential import (
     generate_single_case,
     handle_must_include,
 )
-
-from conftest import bbu_instance, make_system
 
 
 def fresh_state(system, constraints, weighted=True):
@@ -38,18 +37,28 @@ class TestBuildStep:
         sys_ = make_system([2, 3])
         uni, cov = fresh_state(sys_, ConstraintSet())
         fixed = PartialAssignment(((1, 2),))
+        plain = build_step(sys_, ConstraintSet(), uni, cov.uncovered_indices())
         step = build_step(sys_, ConstraintSet(), uni, cov.uncovered_indices(), fixed)
-        names = [r.name for r in step.milp.rows]
-        assert "fix_f1" in names
+        assert step.milp.ncons == plain.milp.ncons + 1
+        arr = step.milp.to_arrays()
+        # x of (factor 1, level 2) is var 2 + 2: factor 0 has two levels
+        assert arr["vidx"][arr["indptr"][-2] :].tolist() == [4]
+        assert (arr["rel"][-1], arr["rhs"][-1]) == (2, 1)  # == 1
+
+    def test_out_of_range_fix_rejected(self):
+        sys_ = make_system([2, 3])
+        uni, cov = fresh_state(sys_, ConstraintSet())
+        fixed = PartialAssignment(((0, 2),))  # factor 0 has levels 0 and 1
+        with pytest.raises(StructureError):
+            build_step(sys_, ConstraintSet(), uni, cov.uncovered_indices(), fixed)
 
     def test_objective_uses_weights(self):
         sys_ = make_system([2, 4])
         uni, cov = fresh_state(sys_, ConstraintSet(), weighted=True)
         step = build_step(sys_, ConstraintSet(), uni, cov.uncovered_indices())
-        p_objs = {step.milp.objective[v] for v in step.p_vars}
-        assert p_objs == {8}  # 2 * 4
-        x_objs = {step.milp.objective[step.x_index[k]] for k in step.x_index}
-        assert x_objs == {0}
+        # six x variables (2 + 4 levels) first, then one p per pair
+        assert set(step.milp.objective[:6]) == {0}
+        assert set(step.milp.objective[6:]) == {8}  # 2 * 4
 
 
 class TestGenerateSingleCase:
@@ -73,7 +82,7 @@ class TestGenerateSingleCase:
         assert tc is None and stats["complete"]
 
     def test_respects_avoids(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         uni, cov = fresh_state(sys_, cs)
         for _ in range(5):
             tc, _ = generate_single_case(sys_, cs, uni, cov)
@@ -81,7 +90,7 @@ class TestGenerateSingleCase:
             cov.mark_case(tc)
 
     def test_fixed_picks_honored(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         uni, cov = fresh_state(sys_, cs)
         fixed = PartialAssignment(((0, 3), (1, 3), (2, 1)))
         tc, _ = generate_single_case(sys_, cs, uni, cov, fixed=fixed)
@@ -128,7 +137,7 @@ class TestGenerateSingleCase:
 
 class TestHandleMustInclude:
     def test_one_case_per_group(self):
-        sys_, cs = bbu_instance()
+        sys_, cs = make_bbu()
         uni, cov = fresh_state(sys_, cs)
         merged = [PartialAssignment(((0, 3), (1, 3), (2, 1)))]
         cases, stats = handle_must_include(sys_, cs, uni, cov, merged)
