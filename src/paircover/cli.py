@@ -179,7 +179,12 @@ def build_parser() -> _Parser:
         choices=("sequential", "greedy", "monolithic"),
         default="sequential",
     )
-    g.add_argument("--backend", default="reference")
+    g.add_argument(
+        "--backend",
+        default="reference",
+        help="MILP solver for the set cover and the monolithic method "
+        "(reference or scipy); per-case steps always use the built-in search",
+    )
     g.add_argument("--alpha", type=float, default=0.9, help="warm-start retention")
     g.add_argument("--unweighted", action="store_true")
     g.add_argument("--no-minimize", action="store_true")

@@ -40,7 +40,7 @@ class PipelineStallError(PaircoverError):
 class PipelineConfig:
     weighted: bool = True
     alpha: float = 0.9
-    backend: str = "reference"
+    backend: str = "reference"  # set-cover solver; steps always run sequential.solve
     step_time_limit: float | None = DEFAULT_STEP_TIME_LIMIT
     minimize: bool = True
     minimize_time_limit: float | None = 60.0
@@ -194,7 +194,6 @@ def run_pipeline(
             universe,
             coverage,
             partition.merged,
-            backend=cfg.backend,
             time_limit=cfg.step_time_limit,
         )
         for tc in cases:
@@ -211,7 +210,6 @@ def run_pipeline(
             constraints,
             universe,
             coverage,
-            backend=cfg.backend,
             time_limit=cfg.step_time_limit,
         )
         if tc is None:

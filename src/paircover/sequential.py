@@ -7,15 +7,17 @@ way).  The weight of a pair is the product of its two factors'
 cardinalities, so rarer combinations get priority; an unweighted universe
 makes every pair count 1.
 
-Coverage indicators only need the upper half of the usual AND coupling
-(p <= x on each side): the objective already pushes every p up, and leaving
-the lower bound out keeps the model smaller.
+The program is a max-weight clique in a k-partite graph (one part per
+factor), so it is solved by an exact depth-first search over factor levels
+with a per-factor-pair bound, not as a generic binary MILP.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     ConstraintSet,
@@ -27,9 +29,10 @@ from .core import (
     validate_case,
 )
 from .interactions import CoverageState, InteractionUniverse
-from .milp import MilpModel, SolveStatus, solve
+from .milp import MilpSolution, SolveStatus
 
 DEFAULT_STEP_TIME_LIMIT = 60.0
+_UNREACHABLE = -(2**40)  # gain of a level the step does not allow
 
 
 class StepTimeout(PaircoverError):
@@ -63,11 +66,24 @@ def decode_case(
 
 @dataclass
 class StepModel:
-    """The one-case program: x variables first, then one p per uncovered pair."""
+    """The one-case program in structured form.
 
-    milp: MilpModel
+    Pick one level per factor from ``allowed`` so that no avoid tuple is
+    completed, maximizing ``sum(gain[i, a_i, j, a_j] for i < j)``.
+    ``gain[i, a, j, b]`` is the weight of the pair (i, a), (j, b) while it
+    is uncovered and 0 otherwise (also for i >= j and for padding levels).
+    ``avoid_at[j][b]`` lists the picks on factors below j that, together
+    with level b of factor j, complete an avoid tuple.  ``tail[d]`` bounds
+    what the pairs among factors d.. can add: the sum of each such factor
+    pair's largest entry over the allowed levels.
+    """
+
     system: FactorSystem
     constraints: ConstraintSet
+    allowed: list[tuple[int, ...]]  # descending: the search order
+    gain: np.ndarray  # int64 (n, L, n, L), L the largest cardinality
+    avoid_at: list[dict[int, list[tuple[tuple[int, int], ...]]]]
+    tail: list[int]  # n + 1 entries, tail[n] == 0
 
     def decode(self, values) -> TestCase:
         return decode_case(values, 0, self.system, self.constraints, "step case")
@@ -82,28 +98,110 @@ def build_step(
 ) -> StepModel:
     """Assemble the one-case maximization over the given uncovered pairs."""
     card = system.cardinalities
-    base = [sum(card[:i]) for i in range(len(card))]  # x var of (i, 0)
-    milp = MilpModel(sense="max")
-    for _ in range(sum(card)):
-        milp.add_var()
-    uncovered_ids = [int(u) for u in uncovered_ids]
-    p_vars = [milp.add_var(obj=int(universe.weights[u])) for u in uncovered_ids]
-
-    for i in range(len(card)):
-        milp.add_constraint({base[i] + a: 1 for a in range(card[i])}, "==", 1)
-    for p, u in zip(p_vars, uncovered_ids):
-        xi = base[universe.f1[u]] + int(universe.v1[u])
-        xj = base[universe.f2[u]] + int(universe.v2[u])
-        milp.add_constraint({p: 1, xi: -1}, "<=", 0)
-        milp.add_constraint({p: 1, xj: -1}, "<=", 0)
-    for av in constraints.avoid:
-        milp.add_constraint({base[f] + v: 1 for f, v in av.picks}, "<=", len(av) - 1)
+    n, top = len(card), max(card)
+    allowed = [tuple(range(c - 1, -1, -1)) for c in card]
     if fixed is not None:
-        fixed.validate_against(system)  # an out-of-range pick would alias another var
+        fixed.validate_against(system)
         for f, v in fixed.picks:
-            milp.add_constraint({base[f] + v: 1}, "==", 1)
+            allowed[f] = (v,)
 
-    return StepModel(milp, system, constraints)
+    ids = np.asarray(uncovered_ids, dtype=np.int64)
+    w = np.zeros(len(universe) + 1, dtype=np.int64)  # pair_id -1 reads the last 0
+    w[ids] = universe.weights[ids]
+    dense = w[universe.pair_id]  # uncovered weight per slot entry
+    gain = np.zeros((n, top, n, top), dtype=np.int64)
+    for s in range(len(universe.slot_i)):
+        i, j = int(universe.slot_i[s]), int(universe.slot_j[s])
+        lo = int(universe.slot_base[s])
+        gain[i, : card[i], j, : card[j]] = dense[lo : lo + card[i] * card[j]].reshape(
+            card[i], card[j]
+        )
+
+    mask = np.zeros((n, top), dtype=bool)
+    for i, levels in enumerate(allowed):
+        mask[i, list(levels)] = True
+    reachable = np.where(mask[:, :, None, None] & mask[None, None], gain, 0)
+    per_factor = reachable.max(axis=(1, 3)).sum(axis=1)
+    tail = np.concatenate([np.cumsum(per_factor[::-1])[::-1], [0]]).tolist()
+
+    avoid_at: list[dict] = [{} for _ in range(n)]
+    for av in constraints.avoid:
+        *prefix, (f, v) = av.picks
+        avoid_at[f].setdefault(v, []).append(tuple(prefix))
+    return StepModel(system, constraints, allowed, gain, avoid_at, tail)
+
+
+class _Stop(Exception):
+    """Unwinds the search: the root bound is reached or time ran out."""
+
+
+def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
+    """Best case of ``step``, exact unless ``time_limit`` runs out.
+
+    Depth-first over the factors in index order, levels in descending
+    order.  A child is entered only while its bound (picks so far, plus
+    each later factor's best level against them, plus ``tail``) beats the
+    incumbent, and only a strictly better leaf replaces the incumbent, so
+    the result is the lexicographically largest optimal case.  The search
+    stops as soon as the incumbent reaches the root bound.  The deadline is
+    checked every 1024 nodes; on timeout the incumbent comes back as
+    FEASIBLE.  ``values`` is the one-hot x block ``StepModel.decode`` reads.
+    """
+    t0 = time.perf_counter()
+    deadline = None if time_limit is None else t0 + float(time_limit)
+    allowed, gain, avoid_at, tail = step.allowed, step.gain, step.avoid_at, step.tail
+    card = step.system.cardinalities
+    n = len(card)
+    levels = [0] * n
+    best, best_levels = -1, None
+    nodes = 0
+    timed_out = False
+
+    def blocked(d: int, a: int) -> bool:
+        return any(
+            all(levels[f] == v for f, v in prefix) for prefix in avoid_at[d].get(a, ())
+        )
+
+    def visit(d: int, cur: int, reach: np.ndarray) -> None:
+        # reach[j, b]: what level b of factor j adds to the picks on factors < d
+        nonlocal best, best_levels, nodes, timed_out
+        here = reach[d].tolist()
+        last = d == n - 1
+        if not last:
+            child = reach + gain[d]
+            rest = (child[:, d + 1 :].max(axis=2).sum(axis=1) + tail[d + 1]).tolist()
+        for a in allowed[d]:
+            value = cur + here[a]
+            if value + (0 if last else rest[a]) <= best or blocked(d, a):
+                continue
+            nodes += 1
+            if nodes % 1024 == 0 and deadline is not None and time.perf_counter() >= deadline:
+                timed_out = True
+                raise _Stop
+            levels[d] = a
+            if not last:
+                visit(d + 1, value, child[a])
+                continue
+            best, best_levels = value, levels[:]
+            if best >= tail[0]:
+                raise _Stop
+
+    root = np.full((n, max(card)), _UNREACHABLE, dtype=np.int64)
+    for i, lv in enumerate(allowed):
+        root[i, list(lv)] = 0
+    try:
+        visit(0, 0, root)
+    except _Stop:
+        pass
+
+    stats = {"nodes": nodes, "wall_s": time.perf_counter() - t0}
+    if best_levels is None:
+        status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.INFEASIBLE
+        return MilpSolution(status, None, None, stats)
+    values = np.zeros(sum(card), dtype=np.int8)
+    values[np.cumsum((0,) + card[:-1]) + best_levels] = 1
+    status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
+    return MilpSolution(status, best, values, stats)
 
 
 def generate_single_case(
@@ -112,7 +210,6 @@ def generate_single_case(
     universe: InteractionUniverse,
     coverage: CoverageState,
     fixed: PartialAssignment | None = None,
-    backend: str = "reference",
     time_limit: float | None = DEFAULT_STEP_TIME_LIMIT,
 ) -> tuple[TestCase | None, dict]:
     """Best next case, or None when everything is already covered.
@@ -125,17 +222,15 @@ def generate_single_case(
         return None, {"complete": True}
     t0 = time.perf_counter()
     step = build_step(system, constraints, universe, uncovered, fixed)
-    sol = solve(step.milp, backend=backend, time_limit=time_limit)
+    sol = solve(step, time_limit=time_limit)
     stats = {
         "uncovered_before": int(len(uncovered)),
         "status": sol.status.value,
         "objective": sol.objective,
-        "nvars": step.milp.nvars,
-        "ncons": step.milp.ncons,
+        "nodes": sol.stats["nodes"],
         "wall_s": time.perf_counter() - t0,
         "proved_optimal": sol.status == SolveStatus.OPTIMAL,
     }
-    stats.update({k: sol.stats.get(k) for k in ("nodes",) if k in sol.stats})
     if sol.status == SolveStatus.INFEASIBLE:
         raise StructureError(
             "step model infeasible: the fixed picks conflict with the avoid tuples"
@@ -151,7 +246,6 @@ def handle_must_include(
     universe: InteractionUniverse,
     coverage: CoverageState,
     merged_groups: list[PartialAssignment],
-    backend: str = "reference",
     time_limit: float | None = DEFAULT_STEP_TIME_LIMIT,
 ) -> tuple[list[TestCase], list[dict]]:
     """One case per must group, each maximizing fresh coverage around it."""
@@ -164,7 +258,6 @@ def handle_must_include(
             universe,
             coverage,
             fixed=merged,
-            backend=backend,
             time_limit=time_limit,
         )
         if tc is None:  # coverage complete but the group still needs its case

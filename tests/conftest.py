@@ -1,10 +1,13 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures and independent oracles.
 
-The oracles here deliberately avoid the package's solver and universe
-machinery: valid cases come from enumerating the full product space,
-achievable pairs from scanning those cases, and minimum suite sizes from a
-depth-limited set-cover search over them.  Slow but trustworthy at the
-scales the tests use.
+The brute-force oracles deliberately avoid the package's solver and
+universe machinery: valid cases come from enumerating the full product
+space, achievable pairs from scanning those cases, and minimum suite sizes
+from a depth-limited set-cover search over them.  Slow but trustworthy at
+the scales the tests use.  ``brute_force_step`` scores every valid case
+against a universe's pair list, and ``step_milp`` states a per-case step
+as a generic binary MILP, so the step search can be checked against
+enumeration and against the MILP solvers.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from paircover.core import ConstraintSet, PartialAssignment, TestCase
+from paircover.milp import MilpModel
 
 
 def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):
@@ -122,6 +126,34 @@ def oracle_min_suite_size(system, constraints):
         k += 1
 
 
+def brute_force_step(cases, universe, uncovered_ids, fixed=None):
+    """Best step weight and the lexicographically largest case reaching it.
+
+    ``cases`` holds the constraint-valid cases (at least one) as rows in
+    ascending lexicographic order (``enumerate_valid_cases``).  Each case
+    extending ``fixed`` is scored by the summed weight of the uncovered
+    pairs it contains, read from the universe's pair list.  Returns
+    (None, None) when no valid case extends ``fixed``.
+    """
+    u = np.asarray(uncovered_ids, dtype=np.int64)
+    n = cases.shape[1]
+    top = int(cases.max()) + 1
+    table = np.zeros((n, top, n, top), dtype=np.int64)
+    np.add.at(table, (universe.f1[u], universe.v1[u], universe.f2[u], universe.v2[u]), universe.weights[u])
+    score = np.zeros(len(cases), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            score += table[i, cases[:, i], j, cases[:, j]]
+    keep = np.ones(len(cases), dtype=bool)
+    for f, v in fixed.picks if fixed is not None else ():
+        keep &= cases[:, f] == v
+    if not keep.any():
+        return None, None
+    best = int(score[keep].max())
+    last = np.flatnonzero(keep & (score == best))[-1]
+    return best, TestCase(tuple(int(a) for a in cases[last]))
+
+
 def brute_force_milp(model):
     """Exhaustively enumerate a binary program; returns (feasible, best).
 
@@ -151,6 +183,35 @@ def brute_force_milp(model):
     vals = X[ok] @ arr["obj"]
     best = int(vals.max() if model.sense == "max" else vals.min())
     return True, best
+
+
+def step_milp(system, constraints, universe, uncovered_ids, fixed=None):
+    """The per-case step as a binary MILP: x per (factor, level), p per pair.
+
+    x variables come first (factors in index order, levels in index order),
+    so the solution's leading block is what ``decode_case`` reads.  A p only
+    needs the upper half of the AND coupling (p <= x on each side): the
+    objective already pushes every p up.
+    """
+    card = system.cardinalities
+    base = [sum(card[:i]) for i in range(len(card))]  # x var of (i, 0)
+    milp = MilpModel(sense="max")
+    for _ in range(sum(card)):
+        milp.add_var()
+    uncovered_ids = [int(u) for u in uncovered_ids]
+    p_vars = [milp.add_var(obj=int(universe.weights[u])) for u in uncovered_ids]
+    for i in range(len(card)):
+        milp.add_constraint({base[i] + a: 1 for a in range(card[i])}, "==", 1)
+    for p, u in zip(p_vars, uncovered_ids):
+        xi = base[universe.f1[u]] + int(universe.v1[u])
+        xj = base[universe.f2[u]] + int(universe.v2[u])
+        milp.add_constraint({p: 1, xi: -1}, "<=", 0)
+        milp.add_constraint({p: 1, xj: -1}, "<=", 0)
+    for av in constraints.avoid:
+        milp.add_constraint({base[f] + v: 1 for f, v in av.picks}, "<=", len(av) - 1)
+    for f, v in fixed.picks if fixed is not None else ():
+        milp.add_constraint({base[f] + v: 1}, "==", 1)
+    return milp
 
 
 @pytest.fixture

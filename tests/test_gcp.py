@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from paircover.bench import make_bbu, make_system

@@ -1,7 +1,7 @@
 import pytest
 
 from paircover.bench import make_bbu, make_system
-from paircover.core import ConstraintSet, PartialAssignment, validate_case
+from paircover.core import ConstraintSet, validate_case
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, verify_suite
 

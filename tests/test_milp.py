@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircover.core import PaircoverError, StructureError
+from paircover.core import StructureError
 from paircover.milp import (
     BackendError,
     MilpModel,

@@ -4,12 +4,11 @@ from paircover.bench import make_bbu, make_system
 from paircover.core import (
     ConstraintSet,
     PaircoverError,
-    PartialAssignment,
     TestCase,
     TestSuite,
 )
 from paircover.greedy import greedy_suite
-from paircover.interactions import InteractionUniverse, verify_suite
+from paircover.interactions import verify_suite
 from paircover.pipeline import (
     PipelineConfig,
     apply_warm_start,
@@ -164,12 +163,12 @@ class TestRunPipeline:
         assert curve[-1] == 1.0
 
     def test_scipy_backend(self):
-        sys_ = make_system([3, 3, 2])
-        suite, report = run_pipeline(
-            sys_, ConstraintSet(), config=PipelineConfig(backend="scipy")
-        )
-        ok, problems = verify_suite(suite, ConstraintSet())
-        assert ok, problems
+        # the backend only picks the set-cover solver: steps are the same
+        for sys_, cs in ((make_system([3, 3, 2]), ConstraintSet()), make_bbu()):
+            suite, _ = run_pipeline(sys_, cs, config=PipelineConfig(backend="scipy"))
+            ok, problems = verify_suite(suite, cs)
+            assert ok, problems
+            assert suite.cases == run_pipeline(sys_, cs)[0].cases
 
     def test_random_instances_all_sound(self, rng):
         for _ in range(5):
