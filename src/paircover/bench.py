@@ -104,21 +104,19 @@ class BenchRecord:
     tail: float | None = None
 
 
-def _method_sequential(system, cs, seed, backend, weighted=True):
-    cfg = PipelineConfig(weighted=weighted, backend=backend)
+def _method_sequential(system, cs, seed, weighted=True):
+    cfg = PipelineConfig(weighted=weighted)
     suite, report = run_pipeline(system, cs, config=cfg)
     return suite, report.degraded
 
 
-def _method_greedy(system, cs, seed, backend):
+def _method_greedy(system, cs, seed):
     return greedy_suite(system, cs, seed=seed), False
 
 
 METHODS = {
-    "sequential": lambda sy, cs, seed, be: _method_sequential(sy, cs, seed, be, True),
-    "sequential-nw": lambda sy, cs, seed, be: _method_sequential(
-        sy, cs, seed, be, False
-    ),
+    "sequential": _method_sequential,
+    "sequential-nw": lambda sy, cs, seed: _method_sequential(sy, cs, seed, False),
     "greedy": _method_greedy,
 }
 
@@ -127,7 +125,6 @@ def run_methods(
     instances: dict[str, tuple[FactorSystem, ConstraintSet]],
     methods: list[str] | None = None,
     seed: int = 0,
-    backend: str = "reference",
 ) -> list[BenchRecord]:
     methods = methods or ["sequential", "greedy"]
     records = []
@@ -135,7 +132,7 @@ def run_methods(
         universe = InteractionUniverse(system, cs)
         for method in methods:
             t0 = time.perf_counter()
-            suite, degraded = METHODS[method](system, cs, seed, backend)
+            suite, degraded = METHODS[method](system, cs, seed)
             wall = time.perf_counter() - t0
             curve = coverage_curve(suite, universe)
             records.append(

@@ -70,16 +70,13 @@ def _cmd_generate(args) -> int:
                 file=sys.stderr,
             )
     elif args.method == "monolithic":
-        suite, info = minimal_suite(
-            system, cs, backend=args.backend, time_limit=args.time_limit
-        )
+        suite, info = minimal_suite(system, cs, time_limit=args.time_limit)
         report = {"method": "monolithic", "final_size": len(suite), **info}
         degraded = False
     else:
         cfg = PipelineConfig(
             weighted=not args.unweighted,
             alpha=args.alpha,
-            backend=args.backend,
             step_time_limit=args.step_time_limit,
             minimize=not args.no_minimize,
         )
@@ -113,9 +110,7 @@ def _cmd_verify(args) -> int:
 def _cmd_minimize(args) -> int:
     system, cs = _load_model(args)
     suite = pio.read_suite_csv(args.suite, system)
-    out, stats = minimize_suite(
-        suite, cs, backend=args.backend, time_limit=args.time_limit
-    )
+    out, stats = minimize_suite(suite, cs, time_limit=args.time_limit)
     _emit_suite(args, out)
     degraded = bool(stats.get("fallback"))
     print(
@@ -140,9 +135,7 @@ def _cmd_bench(args) -> int:
             raise PaircoverError(
                 f"unknown method {m!r}; available: {', '.join(sorted(bench_mod.METHODS))}"
             )
-    records = bench_mod.run_methods(
-        instances, methods, seed=args.seed, backend=args.backend
-    )
+    records = bench_mod.run_methods(instances, methods, seed=args.seed)
     csv_text = bench_mod.records_to_csv(records)
     if args.out:
         with open(args.out, "w") as fh:
@@ -179,12 +172,6 @@ def build_parser() -> _Parser:
         choices=("sequential", "greedy", "monolithic"),
         default="sequential",
     )
-    g.add_argument(
-        "--backend",
-        default="reference",
-        help="MILP solver for the set cover and the monolithic method "
-        "(reference or scipy); per-case steps always use the built-in search",
-    )
     g.add_argument("--alpha", type=float, default=0.9, help="warm-start retention")
     g.add_argument("--unweighted", action="store_true")
     g.add_argument("--no-minimize", action="store_true")
@@ -203,7 +190,6 @@ def build_parser() -> _Parser:
     add_model_args(m)
     m.add_argument("--suite", required=True)
     m.add_argument("--out", help="write the reduced suite here (default: stdout)")
-    m.add_argument("--backend", default="reference")
     m.add_argument("--time-limit", type=float, default=60.0)
     m.set_defaults(fn=_cmd_minimize)
 
@@ -212,7 +198,6 @@ def build_parser() -> _Parser:
     b.add_argument("--methods", default="sequential,greedy")
     b.add_argument("--count", type=int, default=10, help="random instances")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--backend", default="reference")
     b.add_argument("--out", help="records CSV (default: stdout)")
     b.add_argument("--profile", help="performance profile CSV")
     b.add_argument("--max-tau", type=float, default=2.0)

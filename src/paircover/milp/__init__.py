@@ -1,4 +1,9 @@
-"""Binary integer programming layer: model container, backends, solving."""
+"""Binary integer programming layer: model container and its two solvers.
+
+``solve`` is ``solve_reference``, the built-in exact kernel the set cover
+runs (its tie-break fixes which cases a minimized suite keeps).
+``solve_highs`` hands a model to scipy's HiGHS; the monolithic method runs it.
+"""
 
 from .model import (
     MilpModel,
@@ -7,8 +12,10 @@ from .model import (
     objective_value,
     verify_solution,
 )
-from .backends import BackendError, solve
+from .highs import solve_highs
 from .reference import solve_reference
+
+solve = solve_reference
 
 __all__ = [
     "MilpModel",
@@ -16,7 +23,7 @@ __all__ = [
     "SolveStatus",
     "objective_value",
     "verify_solution",
-    "BackendError",
     "solve",
+    "solve_highs",
     "solve_reference",
 ]

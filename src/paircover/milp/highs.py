@@ -1,8 +1,9 @@
-"""Solver backends by name, and the scipy (HiGHS) adapter.
+"""The scipy (HiGHS) adapter, the solver of the monolithic slot model.
 
-A backend is a callable ``fn(model, time_limit=None, **opts) -> MilpSolution``.
-The built-in exact solver is "reference"; "scipy" delegates to
-scipy.optimize.milp, which drives HiGHS and handles much larger models.
+HiGHS branch and cut decides the monolithic models far faster than the
+built-in kernel, which has no LP relaxation.  scipy is imported inside the
+call, since ``scipy.optimize`` takes longer to import than a whole small
+CLI run needs.
 """
 
 from __future__ import annotations
@@ -11,27 +12,6 @@ import numpy as np
 
 from ..core import PaircoverError
 from .model import MilpModel, MilpSolution, SolveStatus, objective_value, verify_solution
-from .reference import solve_reference
-
-
-class BackendError(PaircoverError):
-    """Unknown backend name or a backend-level failure."""
-
-
-def solve(
-    model: MilpModel,
-    backend: str = "reference",
-    time_limit: float | None = None,
-    **opts,
-) -> MilpSolution:
-    """Solve through the named backend."""
-    try:
-        fn = _BACKENDS[backend]
-    except KeyError:
-        raise BackendError(
-            f"unknown backend {backend!r}; available: {', '.join(sorted(_BACKENDS))}"
-        ) from None
-    return fn(model, time_limit=time_limit, **opts)
 
 
 def _trivial_unconstrained(model: MilpModel) -> MilpSolution:
@@ -42,16 +22,12 @@ def _trivial_unconstrained(model: MilpModel) -> MilpSolution:
         SolveStatus.OPTIMAL,
         objective_value(model, values),
         values,
-        {"backend": "scipy", "note": "no constraints"},
+        {"note": "no constraints"},
     )
 
 
-def solve_scipy(
-    model: MilpModel,
-    time_limit: float | None = None,
-    mip_rel_gap: float = 0.0,
-) -> MilpSolution:
-    """Solve with scipy.optimize.milp (HiGHS branch and cut)."""
+def solve_highs(model: MilpModel, time_limit: float | None = None) -> MilpSolution:
+    """Solve with scipy.optimize.milp (HiGHS branch and cut), gap 0."""
     from scipy import sparse
     from scipy.optimize import Bounds
     from scipy.optimize import LinearConstraint as SciLinearConstraint
@@ -78,7 +54,7 @@ def solve_scipy(
     lb[rel == 2] = rhs[rel == 2]
     ub[rel == 2] = rhs[rel == 2]
 
-    options: dict = {"mip_rel_gap": float(mip_rel_gap)}
+    options: dict = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     res = sci_milp(
@@ -89,11 +65,11 @@ def solve_scipy(
         options=options,
     )
 
-    stats = {"backend": "scipy", "scipy_status": int(res.status)}
+    stats = {"scipy_status": int(res.status)}
     if res.x is not None:
         values = np.round(res.x).astype(np.int8)
         if not verify_solution(model, values):
-            raise BackendError("scipy backend returned a non-integral or invalid point")
+            raise PaircoverError("HiGHS returned a non-integral or invalid point")
         objective = objective_value(model, values)
         status = SolveStatus.OPTIMAL if res.status == 0 else SolveStatus.FEASIBLE
         return MilpSolution(status, objective, values, stats)
@@ -101,7 +77,4 @@ def solve_scipy(
         return MilpSolution(SolveStatus.INFEASIBLE, None, None, stats)
     if res.status == 1:
         return MilpSolution(SolveStatus.TIMED_OUT, None, None, stats)
-    raise BackendError(f"scipy backend failed: status {res.status} ({res.message})")
-
-
-_BACKENDS = {"reference": solve_reference, "scipy": solve_scipy}
+    raise PaircoverError(f"HiGHS failed: status {res.status} ({res.message})")

@@ -136,7 +136,7 @@ class MilpSolution:
 
     ``values`` is an int8 0/1 vector when a solution exists, else None.
     ``objective`` is reported in the model's own sense.  ``stats`` carries
-    backend-specific counters (nodes, wall time, backend name).
+    solver-specific counters (nodes, wall time).
     """
 
     status: SolveStatus

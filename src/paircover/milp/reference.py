@@ -350,22 +350,13 @@ def _normalized_arrays(model: MilpModel) -> dict:
 def solve_reference(
     model: MilpModel,
     time_limit: float | None = None,
-    cutoff: int | None = None,
     slice_nodes: int = 250_000,
 ) -> MilpSolution:
-    """Solve exactly, or return the best incumbent at the deadline.
-
-    ``cutoff`` installs an objective floor (in the model's sense a value a
-    solution must strictly beat).  With a cutoff, INFEASIBLE means "nothing
-    strictly better than the cutoff exists", which callers running
-    feasibility-style queries rely on.
-    """
+    """Solve exactly, or return the best incumbent at the deadline."""
     t0 = time.perf_counter()
     nv, nc = model.nvars, model.ncons
     if nv == 0:
-        return MilpSolution(
-            SolveStatus.OPTIMAL, 0, np.zeros(0, dtype=np.int8), {"backend": "reference"}
-        )
+        return MilpSolution(SolveStatus.OPTIMAL, 0, np.zeros(0, dtype=np.int8))
     pack = _normalized_arrays(model)
 
     val = np.full(nv, -1, dtype=np.int8)
@@ -381,10 +372,7 @@ def solve_reference(
     st = np.zeros(_ST_SIZE, dtype=np.int64)
 
     st[3] = int(np.maximum(pack["obj"], 0).sum())  # optimistic slack over unfixed vars
-    internal_cutoff = NEG_INF
-    if cutoff is not None:
-        internal_cutoff = int(cutoff) if model.sense == "max" else -int(cutoff)
-    st[4] = internal_cutoff
+    st[4] = NEG_INF
 
     deadline = None if time_limit is None else t0 + float(time_limit)
     budget = np.int64(slice_nodes)
@@ -423,19 +411,13 @@ def solve_reference(
 
     wall = time.perf_counter() - t0
     has_best = bool(st[5])
-    stats = {
-        "backend": "reference",
-        "nodes": int(st[9]),
-        "wall_s": wall,
-        "slices": slices,
-        "cutoff": cutoff,
-    }
+    stats = {"nodes": int(st[9]), "wall_s": wall, "slices": slices}
     if has_best:
         internal_obj = int(st[4])
         objective = internal_obj if model.sense == "max" else -internal_obj
         values = best_val.copy()
         if not verify_solution(model, values):
-            raise PaircoverError("reference backend produced an invalid solution")
+            raise PaircoverError("reference solver produced an invalid solution")
         status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
         return MilpSolution(status, objective, values, stats)
     status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.INFEASIBLE

@@ -28,8 +28,7 @@ from .core import (
     TestSuite,
 )
 from .interactions import CoverageState, InteractionUniverse
-from .milp import MilpModel, MilpSolution, SolveStatus, solve
-from .milp.reference import solve_reference
+from .milp import MilpModel, MilpSolution, SolveStatus, solve_highs
 from .sequential import decode_case
 
 
@@ -58,6 +57,11 @@ class MonolithicModel:
     constraints: ConstraintSet
     universe: InteractionUniverse
     m: int
+
+    def solve(self, time_limit: float | None) -> MilpSolution:
+        """Solve with HiGHS: the built-in kernel has no LP relaxation and
+        stalls on slot models past toy sizes."""
+        return solve_highs(self.milp, time_limit=time_limit)
 
     def decode(self, values) -> TestSuite:
         nx = sum(self.system.cardinalities)
@@ -164,21 +168,9 @@ def coverage_lower_bound(universe: InteractionUniverse) -> int:
     return best
 
 
-def _full_coverage_solve(
-    mono: MonolithicModel, backend: str, time_limit: float | None
-) -> MilpSolution:
-    nu = len(mono.universe)
-    if backend == "reference":
-        # a floor of |U|-1 turns the solve into "is full coverage possible",
-        # so any provably dead pair prunes the whole subtree
-        return solve_reference(mono.milp, time_limit=time_limit, cutoff=nu - 1)
-    return solve(mono.milp, backend=backend, time_limit=time_limit)
-
-
 def minimal_suite(
     system: FactorSystem,
     constraints: ConstraintSet,
-    backend: str = "reference",
     time_limit: float | None = DEFAULT_TIME_LIMIT,
     max_m: int | None = None,
     max_vars: int = DEFAULT_MAX_VARS,
@@ -192,7 +184,7 @@ def minimal_suite(
     constraints.validate_against(system)
     universe = InteractionUniverse(system, constraints)
     nu = len(universe)
-    report: dict = {"backend": backend, "universe": nu, "attempts": []}
+    report: dict = {"universe": nu, "attempts": []}
     if nu == 0 and not constraints.must:
         return TestSuite(system), report
 
@@ -201,7 +193,7 @@ def minimal_suite(
     t0 = time.perf_counter()
     for m in range(lb, hi + 1):
         mono = build_monolithic(system, constraints, m, universe, max_vars=max_vars)
-        sol = _full_coverage_solve(mono, backend, time_limit)
+        sol = mono.solve(time_limit)
         attempt = {
             "m": m,
             "status": sol.status.value,
@@ -237,14 +229,13 @@ def max_coverage_suite(
     system: FactorSystem,
     constraints: ConstraintSet,
     m: int,
-    backend: str = "reference",
     time_limit: float | None = DEFAULT_TIME_LIMIT,
 ) -> tuple[TestSuite, dict]:
     """Best coverage achievable with exactly m cases (the raw maximization)."""
     constraints.validate_against(system)
     universe = InteractionUniverse(system, constraints)
     mono = build_monolithic(system, constraints, m, universe)
-    sol = solve(mono.milp, backend=backend, time_limit=time_limit)
+    sol = mono.solve(time_limit)
     if not sol.has_solution:
         if sol.status == SolveStatus.INFEASIBLE:
             raise StructureError(

@@ -40,7 +40,6 @@ class PipelineStallError(PaircoverError):
 class PipelineConfig:
     weighted: bool = True
     alpha: float = 0.9
-    backend: str = "reference"  # set-cover solver; steps always run sequential.solve
     step_time_limit: float | None = DEFAULT_STEP_TIME_LIMIT
     minimize: bool = True
     minimize_time_limit: float | None = 60.0
@@ -50,7 +49,6 @@ class PipelineConfig:
 class RunReport:
     weighted: bool
     alpha: float
-    backend: str
     universe_size: int
     warm_given: int = 0
     warm_valid: int = 0
@@ -98,7 +96,6 @@ def minimize_suite(
     suite: TestSuite,
     constraints: ConstraintSet,
     universe: InteractionUniverse | None = None,
-    backend: str = "reference",
     time_limit: float | None = 60.0,
 ) -> tuple[TestSuite, dict]:
     """Smallest sub-suite keeping all covered pairs and all musts carried.
@@ -126,7 +123,9 @@ def minimize_suite(
         if carriers:  # a must not carried by the input cannot be required here
             milp.add_constraint({z[r]: 1 for r in carriers}, ">=", 1)
 
-    sol = solve(milp, backend=backend, time_limit=time_limit)
+    # the reference kernel: its tie-break, the lexicographically smallest
+    # optimal keep vector, decides which cases survive
+    sol = solve(milp, time_limit=time_limit)
     stats = {
         "status": sol.status.value,
         "nvars": milp.nvars,
@@ -138,8 +137,6 @@ def minimize_suite(
         stats["fallback"] = True
         return suite, stats
     keep = [tc for r, tc in enumerate(suite) if sol.values[z[r]] == 1]
-    if len(keep) > m:  # cannot happen, but never return something bigger
-        keep = list(suite)
     out = TestSuite(system, keep)
     stats["removed"] = m - len(out)
     return out, stats
@@ -159,7 +156,6 @@ def run_pipeline(
     report = RunReport(
         weighted=cfg.weighted,
         alpha=cfg.alpha,
-        backend=cfg.backend,
         universe_size=len(universe),
         must_total=len(constraints.must),
     )
@@ -233,7 +229,6 @@ def run_pipeline(
             suite,
             constraints,
             universe,
-            backend=cfg.backend,
             time_limit=cfg.minimize_time_limit,
         )
         report.minimized = True

@@ -140,7 +140,7 @@ def test_criterion_4_oracle_equivalence():
     checked = 0
     for seed in range(20):
         system, cs, want = _tiny_instance(seed)
-        exact, _ = minimal_suite(system, cs, backend="scipy")
+        exact, _ = minimal_suite(system, cs)
         assert len(exact) == want, (
             f"seed {seed}: minimal_suite={len(exact)} oracle={want}"
         )
@@ -219,19 +219,16 @@ def test_criterion_6_soundness_suite():
                 )
         for weighted in (True, False):
             for do_min in (True, False):
-                for backend in ("reference", "scipy"):
-                    cfg = PipelineConfig(
-                        weighted=weighted, minimize=do_min, backend=backend
-                    )
-                    suite, report = run_pipeline(system, cs, config=cfg)
-                    ok, problems = verify_suite(suite, cs)
-                    assert ok, f"{name} {cfg}: {problems[:2]}"
-                    assert report.final_size <= report.raw_size, f"{name} {cfg}"
-                    curve = report.coverage_curve
-                    assert curve == sorted(curve), f"{name} {cfg}: curve not monotone"
-                    smaller, _ = minimize_suite(suite, cs)
-                    assert len(smaller) <= len(suite), f"{name} {cfg}"
-                    runs += 1
+                cfg = PipelineConfig(weighted=weighted, minimize=do_min)
+                suite, report = run_pipeline(system, cs, config=cfg)
+                ok, problems = verify_suite(suite, cs)
+                assert ok, f"{name} {cfg}: {problems[:2]}"
+                assert report.final_size <= report.raw_size, f"{name} {cfg}"
+                curve = report.coverage_curve
+                assert curve == sorted(curve), f"{name} {cfg}: curve not monotone"
+                smaller, _ = minimize_suite(suite, cs)
+                assert len(smaller) <= len(suite), f"{name} {cfg}"
+                runs += 1
     report_line(
         6,
         "soundness suite",

@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paircover
 from paircover import cli
 from paircover.interactions import InteractionUniverse
 from paircover.io import load_model, read_suite_csv
@@ -179,7 +185,7 @@ class TestMinimize:
         import paircover.pipeline as pl
         from paircover.milp import MilpSolution, SolveStatus
 
-        def starved(model, backend="reference", time_limit=None):
+        def starved(model, time_limit=None):
             return MilpSolution(SolveStatus.TIMED_OUT, None, None, {})
 
         out = tmp_path / "suite.csv"
@@ -231,6 +237,12 @@ class TestErrors:
             cli.main(["generate"])  # neither --model nor --pict
         assert exc.value.code == 1
 
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--model", "x.model", "--backend", "scipy"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         rc = cli.main(["generate", "--model", "/nonexistent/x.model"])
         assert rc == 1
@@ -242,3 +254,28 @@ class TestErrors:
         rc = cli.main(["generate", "--model", str(bad)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    # scipy.optimize takes longer to import than a small run needs; only the
+    # monolithic method's solver may pull it in, at call time
+    src = str(Path(paircover.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import sys, paircover.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_readme_flags_exist():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = set()
+    for line in readme.read_text().splitlines():
+        if "pip install" in line or "perfbench/run.py" in line:
+            continue
+        named.update(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and isinstance(a.choices, dict)]
+    accepted = {
+        flag for sp in sub.choices.values() for flag in sp._option_string_actions
+    }
+    assert named and not named - accepted, sorted(named - accepted)

@@ -2,7 +2,7 @@ import pytest
 
 from paircover.bench import make_system
 from paircover.core import ConstraintSet, PartialAssignment, StructureError
-from paircover.interactions import CoverageState, InteractionUniverse
+from paircover.interactions import CoverageState, InteractionUniverse, verify_suite
 from paircover.monolithic import (
     ModelSizeError,
     build_monolithic,
@@ -113,6 +113,14 @@ class TestMinimalSuite:
             want = oracle_min_suite_size(sys_, cs)
             suite, _ = minimal_suite(sys_, cs)
             assert len(suite) == want
+
+    def test_3x3x3_needs_nine(self):
+        # the built-in kernel could not decide m=9 within a minute here
+        sys_ = make_system([3, 3, 3])
+        suite, report = minimal_suite(sys_, ConstraintSet(), time_limit=30)
+        assert len(suite) == 9 == report["m"]
+        ok, problems = verify_suite(suite, ConstraintSet())
+        assert ok, problems
 
     def test_avoid_can_force_extra_case(self):
         # 2x3: unconstrained minimum is 6; forbidding one combination keeps

@@ -92,7 +92,7 @@ class TestMinimizeSuite:
         import paircover.pipeline as pl
         from paircover.milp import MilpSolution, SolveStatus
 
-        def starved(model, backend="reference", time_limit=None):
+        def starved(model, time_limit=None):
             return MilpSolution(SolveStatus.TIMED_OUT, None, None, {})
 
         monkeypatch.setattr(pl, "solve", starved)
@@ -161,14 +161,6 @@ class TestRunPipeline:
         curve = report.coverage_curve
         assert curve == sorted(curve)
         assert curve[-1] == 1.0
-
-    def test_scipy_backend(self):
-        # the backend only picks the set-cover solver: steps are the same
-        for sys_, cs in ((make_system([3, 3, 2]), ConstraintSet()), make_bbu()):
-            suite, _ = run_pipeline(sys_, cs, config=PipelineConfig(backend="scipy"))
-            ok, problems = verify_suite(suite, cs)
-            assert ok, problems
-            assert suite.cases == run_pipeline(sys_, cs)[0].cases
 
     def test_random_instances_all_sound(self, rng):
         for _ in range(5):

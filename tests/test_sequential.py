@@ -13,7 +13,7 @@ from paircover.core import (
     validate_case,
 )
 from paircover.interactions import CoverageState, InteractionUniverse
-from paircover.milp import MilpSolution, SolveStatus, solve, solve_reference
+from paircover.milp import MilpSolution, SolveStatus, solve_highs, solve_reference
 from paircover.sequential import (
     StepTimeout,
     build_step,
@@ -222,7 +222,7 @@ class TestSearchOracle:
         for weighted in (True, False):
             for uni, uncovered, fix in pipeline_states(sys_, cs, weighted, cs.must[0]):
                 sol, _ = search(sys_, cs, uni, uncovered, fix)
-                ref = solve(step_milp(sys_, cs, uni, uncovered, fix), backend="scipy")
+                ref = solve_highs(step_milp(sys_, cs, uni, uncovered, fix))
                 assert ref.status is SolveStatus.OPTIMAL
                 assert ref.objective == sol.objective
 
@@ -250,7 +250,7 @@ class TestSearchOracle:
                 continue
             assert sol.status is SolveStatus.OPTIMAL
             assert (sol.objective, tc) == want
-            ref = solve(step_milp(sys_, cs, uni, cov.uncovered_indices(), fixed), backend="scipy")
+            ref = solve_highs(step_milp(sys_, cs, uni, cov.uncovered_indices(), fixed))
             assert ref.objective == sol.objective
 
 
