@@ -1,11 +1,13 @@
 """Benchmark harness: instance families, method matrix, summary metrics.
 
-Sizes are compared with performance profiles (fraction of instances on
-which a method stays within a factor tau of the best size), competition
-ranks (ties share the best rank), and pairwise reduction percentages.
-Coverage curves get a tail fraction: how much of the suite sits at or past
-the point where cumulative coverage first reaches 90 percent; a fat tail
-means many late cases each add little.
+The instances (``make_system``, ``make_bbu``, ``random_instance`` and
+``classic_instances``) are also the ones the tests and the golden suite
+digests pin.  Sizes are compared with performance profiles (fraction of
+instances on which a method stays within a factor tau of the best size) and
+competition ranks (ties share the best rank).  Coverage curves get a tail
+fraction: how much of the suite sits at or past the point where cumulative
+coverage first reaches 90 percent; a fat tail means many late cases each
+add little.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from .interactions import InteractionUniverse, coverage_curve
 from .pipeline import PipelineConfig, run_pipeline
 
 
-def make_system(cards, prefix: str = "F") -> FactorSystem:
+def make_system(cards) -> FactorSystem:
+    """Factors F0, F1, ... with levels v0, v1, ... of the given cardinalities."""
     return FactorSystem(
         tuple(
-            Factor(f"{prefix}{i}", tuple(f"v{a}" for a in range(c)))
+            Factor(f"F{i}", tuple(f"v{a}" for a in range(c)))
             for i, c in enumerate(cards)
         )
     )
@@ -66,17 +69,13 @@ def random_avoids(
     return tuple(out)
 
 
-def random_instance(
-    seed: int,
-    n_factors: tuple[int, int] = (4, 8),
-    cardinality: tuple[int, int] = (2, 5),
-    n_avoid: tuple[int, int] = (0, 3),
-) -> tuple[FactorSystem, ConstraintSet]:
+def random_instance(seed: int) -> tuple[FactorSystem, ConstraintSet]:
+    """4-8 factors of 2-5 levels with 0-3 two-pick avoid tuples."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_factors[0], n_factors[1] + 1))
-    cards = [int(rng.integers(cardinality[0], cardinality[1] + 1)) for _ in range(n)]
+    n = int(rng.integers(4, 9))
+    cards = [int(rng.integers(2, 6)) for _ in range(n)]
     system = make_system(cards)
-    avoid = random_avoids(system, rng, int(rng.integers(n_avoid[0], n_avoid[1] + 1)))
+    avoid = random_avoids(system, rng, int(rng.integers(0, 4)))
     return system, ConstraintSet(avoid=avoid)
 
 
@@ -148,11 +147,11 @@ def run_methods(
     return records
 
 
-def tail_fraction(curve, threshold: float = 0.9) -> float:
-    """Fraction of cases at or past the first index reaching the threshold."""
+def tail_fraction(curve) -> float:
+    """Fraction of cases at or past the first index reaching 90% coverage."""
     m = len(curve)
     for k, r in enumerate(curve, start=1):
-        if r >= threshold:
+        if r >= 0.9:
             return (m - k + 1) / m
     return 0.0
 
@@ -190,13 +189,6 @@ def competition_ranks(records: list[BenchRecord]) -> dict[str, float]:
             rank = 1 + sum(1 for other in sizes.values() if other < s)
             totals.setdefault(m, []).append(rank)
     return {m: float(np.mean(v)) for m, v in totals.items()}
-
-
-def reduction_percent(baseline: int, size: int) -> float:
-    """How much smaller ``size`` is than ``baseline``, in percent."""
-    if baseline <= 0:
-        return 0.0
-    return (baseline - size) / baseline * 100.0
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:

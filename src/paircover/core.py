@@ -8,9 +8,8 @@ names only matter at the I/O boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from functools import cached_property
+from typing import Iterator, Mapping
 
 
 class PaircoverError(Exception):
@@ -102,21 +101,6 @@ class FactorSystem:
             raise StructureError(
                 f"level index {level} out of range for factor {self.factors[factor].name!r}"
             )
-
-    @property
-    def total_pairs(self) -> int:
-        """Number of (factor pair, level pair) combinations, constraints aside."""
-        card = self.cardinalities
-        n = self.n_factors
-        return sum(card[i] * card[j] for i in range(n) for j in range(i + 1, n))
-
-    @property
-    def n_cases(self) -> int:
-        """Size of the full cartesian product."""
-        out = 1
-        for c in self.cardinalities:
-            out *= c
-        return out
 
 
 @dataclass(frozen=True)
@@ -221,6 +205,10 @@ class ConstraintSet:
     fully contained in at least one case of the final suite.  A must tuple
     that itself extends an avoid tuple can never be satisfied and is
     rejected here rather than surfacing as a solver infeasibility later.
+
+    :meth:`completes_avoid` is the one avoid check every search uses
+    (extension, greedy walk, per-case step); its index by pick is built on
+    first use and kept with the instance.
     """
 
     avoid: tuple[PartialAssignment, ...] = ()
@@ -238,9 +226,28 @@ class ConstraintSet:
                         f"must tuple {m.picks} contains avoided tuple {a.picks}"
                     )
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.avoid and not self.must
+    @cached_property
+    def _avoid_index(self) -> dict[tuple[int, int], list[tuple[tuple[int, int], ...]]]:
+        """Per pick (f, v): the other picks of each avoid tuple holding it."""
+        out: dict = {}
+        for av in self.avoid:
+            for f, v in av.picks:
+                out.setdefault((f, v), []).append(
+                    tuple(p for p in av.picks if p[0] != f)
+                )
+        return out
+
+    def completes_avoid(self, factor: int, level: int, levels) -> bool:
+        """True when picking ``level`` of ``factor`` completes an avoid tuple.
+
+        ``levels[g]`` is the level picked for factor g, or -1 while g is
+        unassigned; an unassigned factor never matches.  ``levels[factor]``
+        itself is not read.
+        """
+        return any(
+            all(levels[g] == w for g, w in rest)
+            for rest in self._avoid_index.get((factor, level), ())
+        )
 
 
 def validate_case(
@@ -273,17 +280,6 @@ class TestSuite:
     def append(self, case: TestCase) -> None:
         case.validate_against(self.system)
         self.cases.append(case)
-
-    def to_array(self) -> np.ndarray:
-        """Suite as an (m, n) int32 array of level indices."""
-        if not self.cases:
-            return np.empty((0, self.system.n_factors), dtype=np.int32)
-        return np.array([tc.levels for tc in self.cases], dtype=np.int32)
-
-    @classmethod
-    def from_array(cls, system: FactorSystem, arr: Iterable[Iterable[int]]) -> "TestSuite":
-        cases = [TestCase(tuple(int(v) for v in row)) for row in arr]
-        return cls(system, cases)
 
     def satisfied_musts(self, constraints: ConstraintSet) -> list[bool]:
         return [

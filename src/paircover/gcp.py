@@ -32,14 +32,6 @@ class Partition:
         return len(self.groups)
 
 
-def _jointly_extendable(
-    merged: PartialAssignment,
-    system: FactorSystem,
-    constraints: ConstraintSet,
-) -> bool:
-    return find_extension(merged, system, constraints) is not None
-
-
 def incompatibility_edges(
     musts: list[PartialAssignment],
     system: FactorSystem,
@@ -52,9 +44,7 @@ def incompatibility_edges(
             if not musts[g].compatible(musts[h]):
                 edges.add((g, h))
                 continue
-            if not _jointly_extendable(
-                musts[g].merged(musts[h]), system, constraints
-            ):
+            if find_extension(musts[g].merged(musts[h]), system, constraints) is None:
                 edges.add((g, h))
     return edges
 
@@ -75,7 +65,7 @@ def partition_musts(
         musts = list(constraints.must)
     for mu in musts:
         mu.validate_against(system)
-        if not _jointly_extendable(mu, system, constraints):
+        if find_extension(mu, system, constraints) is None:
             raise StructureError(
                 f"must tuple {mu.picks} has no constraint-valid extension"
             )
@@ -97,7 +87,7 @@ def partition_musts(
             if any((min(g, h), max(g, h)) in edges for h in members):
                 continue
             candidate = merged[k].merged(musts[g])
-            if not _jointly_extendable(candidate, system, constraints):
+            if find_extension(candidate, system, constraints) is None:
                 continue
             members.append(g)
             merged[k] = candidate

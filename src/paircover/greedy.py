@@ -43,22 +43,6 @@ class _FactorAdjacency:
             self.pair.append(np.concatenate([ids[a_side], ids[b_side]]))
 
 
-def _avoid_by_pick(constraints: ConstraintSet) -> dict:
-    out: dict = {}
-    for av in constraints.avoid:
-        d = dict(av.picks)
-        for f, v in av.picks:
-            out.setdefault((f, v), []).append(d)
-    return out
-
-
-def _level_allowed(f: int, v: int, assigned: np.ndarray, av_by_pick: dict) -> bool:
-    for d in av_by_pick.get((f, v), ()):
-        if all(g == f or assigned[g] == w for g, w in d.items()):
-            return False
-    return True
-
-
 def greedy_suite(
     system: FactorSystem,
     constraints: ConstraintSet,
@@ -73,7 +57,6 @@ def greedy_suite(
     n = system.n_factors
     card = system.cardinalities
     adj = _FactorAdjacency(universe)
-    av_by_pick = _avoid_by_pick(constraints)
     rng = np.random.default_rng(seed)
     state = CoverageState(universe)
     suite = TestSuite(system)
@@ -116,7 +99,7 @@ def greedy_suite(
             while cursor[pos] < len(keys):
                 v = keys[cursor[pos]]
                 cursor[pos] += 1
-                if _level_allowed(f, v, assigned, av_by_pick):
+                if not constraints.completes_avoid(f, v, assigned):
                     assigned[f] = v
                     placed = True
                     break

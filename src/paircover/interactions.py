@@ -47,62 +47,46 @@ def find_extension(
     system: FactorSystem,
     constraints: ConstraintSet,
 ) -> TestCase | None:
-    """Find a constraint-valid full case extending ``assignment``.
+    """The lexicographically first constraint-valid case extending ``assignment``.
 
     Depth-first over the unassigned factors in index order, trying levels in
-    index order and pruning any level that completes an avoid tuple.  Returns
-    None when no valid extension exists.
+    index order and skipping any level that completes an avoid tuple
+    (``ConstraintSet.completes_avoid``), so the first leaf reached is the
+    smallest valid extension.  Returns None when no valid extension exists,
+    including when the fixed picks already complete an avoid tuple.
     """
     assignment.validate_against(system)
-    n = system.n_factors
-    fixed = dict(assignment.picks)
-    if not constraints.avoid:
-        levels = [fixed.get(f, 0) for f in range(n)]
-        return TestCase(tuple(levels))
-
-    # avoid tuples as dicts for quick "completed by current partial" checks
-    avoids = [dict(a.picks) for a in constraints.avoid]
-    current: dict[int, int] = dict(fixed)
-
-    def violated() -> bool:
-        for av in avoids:
-            if all(current.get(f) == v for f, v in av.items()):
-                return True
-        return False
-
-    if violated():
+    levels = [-1] * system.n_factors
+    for f, v in assignment.picks:
+        levels[f] = v
+    if any(constraints.completes_avoid(f, v, levels) for f, v in assignment.picks):
         return None
-
-    free = [f for f in range(n) if f not in fixed]
+    free = [f for f in range(system.n_factors) if levels[f] < 0]
 
     def search(k: int) -> bool:
         if k == len(free):
             return True
         f = free[k]
         for v in range(system.cardinality(f)):
-            current[f] = v
-            # only avoid tuples naming f can newly trigger
-            ok = True
-            for av in avoids:
-                if f in av and all(current.get(g) == w for g, w in av.items()):
-                    ok = False
-                    break
-            if ok and search(k + 1):
-                return True
-            del current[f]
+            if not constraints.completes_avoid(f, v, levels):
+                levels[f] = v
+                if search(k + 1):
+                    return True
+        levels[f] = -1
         return False
 
-    if not search(0):
-        return None
-    return TestCase(tuple(current[f] for f in range(n)))
+    return TestCase(tuple(levels)) if search(0) else None
 
 
 class InteractionUniverse:
     """All achievable interactions of a system, in a fixed canonical order.
 
     Interactions are ordered lexicographically by (i, j, a, b).  The level
-    data lives in flat numpy arrays so coverage marking is a single gather
-    per case.
+    data lives in flat numpy arrays ``f1, v1, f2, v2`` with ``weights``.
+    ``pair_id[i, a, j, b]`` (shape (n, L, n, L), L the largest cardinality)
+    is the universe index of the pair (i, a), (j, b), or -1 when i >= j,
+    when a level is padding or when the pair is not achievable, so coverage
+    marking is a single gather per case.
     """
 
     def __init__(
@@ -116,50 +100,29 @@ class InteractionUniverse:
         self.constraints = constraints
         self.weighted = weighted
 
-        card = system.cardinalities
-        n = system.n_factors
-        rows: list[tuple[int, int, int, int]] = []
-        weights: list[int] = []
-        no_avoid = not constraints.avoid
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = card[i] * card[j] if weighted else 1
-                for a in range(card[i]):
-                    for b in range(card[j]):
-                        if no_avoid:
-                            rows.append((i, a, j, b))
-                            weights.append(w)
-                            continue
-                        pa = PartialAssignment(((i, a), (j, b)))
-                        if find_extension(pa, system, constraints) is not None:
-                            rows.append((i, a, j, b))
-                            weights.append(w)
-
-        arr = (
-            np.array(rows, dtype=np.int32)
-            if rows
-            else np.empty((0, 4), dtype=np.int32)
+        card = np.array(system.cardinalities, dtype=np.int64)
+        n, top = len(card), int(card.max())
+        real = np.arange(top) < card[:, None]  # (factor, level) exists
+        # ok[i, j, a, b]: the pair is achievable; C order is the canonical order
+        ok = (
+            np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None, None]
+            & real[:, None, :, None]
+            & real[None, :, None, :]
         )
-        self.f1 = arr[:, 0].copy()
-        self.v1 = arr[:, 1].copy()
-        self.f2 = arr[:, 2].copy()
-        self.v2 = arr[:, 3].copy()
-        self.weights = np.array(weights, dtype=np.int64)
+        if constraints.avoid:
+            for i, j, a, b in zip(*(x.tolist() for x in np.nonzero(ok))):
+                pa = PartialAssignment(((i, a), (j, b)))
+                ok[i, j, a, b] = find_extension(pa, system, constraints) is not None
 
-        # per factor pair (i, j): base offset into a dense pair-id table of
-        # size card[i] * card[j]; entries are universe indices or -1
-        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.slot_i = np.array([s[0] for s in slots], dtype=np.int32)
-        self.slot_j = np.array([s[1] for s in slots], dtype=np.int32)
-        self.slot_lj = np.array([card[s[1]] for s in slots], dtype=np.int64)
-        sizes = [card[i] * card[j] for i, j in slots]
-        self.slot_base = np.zeros(len(slots), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=self.slot_base[1:])
-        self.pair_id = np.full(int(sum(sizes)), -1, dtype=np.int64)
-        slot_of = {s: k for k, s in enumerate(slots)}
-        for k, (i, a, j, b) in enumerate(rows):
-            s = slot_of[(i, j)]
-            self.pair_id[self.slot_base[s] + a * card[j] + b] = k
+        i, j, a, b = np.nonzero(ok)
+        self.f1 = i.astype(np.int32)
+        self.v1 = a.astype(np.int32)
+        self.f2 = j.astype(np.int32)
+        self.v2 = b.astype(np.int32)
+        self.weights = card[i] * card[j] if weighted else np.ones(len(i), dtype=np.int64)
+        self.pair_id = np.full((n, top, n, top), -1, dtype=np.int64)
+        self.pair_id[i, a, j, b] = np.arange(len(i))
+        self._tri = np.triu_indices(n, 1)
 
     def __len__(self) -> int:
         return int(self.f1.shape[0])
@@ -175,8 +138,8 @@ class InteractionUniverse:
     def case_pair_ids(self, levels: Iterable[int]) -> np.ndarray:
         """Universe indices of the achievable pairs a case contains."""
         arr = np.asarray(tuple(levels), dtype=np.int64)
-        pos = self.slot_base + arr[self.slot_i] * self.slot_lj + arr[self.slot_j]
-        ids = self.pair_id[pos]
+        i, j = self._tri
+        ids = self.pair_id[i, arr[i], j, arr[j]]
         return ids[ids >= 0]
 
 
@@ -214,11 +177,6 @@ class CoverageState:
     def would_cover(self, case: TestCase) -> int:
         ids = self.universe.case_pair_ids(case.levels)
         return int((~self.mask[ids]).sum())
-
-    def copy(self) -> "CoverageState":
-        out = CoverageState(self.universe)
-        out.mask = self.mask.copy()
-        return out
 
 
 def coverage_curve(suite: TestSuite, universe: InteractionUniverse) -> list[float]:

@@ -155,24 +155,13 @@ def build_monolithic(
 
 def coverage_lower_bound(universe: InteractionUniverse) -> int:
     """Most pairs any factor pair contributes; each case covers one of them."""
-    best = 0
-    for s in range(len(universe.slot_i)):
-        lo = int(universe.slot_base[s])
-        size = (
-            int(universe.slot_base[s + 1]) - lo
-            if s + 1 < len(universe.slot_base)
-            else len(universe.pair_id) - lo
-        )
-        count = int((universe.pair_id[lo : lo + size] >= 0).sum())
-        best = max(best, count)
-    return best
+    return int((universe.pair_id >= 0).sum(axis=(1, 3)).max())
 
 
 def minimal_suite(
     system: FactorSystem,
     constraints: ConstraintSet,
     time_limit: float | None = DEFAULT_TIME_LIMIT,
-    max_m: int | None = None,
     max_vars: int = DEFAULT_MAX_VARS,
 ) -> tuple[TestSuite, dict]:
     """Exact minimum-size suite via the m-search.
@@ -189,7 +178,7 @@ def minimal_suite(
         return TestSuite(system), report
 
     lb = max(coverage_lower_bound(universe), 1)
-    hi = max_m if max_m is not None else nu + len(constraints.must) + 1
+    hi = nu + len(constraints.must) + 1
     t0 = time.perf_counter()
     for m in range(lb, hi + 1):
         mono = build_monolithic(system, constraints, m, universe, max_vars=max_vars)

@@ -42,7 +42,6 @@ class PipelineConfig:
     alpha: float = 0.9
     step_time_limit: float | None = DEFAULT_STEP_TIME_LIMIT
     minimize: bool = True
-    minimize_time_limit: float | None = 60.0
 
 
 @dataclass
@@ -225,12 +224,7 @@ def run_pipeline(
 
     t3 = time.perf_counter()
     if cfg.minimize and len(suite):
-        suite, min_stats = minimize_suite(
-            suite,
-            constraints,
-            universe,
-            time_limit=cfg.minimize_time_limit,
-        )
+        suite, min_stats = minimize_suite(suite, constraints, universe)
         report.minimized = True
         report.degraded |= bool(min_stats.get("fallback"))
         report.phase_wall_s["minimize"] = time.perf_counter() - t3

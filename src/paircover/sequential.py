@@ -69,20 +69,19 @@ class StepModel:
     """The one-case program in structured form.
 
     Pick one level per factor from ``allowed`` so that no avoid tuple is
-    completed, maximizing ``sum(gain[i, a_i, j, a_j] for i < j)``.
-    ``gain[i, a, j, b]`` is the weight of the pair (i, a), (j, b) while it
-    is uncovered and 0 otherwise (also for i >= j and for padding levels).
-    ``avoid_at[j][b]`` lists the picks on factors below j that, together
-    with level b of factor j, complete an avoid tuple.  ``tail[d]`` bounds
-    what the pairs among factors d.. can add: the sum of each such factor
-    pair's largest entry over the allowed levels.
+    completed (``constraints.completes_avoid``), maximizing
+    ``sum(gain[i, a_i, j, a_j] for i < j)``.  ``gain[i, a, j, b]`` is the
+    weight of the pair (i, a), (j, b) while it is uncovered and 0 otherwise
+    (also for i >= j and for padding levels): the universe's ``pair_id``
+    table read through the uncovered weights.  ``tail[d]`` bounds what the
+    pairs among factors d.. can add: the sum of each such factor pair's
+    largest entry over the allowed levels.
     """
 
     system: FactorSystem
     constraints: ConstraintSet
     allowed: list[tuple[int, ...]]  # descending: the search order
     gain: np.ndarray  # int64 (n, L, n, L), L the largest cardinality
-    avoid_at: list[dict[int, list[tuple[tuple[int, int], ...]]]]
     tail: list[int]  # n + 1 entries, tail[n] == 0
 
     def decode(self, values) -> TestCase:
@@ -108,14 +107,7 @@ def build_step(
     ids = np.asarray(uncovered_ids, dtype=np.int64)
     w = np.zeros(len(universe) + 1, dtype=np.int64)  # pair_id -1 reads the last 0
     w[ids] = universe.weights[ids]
-    dense = w[universe.pair_id]  # uncovered weight per slot entry
-    gain = np.zeros((n, top, n, top), dtype=np.int64)
-    for s in range(len(universe.slot_i)):
-        i, j = int(universe.slot_i[s]), int(universe.slot_j[s])
-        lo = int(universe.slot_base[s])
-        gain[i, : card[i], j, : card[j]] = dense[lo : lo + card[i] * card[j]].reshape(
-            card[i], card[j]
-        )
+    gain = w[universe.pair_id]
 
     mask = np.zeros((n, top), dtype=bool)
     for i, levels in enumerate(allowed):
@@ -123,12 +115,7 @@ def build_step(
     reachable = np.where(mask[:, :, None, None] & mask[None, None], gain, 0)
     per_factor = reachable.max(axis=(1, 3)).sum(axis=1)
     tail = np.concatenate([np.cumsum(per_factor[::-1])[::-1], [0]]).tolist()
-
-    avoid_at: list[dict] = [{} for _ in range(n)]
-    for av in constraints.avoid:
-        *prefix, (f, v) = av.picks
-        avoid_at[f].setdefault(v, []).append(tuple(prefix))
-    return StepModel(system, constraints, allowed, gain, avoid_at, tail)
+    return StepModel(system, constraints, allowed, gain, tail)
 
 
 class _Stop(Exception):
@@ -149,18 +136,14 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
-    allowed, gain, avoid_at, tail = step.allowed, step.gain, step.avoid_at, step.tail
+    allowed, gain, tail = step.allowed, step.gain, step.tail
+    completes_avoid = step.constraints.completes_avoid
     card = step.system.cardinalities
     n = len(card)
-    levels = [0] * n
+    levels = [-1] * n  # factors at or past the current depth stay -1
     best, best_levels = -1, None
     nodes = 0
     timed_out = False
-
-    def blocked(d: int, a: int) -> bool:
-        return any(
-            all(levels[f] == v for f, v in prefix) for prefix in avoid_at[d].get(a, ())
-        )
 
     def visit(d: int, cur: int, reach: np.ndarray) -> None:
         # reach[j, b]: what level b of factor j adds to the picks on factors < d
@@ -172,7 +155,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
             rest = (child[:, d + 1 :].max(axis=2).sum(axis=1) + tail[d + 1]).tolist()
         for a in allowed[d]:
             value = cur + here[a]
-            if value + (0 if last else rest[a]) <= best or blocked(d, a):
+            if value + (0 if last else rest[a]) <= best or completes_avoid(d, a, levels):
                 continue
             nodes += 1
             if nodes % 1024 == 0 and deadline is not None and time.perf_counter() >= deadline:
@@ -185,6 +168,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
             best, best_levels = value, levels[:]
             if best >= tail[0]:
                 raise _Stop
+        levels[d] = -1
 
     root = np.full((n, max(card)), _UNREACHABLE, dtype=np.int64)
     for i, lv in enumerate(allowed):

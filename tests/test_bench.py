@@ -11,7 +11,6 @@ from paircover.bench import (
     performance_profile,
     random_instance,
     records_to_csv,
-    reduction_percent,
     run_methods,
     tail_fraction,
     profile_to_csv,
@@ -33,10 +32,6 @@ class TestTailFraction:
 
     def test_instant_coverage(self):
         assert tail_fraction([0.95, 1.0]) == 1.0
-
-    def test_threshold_param(self):
-        curve = [0.3, 0.6, 1.0]
-        assert tail_fraction(curve, threshold=0.5) == pytest.approx(2 / 3)
 
     def test_never_reached(self):
         assert tail_fraction([0.1, 0.2]) == 0.0
@@ -84,12 +79,6 @@ class TestCompetitionRanks:
         ]
         ranks = competition_ranks(records)
         assert ranks == {"a": 1.0, "b": 2.0, "c": 2.0}
-
-
-def test_reduction_percent():
-    assert reduction_percent(20, 15) == 25.0
-    assert reduction_percent(0, 5) == 0.0
-    assert reduction_percent(10, 10) == 0.0
 
 
 class TestInstances:

@@ -50,9 +50,9 @@ class TestFactorSystem:
 
     def test_counts(self):
         sys_ = make_system([2, 3, 4])
-        # 2*3 + 2*4 + 3*4
-        assert sys_.total_pairs == 26
-        assert sys_.n_cases == 24
+        assert sys_.n_factors == 3
+        assert sys_.cardinalities == (2, 3, 4)
+        assert sys_.cardinality(2) == 4
 
 
 class TestPartialAssignment:
@@ -117,6 +117,40 @@ class TestConstraintSet:
         assert validate_case(TestCase((0, 0)), sys_, cs)
         assert not validate_case(TestCase((0, 1)), sys_, cs)
 
+    def test_completes_avoid(self):
+        cs = ConstraintSet(
+            avoid=(
+                PartialAssignment(((0, 1), (2, 0))),
+                PartialAssignment(((0, 0), (1, 1), (3, 1))),
+                PartialAssignment(((1, 0),)),
+            )
+        )
+        # any one pick of an avoid tuple completes it once the others are down
+        assert cs.completes_avoid(2, 0, [1, -1, -1, -1])
+        assert cs.completes_avoid(0, 1, [-1, -1, 0, -1])
+        assert cs.completes_avoid(1, 1, [0, -1, -1, 1])
+        assert cs.completes_avoid(3, 1, [0, 1, -1, -1])
+        assert cs.completes_avoid(1, 0, [-1, -1, -1, -1])  # a one-pick avoid
+        # the picked factor's own entry is not read
+        assert cs.completes_avoid(2, 0, [1, -1, 1, -1])
+        assert not cs.completes_avoid(2, 1, [1, -1, -1, -1])
+        assert not cs.completes_avoid(3, 1, [0, 0, -1, -1])
+        assert not ConstraintSet().completes_avoid(0, 0, [0, 0])
+
+    def test_unassigned_never_matches(self):
+        cs = ConstraintSet(
+            avoid=(
+                PartialAssignment(((0, 0), (1, 0))),
+                PartialAssignment(((0, 0), (1, 1), (2, 0))),
+            )
+        )
+        # -1 marks an unassigned factor: an avoid naming it stays incomplete
+        assert not cs.completes_avoid(0, 0, [-1, -1, -1])
+        assert not cs.completes_avoid(1, 1, [0, -1, -1])
+        assert not cs.completes_avoid(2, 0, [0, -1, -1])
+        assert not cs.completes_avoid(2, 0, [-1, 1, -1])
+        assert cs.completes_avoid(2, 0, [0, 1, -1])
+
 
 class TestTestSuite:
     def test_append_validates(self):
@@ -126,14 +160,6 @@ class TestTestSuite:
         with pytest.raises(StructureError):
             suite.append(TestCase((1, 5)))
         assert len(suite) == 1
-
-    def test_array_round_trip(self):
-        sys_ = make_system([2, 3])
-        suite = TestSuite(sys_, [TestCase((0, 2)), TestCase((1, 1))])
-        arr = suite.to_array()
-        assert arr.shape == (2, 2)
-        again = TestSuite.from_array(sys_, arr)
-        assert again.cases == suite.cases
 
     def test_satisfied_musts(self):
         sys_ = make_system([2, 2])

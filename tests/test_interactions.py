@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircover.bench import make_bbu, make_system
+from paircover.bench import make_bbu, make_system, random_avoids
 from paircover.core import (
     ConstraintSet,
     PartialAssignment,
     StructureError,
     TestCase,
     TestSuite,
+    subsumes,
     validate_case,
 )
 from paircover.interactions import (
@@ -56,12 +57,35 @@ class TestFindExtension:
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 1), (1, 1))),))
         assert find_extension(PartialAssignment(((0, 1), (1, 1))), sys_, cs) is None
 
+    def test_first_valid_extension_oracle(self):
+        # the lexicographically first valid case agreeing with the picks, or
+        # None; greedy's fallback case and so its suites depend on which one
+        rng = np.random.default_rng(20)
+        found = missing = 0
+        for _ in range(300):
+            cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
+            sys_ = make_system(cards)
+            n = len(cards)
+            avoid = random_avoids(sys_, rng, int(rng.integers(1, 5)))
+            if n >= 3:
+                avoid += random_avoids(sys_, rng, int(rng.integers(0, 4)), size=3)
+            cs = ConstraintSet(avoid=avoid)
+            valid = enumerate_valid_cases(sys_, cs)  # in lexicographic order
+            for k in (1, 2) if n > 2 else (1,):
+                fs = sorted(rng.choice(n, size=k, replace=False).tolist())
+                pa = PartialAssignment(tuple((f, int(rng.integers(cards[f]))) for f in fs))
+                want = next((tc for tc in valid if subsumes(tc, pa)), None)
+                assert find_extension(pa, sys_, cs) == want
+                found += want is not None
+                missing += want is None
+        assert found > 200 and missing > 20
+
 
 class TestUniverse:
     def test_unconstrained_counts(self):
         sys_ = make_system([2, 3, 4])
         uni = InteractionUniverse(sys_, ConstraintSet())
-        assert len(uni) == sys_.total_pairs == 26
+        assert len(uni) == 2 * 3 + 2 * 4 + 3 * 4
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(10):
@@ -76,8 +100,7 @@ class TestUniverse:
     def test_bbu_drops_one_blocked_level_pair(self):
         sys_, cs = make_bbu()
         uni = InteractionUniverse(sys_, cs)
-        assert sys_.total_pairs == 96
-        assert len(uni) == 95
+        assert len(uni) == 6 * 4 * 4 - 1  # 6 factor pairs of 4x4 level pairs
         missing = Interaction(0, 0, 1, 3)  # the avoided combination itself
         assert missing not in uni.interactions()
 
@@ -97,6 +120,27 @@ class TestUniverse:
         assert len(ids) == 3
         got = {tuple(map(int, (uni.f1[k], uni.v1[k], uni.f2[k], uni.v2[k]))) for k in ids}
         assert got == {(0, 0, 1, 1), (0, 0, 2, 0), (1, 1, 2, 0)}
+
+    def test_pair_table_matches_universe(self, rng):
+        for _ in range(20):
+            cards = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(2, 6)))]
+            sys_ = make_system(cards)
+            cs = ConstraintSet(avoid=random_avoids(sys_, rng, int(rng.integers(0, 6))))
+            uni = InteractionUniverse(sys_, cs)
+            n, top = len(cards), max(cards)
+            assert uni.pair_id.shape == (n, top, n, top)
+            want = np.full(uni.pair_id.shape, -1)
+            for k, it in enumerate(uni.interactions()):
+                want[it.i, it.a, it.j, it.b] = k
+            assert (uni.pair_id == want).all()
+            for tc in enumerate_valid_cases(sys_, cs):
+                ids = uni.case_pair_ids(tc.levels)
+                assert ids.tolist() == sorted(ids.tolist())
+                assert set(ids.tolist()) == {
+                    k
+                    for k, it in enumerate(uni.interactions())
+                    if tc.levels[it.i] == it.a and tc.levels[it.j] == it.b
+                }
 
     def test_covered_by(self):
         sys_, cs = make_bbu()
@@ -119,14 +163,6 @@ class TestCoverageState:
         state.mark_case(TestCase((1, 0)))
         state.mark_case(TestCase((1, 1)))
         assert state.is_full and state.ratio == 1.0
-
-    def test_copy_isolated(self):
-        sys_ = make_system([2, 2])
-        uni = InteractionUniverse(sys_, ConstraintSet())
-        a = CoverageState(uni)
-        b = a.copy()
-        b.mark_case(TestCase((0, 0)))
-        assert a.covered_count == 0 and b.covered_count == 1
 
 
 def test_coverage_curve_monotone_and_complete():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from paircover.bench import make_bbu, make_system
@@ -102,6 +104,21 @@ class TestMinimizeSuite:
         out, stats = minimize_suite(bloated, ConstraintSet())
         assert len(out) == len(bloated)
         assert stats["fallback"] and stats["removed"] == 0
+
+    def test_time_limit_overshoot_is_bounded(self):
+        # three joined greedy suites of 4^6: the cover does not prove within
+        # 0.5 s, and a 250k-node slice in pure Python used to run for ~40 s
+        sys_, cs = make_system([4] * 6), ConstraintSet()
+        suite = TestSuite(
+            sys_, [tc for s in range(3) for tc in greedy_suite(sys_, cs, seed=s)]
+        )
+        assert len(suite) == 73
+        minimize_suite(TestSuite(sys_, suite.cases[:2]), cs)  # compiles a jit kernel
+        t0 = time.perf_counter()
+        out, stats = minimize_suite(suite, cs, time_limit=0.5)
+        assert time.perf_counter() - t0 < 3.0
+        assert not stats["proved_optimal"]
+        assert len(out) <= 73 and verify_suite(out, cs)[0]
 
 
 class TestRunPipeline:

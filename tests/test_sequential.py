@@ -42,7 +42,9 @@ class TestBuildStep:
             assert step.gain[it.i, it.a, it.j, it.b] == want
         assert step.gain.sum() == uni.weights[~cov.mask].sum()
         assert step.gain[0, 0, 1, 0] == 0  # avoided, so not in the universe
-        assert step.avoid_at == [{}, {0: [((0, 0),)]}]
+        assert step.constraints.completes_avoid(1, 0, [0, -1])
+        assert not step.constraints.completes_avoid(1, 0, [1, -1])
+        assert not step.constraints.completes_avoid(0, 0, [-1, -1])
         assert step.allowed == [(1, 0), (2, 1, 0)]
         assert step.tail[0] == step.gain.max() and step.tail[1:] == [0, 0]
 
