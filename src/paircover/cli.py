@@ -53,6 +53,7 @@ def _cmd_generate(args) -> int:
     if args.method == "greedy":
         t0 = time.perf_counter()
         universe = InteractionUniverse(system, cs)
+        universe_s = time.perf_counter() - t0
         suite = greedy_suite(system, cs, universe=universe, seed=args.seed)
         wall = time.perf_counter() - t0
         report = {
@@ -62,6 +63,7 @@ def _cmd_generate(args) -> int:
             "universe_size": len(universe),
             "coverage_curve": coverage_curve(suite, universe),
             "wall_s": wall,
+            "universe_s": universe_s,
         }
         degraded = False
         if cs.must:

@@ -207,7 +207,8 @@ class ConstraintSet:
     rejected here rather than surfacing as a solver infeasibility later.
 
     :meth:`completes_avoid` is the one avoid check every search uses
-    (extension, greedy walk, per-case step); its index by pick is built on
+    (extension, greedy walk, per-case step), and :meth:`avoid_neighbours`
+    names the factors a pick can block; their index by pick is built on
     first use and kept with the instance.
     """
 
@@ -248,6 +249,21 @@ class ConstraintSet:
             all(levels[g] == w for g, w in rest)
             for rest in self._avoid_index.get((factor, level), ())
         )
+
+    @cached_property
+    def _neighbour_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        return {
+            pick: tuple(sorted({g for rest in rests for g, _ in rest}))
+            for pick, rests in self._avoid_index.items()
+        }
+
+    def avoid_neighbours(self, factor: int, level: int) -> tuple[int, ...]:
+        """The other factors of the avoid tuples that hold pick (factor, level).
+
+        Only their levels can become blocked (:meth:`completes_avoid`) when
+        the pick is made.
+        """
+        return self._neighbour_index.get((factor, level), ())
 
 
 def validate_case(

@@ -54,12 +54,31 @@ def find_extension(
     (``ConstraintSet.completes_avoid``), so the first leaf reached is the
     smallest valid extension.  Returns None when no valid extension exists,
     including when the fixed picks already complete an avoid tuple.
+
+    Forward checking: after the fixed picks and after each pick, every
+    unassigned factor sharing an avoid tuple with a new pick must keep a
+    level that is not blocked, or the subtree is abandoned.  Blocks only
+    grow as picks are added, so such a subtree holds no valid leaf and the
+    result is unchanged; the search just learns of a dead end at a late
+    factor without walking every partial case before it.
     """
     assignment.validate_against(system)
+    card = system.cardinalities
     levels = [-1] * system.n_factors
     for f, v in assignment.picks:
         levels[f] = v
     if any(constraints.completes_avoid(f, v, levels) for f, v in assignment.picks):
+        return None
+
+    def wipes_out(f: int, v: int) -> bool:
+        """Pick (f, v) leaves some unassigned neighbour with no level."""
+        return any(
+            levels[g] < 0
+            and all(constraints.completes_avoid(g, w, levels) for w in range(card[g]))
+            for g in constraints.avoid_neighbours(f, v)
+        )
+
+    if any(wipes_out(f, v) for f, v in assignment.picks):
         return None
     free = [f for f in range(system.n_factors) if levels[f] < 0]
 
@@ -67,10 +86,10 @@ def find_extension(
         if k == len(free):
             return True
         f = free[k]
-        for v in range(system.cardinality(f)):
+        for v in range(card[f]):
             if not constraints.completes_avoid(f, v, levels):
                 levels[f] = v
-                if search(k + 1):
+                if not wipes_out(f, v) and search(k + 1):
                     return True
         levels[f] = -1
         return False
@@ -109,10 +128,9 @@ class InteractionUniverse:
             & real[:, None, :, None]
             & real[None, :, None, :]
         )
+        self._tri = np.triu_indices(n, 1)
         if constraints.avoid:
-            for i, j, a, b in zip(*(x.tolist() for x in np.nonzero(ok))):
-                pa = PartialAssignment(((i, a), (j, b)))
-                ok[i, j, a, b] = find_extension(pa, system, constraints) is not None
+            ok = self._witnessed(ok)
 
         i, j, a, b = np.nonzero(ok)
         self.f1 = i.astype(np.int32)
@@ -122,7 +140,41 @@ class InteractionUniverse:
         self.weights = card[i] * card[j] if weighted else np.ones(len(i), dtype=np.int64)
         self.pair_id = np.full((n, top, n, top), -1, dtype=np.int64)
         self.pair_id[i, a, j, b] = np.arange(len(i))
-        self._tri = np.triu_indices(n, 1)
+
+    def _witnessed(self, candidates: np.ndarray) -> np.ndarray:
+        """Which candidate pairs ``[i, j, a, b]`` some valid case holds.
+
+        Every case an extension search returns witnesses all of its pairs,
+        so a pair is searched only while no earlier witness holds it.  Each
+        single level is searched first: its case witnesses many pairs at
+        once, and a level with no valid case rules out all of its pairs.
+        """
+        system, constraints = self.system, self.constraints
+        i, j = self._tri
+        seen = np.zeros_like(candidates)
+
+        def witness(*picks) -> bool:
+            # through the module attribute, which perfbench's tracer rebinds
+            tc = find_extension(PartialAssignment(picks), system, constraints)
+            if tc is not None:
+                lv = np.array(tc.levels)
+                seen[i, j, lv[i], lv[j]] = True
+            return tc is not None
+
+        dead = [
+            (f, v)
+            for f in range(system.n_factors)
+            for v in range(system.cardinality(f))
+            if not witness((f, v))
+        ]
+        todo = candidates & ~seen
+        for f, v in dead:
+            todo[f, :, v, :] = False
+            todo[:, f, :, v] = False
+        for p, q, a, b in zip(*(x.tolist() for x in np.nonzero(todo))):
+            if not seen[p, q, a, b]:
+                witness((p, a), (q, b))
+        return seen
 
     def __len__(self) -> int:
         return int(self.f1.shape[0])

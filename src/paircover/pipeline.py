@@ -150,13 +150,16 @@ def run_pipeline(
     """Warm start, must groups, per-case generation, set-cover pruning."""
     cfg = config or PipelineConfig()
     constraints.validate_against(system)
+    t = time.perf_counter()
     universe = InteractionUniverse(system, constraints, weighted=cfg.weighted)
+    universe_s = time.perf_counter() - t
     coverage = CoverageState(universe)
     report = RunReport(
         weighted=cfg.weighted,
         alpha=cfg.alpha,
         universe_size=len(universe),
         must_total=len(constraints.must),
+        phase_wall_s={"universe": universe_s},
     )
     suite = TestSuite(system)
 

@@ -84,6 +84,18 @@ class TestGenerate:
         assert len(builds) == 1
         assert json.loads(report.read_text())["coverage_curve"][-1] == 1.0
 
+    def test_reports_time_the_universe_build(self, model_file, tmp_path):
+        report = tmp_path / "report.json"
+        for method in ("greedy", "sequential"):
+            argv = ["generate", "--model", str(model_file), "--method", method]
+            argv += ["--out", str(tmp_path / "suite.csv"), "--report", str(report)]
+            assert cli.main(argv) == 0
+            data = json.loads(report.read_text())
+            if method == "greedy":
+                assert 0 <= data["universe_s"] <= data["wall_s"]
+            else:
+                assert data["phase_wall_s"]["universe"] >= 0
+
     def test_monolithic_small(self, tmp_path):
         model = tmp_path / "tiny.model"
         model.write_text("A: x, y\nB: p, q\n")

@@ -1,8 +1,17 @@
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paircover
+from paircover import interactions
 from paircover.bench import make_bbu, make_system, random_avoids
 from paircover.core import (
     ConstraintSet,
@@ -81,6 +90,17 @@ class TestFindExtension:
         assert found > 200 and missing > 20
 
 
+def late_dead_end_model():
+    """20 factors of 2-6 levels, 20 two-pick avoids.
+
+    Each level of factor 19 is avoided with (4, 1) or with (9, 1), so the
+    pair of those two picks dies only at the last factor.
+    """
+    rng = np.random.default_rng(100)
+    system = make_system([int(rng.integers(2, 7)) for _ in range(int(rng.integers(20, 21)))])
+    return system, ConstraintSet(avoid=random_avoids(system, rng, int(rng.integers(20, 21))))
+
+
 class TestUniverse:
     def test_unconstrained_counts(self):
         sys_ = make_system([2, 3, 4])
@@ -88,14 +108,97 @@ class TestUniverse:
         assert len(uni) == 2 * 3 + 2 * 4 + 3 * 4
 
     def test_matches_enumeration_oracle(self, rng):
-        for _ in range(10):
-            cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 5)))]
+        # 2- and 3-pick avoids plus one planted shape per system, so every
+        # shortcut of the build is taken: a level with no valid case, and a
+        # pair that neither pick kills but a third factor does
+        dead_levels = third_factor_kills = 0
+        for _ in range(200):
+            cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
+            n = len(cards)
             sys_ = make_system(cards)
-            cs = random_constraints(sys_, rng, n_avoid=int(rng.integers(0, 3)))
+            avoid = list(random_avoids(sys_, rng, int(rng.integers(0, 4))))
+            if n >= 3:
+                avoid += random_avoids(sys_, rng, int(rng.integers(0, 3)), size=3)
+                i, j, k = (int(f) for f in rng.choice(n, size=3, replace=False))
+                a, b = int(rng.integers(cards[i])), int(rng.integers(cards[j]))
+                if rng.random() < 0.5:  # (i, a) avoided with every level of k
+                    avoid += [PartialAssignment(((i, a), (k, w))) for w in range(cards[k])]
+                else:  # each level of k avoided with (i, a) or with (j, b)
+                    avoid += [
+                        PartialAssignment(((j, b) if w % 2 else (i, a), (k, w)))
+                        for w in range(cards[k])
+                    ]
+            cs = ConstraintSet(avoid=tuple(avoid))
             uni = InteractionUniverse(sys_, cs)
-            want = achievable_pairs(sys_, enumerate_valid_cases(sys_, cs))
+            valid = enumerate_valid_cases(sys_, cs)
+            want = achievable_pairs(sys_, valid)
             got = {(it.i, it.a, it.j, it.b) for it in uni.interactions()}
             assert got == want
+
+            alive = {(f, tc.levels[f]) for tc in valid for f in range(n)}
+            avoided = {av.picks for av in avoid if len(av) == 2}
+            dead_levels += len(alive) < sum(cards)
+            third_factor_kills += any(
+                (p, x) in alive
+                and (q, y) in alive
+                and ((p, x), (q, y)) not in avoided
+                and (p, x, q, y) not in want
+                for p in range(n)
+                for q in range(p + 1, n)
+                for x in range(cards[p])
+                for y in range(cards[q])
+            )
+        assert dead_levels > 50 and third_factor_kills > 50
+
+    def test_trap_level_dies_without_a_search_per_pair(self, monkeypatch):
+        # the greedy-wide trap: level 2 of factor 0 is avoided with both
+        # levels of factor 8, behind seven three-level factors
+        cards = [3] * 8 + [2, 2, 3, 4]
+        sys_ = make_system(cards)
+        cs = ConstraintSet(
+            avoid=(PartialAssignment(((0, 2), (8, 0))), PartialAssignment(((0, 2), (8, 1))))
+        )
+        calls = []
+        search = interactions.find_extension
+        monkeypatch.setattr(
+            interactions, "find_extension", lambda *args: calls.append(1) or search(*args)
+        )
+        uni = InteractionUniverse(sys_, cs)
+        candidates = sum(cards[i] * cards[j] for i in range(12) for j in range(i + 1, 12))
+        assert not any((it.i, it.a) == (0, 2) for it in uni.interactions())
+        assert len(uni) == candidates - sum(cards[1:])  # every other pair stays
+        assert 0 < len(calls) < candidates
+
+    def test_wide_model_with_late_dead_ends_builds_fast(self):
+        # once took minutes: a search in factor order without lookahead met
+        # each pair's dead end only at the last factor.  Built in a child
+        # process so a regression fails after 10 s instead of hanging.
+        src = str(Path(paircover.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = "\n".join(
+            [
+                "import json",
+                "import numpy as np",
+                "from paircover.bench import make_system, random_avoids",
+                "from paircover.core import ConstraintSet",
+                "from paircover.interactions import InteractionUniverse",
+                inspect.getsource(late_dead_end_model),
+                "uni = InteractionUniverse(*late_dead_end_model())",
+                "print(json.dumps([a.tolist() for a in (uni.f1, uni.v1, uni.f2, uni.v2)]))",
+            ]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert out.returncode == 0, out.stderr
+        pairs = list(zip(*json.loads(out.stdout)))
+        assert len(pairs) > 0 and (4, 1, 9, 1) not in pairs
+        sys_, cs = late_dead_end_model()
+        for i, a, j, b in pairs:
+            tc = find_extension(PartialAssignment(((i, a), (j, b))), sys_, cs)
+            assert tc is not None and validate_case(tc, sys_, cs)
+            assert tc.levels[i] == a and tc.levels[j] == b
 
     def test_bbu_drops_one_blocked_level_pair(self):
         sys_, cs = make_bbu()

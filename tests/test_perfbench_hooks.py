@@ -10,6 +10,7 @@ files are loaded here unedited.
 import importlib.util
 from pathlib import Path
 
+from paircover import interactions
 from paircover.bench import make_bbu
 from paircover.pipeline import run_pipeline
 
@@ -44,6 +45,17 @@ def test_traced_pipeline_run_counts_its_layers():
     assert m["milp.step_nodes"] > 0 and m["pipeline.raw_size"] > 0
     assert m["sequential.steps"] > 0 and m["interactions.universe_builds"] == 1
     assert m["interactions.extension_calls"] > 0 and m["gcp.groups"] == 1
+
+
+def test_traced_universe_build_counts_its_searches():
+    # the benchmark's extension metric measures the universe layer; a
+    # pipeline run cannot show that, since gcp also calls find_extension
+    spans = _load("spans")
+    with spans.installed(spans.Tracer()) as tracer:
+        interactions.InteractionUniverse(*make_bbu())
+    m = spans.layer_metrics(tracer)
+    assert m["interactions.universe_builds"] == 1
+    assert m["interactions.extension_calls"] > 0
 
 
 def test_ready_loads_the_model_files():
