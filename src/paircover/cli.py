@@ -114,13 +114,14 @@ def _cmd_minimize(args) -> int:
     suite = pio.read_suite_csv(args.suite, system)
     out, stats = minimize_suite(suite, cs, time_limit=args.time_limit)
     _emit_suite(args, out)
-    degraded = bool(stats.get("fallback"))
-    print(
-        f"{len(suite)} -> {len(out)} cases"
-        f"{' (time limit hit, kept input)' if degraded else ''}",
-        file=sys.stderr,
-    )
-    return EXIT_DEGRADED if degraded else EXIT_OK
+    if stats.get("fallback"):
+        note = " (time limit hit, kept input)"
+    elif not stats["proved_optimal"]:
+        note = " (time limit hit, kept best cover found)"
+    else:
+        note = ""
+    print(f"{len(suite)} -> {len(out)} cases{note}", file=sys.stderr)
+    return EXIT_DEGRADED if note else EXIT_OK
 
 
 def _cmd_bench(args) -> int:

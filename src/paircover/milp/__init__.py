@@ -1,8 +1,10 @@
 """Binary integer programming layer: model container and its two solvers.
 
-``solve`` is ``solve_reference``, the built-in exact kernel the set cover
-runs (its tie-break fixes which cases a minimized suite keeps).
-``solve_highs`` hands a model to scipy's HiGHS; the monolithic method runs it.
+``solve`` is ``solve_reference``, the built-in exact kernel.  No command
+runs it: the step and the set cover have structured searches of their own
+(``sequential.solve``, ``pipeline.solve``), and the kernel is the oracle
+the tests check them against.  ``solve_highs`` hands a model to scipy's
+HiGHS; the monolithic method runs it.
 """
 
 from .model import (

@@ -14,6 +14,8 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .core import (
     ConstraintSet,
     FactorSystem,
@@ -24,7 +26,7 @@ from .core import (
 )
 from .gcp import partition_musts
 from .interactions import CoverageState, InteractionUniverse, verify_suite
-from .milp import MilpModel, SolveStatus, solve
+from .milp import MilpSolution, SolveStatus
 from .sequential import (
     DEFAULT_STEP_TIME_LIMIT,
     generate_single_case,
@@ -61,6 +63,7 @@ class RunReport:
     final_size: int = 0
     minimized: bool = False
     degraded: bool = False
+    cover: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
     coverage_curve: list = field(default_factory=list)
     phase_wall_s: dict = field(default_factory=dict)
@@ -91,6 +94,86 @@ def apply_warm_start(
     }
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def solve(cover: list[int], time_limit: float | None = None) -> MilpSolution:
+    """Fewest rows of ``cover`` whose union is the union of all rows.
+
+    ``cover[r]`` is the bitmask of the elements row r covers.  Depth-first
+    over the rows in order, "drop" before "keep": a row is dropped only
+    while every uncovered element keeps a carrier in a later row, and a row
+    that covers nothing uncovered is never kept.  A node is cut once the
+    rows kept plus a lower bound on the rows still needed reach the
+    incumbent, and only a strictly smaller cover replaces it, so the result
+    is the lexicographically smallest minimum keep vector.  The bound packs
+    uncovered elements, fewest remaining carriers first, whose remaining
+    carrier sets are pairwise disjoint: each needs a row of its own.  The
+    search stops once the incumbent reaches the root bound, and it checks
+    the deadline every 1024 nodes; on timeout the incumbent comes back as
+    FEASIBLE.  ``values`` is the 0/1 keep vector, ``objective`` its size.
+    """
+    t0 = time.perf_counter()
+    deadline = None if time_limit is None else t0 + float(time_limit)
+    m = len(cover)
+    everything = 0
+    for mask in cover:
+        everything |= mask
+    carriers = dict.fromkeys(_bits(everything), 0)  # element -> rows holding it
+    for r, mask in enumerate(cover):
+        for e in _bits(mask):
+            carriers[e] |= 1 << r
+    last = [0] * m  # last[r]: the elements row r is the final carrier of
+    for e, rows in carriers.items():
+        last[rows.bit_length() - 1] |= 1 << e
+
+    def bound(r: int, uncovered: int) -> int:
+        left = sorted((carriers[e] >> r for e in _bits(uncovered)), key=int.bit_count)
+        need, used = 0, 0
+        for rows in left:
+            if not rows & used:
+                need += 1
+                used |= rows
+        return need
+
+    root = bound(0, everything)
+    best, best_keep = m + 1, None
+    nodes = 0
+    timed_out = False
+    stack = [(0, everything, 0, 0)]  # row, uncovered elements, keep mask, rows kept
+    while stack:
+        r, uncovered, keep, kept = stack.pop()
+        nodes += 1
+        if nodes % 1024 == 0 and deadline is not None and time.perf_counter() >= deadline:
+            timed_out = True
+            break
+        if not uncovered:  # every later row is dropped
+            if kept < best:
+                best, best_keep = kept, keep
+                if best <= root:
+                    break
+            continue
+        if best_keep is not None and kept + bound(r, uncovered) >= best:
+            continue
+        # pushed in reverse: "drop" is popped first
+        if uncovered & cover[r]:
+            stack.append((r + 1, uncovered & ~cover[r], keep | 1 << r, kept + 1))
+        if not uncovered & last[r]:
+            stack.append((r + 1, uncovered, keep, kept))
+
+    stats = {"nodes": nodes, "root_bound": root, "wall_s": time.perf_counter() - t0}
+    if best_keep is None:
+        return MilpSolution(SolveStatus.TIMED_OUT, None, None, stats)
+    values = np.array([best_keep >> r & 1 for r in range(m)], dtype=np.int8)
+    status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
+    return MilpSolution(status, best, values, stats)
+
+
 def minimize_suite(
     suite: TestSuite,
     constraints: ConstraintSet,
@@ -99,45 +182,57 @@ def minimize_suite(
 ) -> tuple[TestSuite, dict]:
     """Smallest sub-suite keeping all covered pairs and all musts carried.
 
-    Falls back to the input suite when the solve cannot finish, so the
-    result is never larger than what went in.
+    The elements to keep covered are the universe pairs the suite covers
+    and each must tuple some row carries.  Falls back to the input suite
+    when the solve finds no cover in time, so the result is never larger
+    than what went in.
     """
+    t0 = time.perf_counter()
     system = suite.system
     if universe is None:
         universe = InteractionUniverse(system, constraints)
     m = len(suite)
     if m == 0:
-        return suite, {"status": "empty", "removed": 0}
+        return suite, {"status": "empty", "removed": 0, "proved_optimal": True}
 
-    milp = MilpModel(sense="min")
-    z = [milp.add_var(obj=1) for _ in range(m)]
-    covers: dict[int, list[int]] = {}
-    for r, tc in enumerate(suite):
-        for u in universe.case_pair_ids(tc.levels):
-            covers.setdefault(int(u), []).append(r)
-    for _, rows in sorted(covers.items()):
-        milp.add_constraint({z[r]: 1 for r in rows}, ">=", 1)
-    for mu in constraints.must:
-        carriers = [r for r, tc in enumerate(suite) if subsumes(tc, mu)]
-        if carriers:  # a must not carried by the input cannot be required here
-            milp.add_constraint({z[r]: 1 for r in carriers}, ">=", 1)
+    ids = [universe.case_pair_ids(tc.levels).tolist() for tc in suite]
+    element = {u: e for e, u in enumerate(sorted(set().union(*ids)))}  # pair id -> element
+    carried = [
+        mu for mu in constraints.must if any(subsumes(tc, mu) for tc in suite)
+    ]  # a must not carried by the input cannot be required here
+    cover = []
+    for tc, row in zip(suite, ids):
+        mask = 0
+        for u in row:
+            mask |= 1 << element[u]
+        for k, mu in enumerate(carried, start=len(element)):
+            if subsumes(tc, mu):
+                mask |= 1 << k
+        cover.append(mask)
 
-    # the reference kernel: its tie-break, the lexicographically smallest
-    # optimal keep vector, decides which cases survive
-    sol = solve(milp, time_limit=time_limit)
+    sol = solve(cover, time_limit=time_limit)
+    elements = len(element) + len(carried)
+    out = suite  # no cover found in time: keep the input
+    if sol.has_solution:
+        union = 0
+        for mask, z in zip(cover, sol.values.tolist()):
+            if z == 1:
+                union |= mask
+        if union != (1 << elements) - 1:
+            raise PaircoverError("set cover solve left an element uncovered")
+        out = TestSuite(system, [tc for tc, z in zip(suite, sol.values) if z == 1])
     stats = {
         "status": sol.status.value,
-        "nvars": milp.nvars,
-        "ncons": milp.ncons,
+        "rows": m,
+        "elements": elements,
+        "nodes": sol.stats.get("nodes"),
+        "root_bound": sol.stats.get("root_bound"),
+        "wall_s": time.perf_counter() - t0,
         "proved_optimal": sol.status == SolveStatus.OPTIMAL,
+        "removed": m - len(out),
     }
     if not sol.has_solution:
-        stats["removed"] = 0
         stats["fallback"] = True
-        return suite, stats
-    keep = [tc for r, tc in enumerate(suite) if sol.values[z[r]] == 1]
-    out = TestSuite(system, keep)
-    stats["removed"] = m - len(out)
     return out, stats
 
 
@@ -229,7 +324,8 @@ def run_pipeline(
     if cfg.minimize and len(suite):
         suite, min_stats = minimize_suite(suite, constraints, universe)
         report.minimized = True
-        report.degraded |= bool(min_stats.get("fallback"))
+        report.cover = min_stats
+        report.degraded |= not min_stats["proved_optimal"]
         report.phase_wall_s["minimize"] = time.perf_counter() - t3
 
     report.final_size = len(suite)

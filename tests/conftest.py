@@ -7,7 +7,8 @@ from a depth-limited set-cover search over them.  Slow but trustworthy at
 the scales the tests use.  ``brute_force_step`` scores every valid case
 against a universe's pair list, and ``step_milp`` states a per-case step
 as a generic binary MILP, so the step search can be checked against
-enumeration and against the MILP solvers.
+enumeration and against the MILP solvers.  ``cover_milp`` and
+``covered_by_some`` do the same for the set-cover search.
 """
 
 from __future__ import annotations
@@ -212,6 +213,42 @@ def step_milp(system, constraints, universe, uncovered_ids, fixed=None):
     for f, v in fixed.picks if fixed is not None else ():
         milp.add_constraint({base[f] + v: 1}, "==", 1)
     return milp
+
+
+def cover_milp(cover):
+    """The set cover over row bitmasks as a binary MILP.
+
+    One variable per row with objective 1 (minimize), and one ">= 1" row
+    per element in ascending element order: the program ``minimize_suite``
+    handed the reference kernel before the bitset search replaced it.
+    """
+    milp = MilpModel(sense="min")
+    z = [milp.add_var(obj=1) for _ in cover]
+    everything = 0
+    for mask in cover:
+        everything |= mask
+    for e in range(everything.bit_length()):
+        if everything >> e & 1:
+            milp.add_constraint({z[r]: 1 for r, mask in enumerate(cover) if mask >> e & 1}, ">=", 1)
+    return milp
+
+
+def covered_by_some(cover, k):
+    """Whether some k rows of ``cover`` reach the union of all rows.
+
+    Plain subset enumeration.  Covering is monotone in the subset, so a
+    cover of size k is minimum exactly when this holds for k and not k - 1.
+    """
+    everything = 0
+    for mask in cover:
+        everything |= mask
+    for rows in itertools.combinations(cover, k):
+        union = 0
+        for mask in rows:
+            union |= mask
+        if union == everything:
+            return True
+    return False
 
 
 @pytest.fixture

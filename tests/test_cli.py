@@ -9,8 +9,11 @@ import pytest
 
 import paircover
 from paircover import cli
+from paircover.bench import make_system
+from paircover.core import ConstraintSet, TestSuite
+from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse
-from paircover.io import load_model, read_suite_csv
+from paircover.io import load_model, read_suite_csv, save_model, write_suite_csv
 
 MODEL_TEXT = """\
 A: a0, a1, a2
@@ -192,6 +195,23 @@ class TestMinimize:
         assert rc == 0
         system, _ = load_model(model_file)
         assert len(read_suite_csv(reduced, system)) <= len(rows)
+
+    def test_unproven_cover_exits_degraded(self, tmp_path, capsys):
+        # the 73-row cover of test_pipeline's overshoot test: not proven in 0.5 s
+        system, cs = make_system([4] * 6), ConstraintSet()
+        joined = TestSuite(
+            system, [tc for s in range(3) for tc in greedy_suite(system, cs, seed=s)]
+        )
+        model, suite = tmp_path / "m.model", tmp_path / "joined.csv"
+        save_model(model, system, cs)
+        write_suite_csv(suite, joined)
+        out = tmp_path / "kept.csv"
+        rc = cli.main(
+            ["minimize", "--model", str(model), "--suite", str(suite), "--out", str(out), "--time-limit", "0.5"]
+        )
+        assert rc == 2
+        assert "time limit hit, kept best cover found" in capsys.readouterr().err
+        assert len(read_suite_csv(out, system)) < len(joined)
 
     def test_degraded_exit_code(self, model_file, tmp_path, monkeypatch):
         import paircover.pipeline as pl

@@ -1,24 +1,33 @@
 import time
 
+import numpy as np
 import pytest
 
-from paircover.bench import make_bbu, make_system
+from paircover.bench import classic_instances, make_bbu, make_system, random_instance
 from paircover.core import (
     ConstraintSet,
     PaircoverError,
+    PartialAssignment,
     TestCase,
     TestSuite,
 )
 from paircover.greedy import greedy_suite
-from paircover.interactions import verify_suite
+from paircover.interactions import InteractionUniverse, verify_suite
+from paircover.milp import MilpSolution, SolveStatus, solve_reference
 from paircover.pipeline import (
     PipelineConfig,
     apply_warm_start,
     minimize_suite,
     run_pipeline,
 )
+from paircover.pipeline import solve as cover_search
 
-from conftest import oracle_min_suite_size, random_constraints
+from conftest import (
+    cover_milp,
+    covered_by_some,
+    oracle_min_suite_size,
+    random_constraints,
+)
 
 
 class TestApplyWarmStart:
@@ -105,6 +114,24 @@ class TestMinimizeSuite:
         assert len(out) == len(bloated)
         assert stats["fallback"] and stats["removed"] == 0
 
+    def test_reports_the_cover_solve(self):
+        sys_ = make_system([2, 2])
+        cases = [TestCase((a, b)) for a in range(2) for b in range(2)]
+        _, stats = minimize_suite(TestSuite(sys_, cases + cases), ConstraintSet())
+        assert stats["rows"] == 8 and stats["elements"] == 4
+        assert stats["root_bound"] == 4 and stats["nodes"] > 0
+        assert stats["wall_s"] >= 0 and stats["proved_optimal"]
+        assert "nvars" not in stats and "ncons" not in stats
+
+    def test_long_suite_needs_no_recursion(self):
+        # one search frame per row would pass Python's recursion limit
+        sys_ = make_system([2, 2])
+        cases = [TestCase((a, b)) for a in range(2) for b in range(2)]
+        out, stats = minimize_suite(TestSuite(sys_, cases * 375), ConstraintSet())
+        assert len(out) == 4 and stats["rows"] == 1500
+        assert stats["proved_optimal"]
+        assert verify_suite(out, ConstraintSet())[0]
+
     def test_time_limit_overshoot_is_bounded(self):
         # three joined greedy suites of 4^6: the cover does not prove within
         # 0.5 s, and a 250k-node slice in pure Python used to run for ~40 s
@@ -121,7 +148,128 @@ class TestMinimizeSuite:
         assert len(out) <= 73 and verify_suite(out, cs)[0]
 
 
+class TestCoverSearch:
+    """The bitset search against the reference kernel and enumeration.
+
+    The kernel on ``cover_milp`` is the set cover as it was solved before
+    the search replaced it: its keep vector is the lexicographically
+    smallest minimum one, which decides the bytes of every minimized suite.
+    """
+
+    @staticmethod
+    def _recording(monkeypatch):
+        import paircover.pipeline as pl
+
+        seen = []
+
+        def recording(cover, time_limit=None):
+            seen.append(cover)
+            return cover_search(cover, time_limit=time_limit)
+
+        monkeypatch.setattr(pl, "solve", recording)
+        return seen
+
+    @staticmethod
+    def _check(cover):
+        sol = cover_search(cover)
+        assert sol.status == SolveStatus.OPTIMAL
+        assert sol.values.tolist() == solve_reference(cover_milp(cover)).values.tolist()
+        k = sol.objective
+        assert k == int(sol.values.sum())
+        assert covered_by_some(cover, k)
+        assert k == 0 or not covered_by_some(cover, k - 1)
+        return k
+
+    def test_matches_oracles_along_pipeline_runs(self, monkeypatch):
+        seen = self._recording(monkeypatch)
+        instances = list(classic_instances().values())
+        instances += [random_instance(s) for s in range(25)]
+        for system, cs in instances:
+            for weighted in (True, False):
+                run_pipeline(system, cs, config=PipelineConfig(weighted=weighted))
+        assert len(seen) == 2 * len(instances)
+        dropped = sum(self._check(cover) < len(cover) for cover in seen)
+        assert dropped > 0  # some covers leave a choice of rows to drop
+
+    def test_matches_oracles_on_tiny_suites(self, monkeypatch):
+        # rows come from the whole product space: an avoided row of a
+        # 2-factor system holds no achievable pair and covers nothing
+        rng = np.random.default_rng(8)
+        seen = self._recording(monkeypatch)
+        shapes = dict.fromkeys(("duplicate", "empty row", "must", "sole carrier"), 0)
+        for _ in range(300):
+            n = int(rng.integers(2, 4))
+            system = make_system([int(rng.integers(2, 4)) for _ in range(n)])
+            cs = random_constraints(
+                system, rng, n_avoid=int(rng.integers(0, 3)), n_must=int(rng.integers(0, 4))
+            )
+            levels = [rng.integers(c, size=int(rng.integers(1, 9))) for c in system.cardinalities]
+            suite = TestSuite(system, [TestCase(tuple(map(int, lv))) for lv in zip(*levels)])
+            out, _ = minimize_suite(suite, cs)
+            cover = seen[-1]
+            assert len(out) == self._check(cover)
+
+            universe = InteractionUniverse(system, cs)
+            pairs = [set(universe.case_pair_ids(tc.levels).tolist()) for tc in suite]
+            kept = [set(universe.case_pair_ids(tc.levels).tolist()) for tc in out]
+            assert set().union(*pairs) == set().union(*kept)
+            assert suite.satisfied_musts(cs) == out.satisfied_musts(cs)
+
+            carriers = [sum(mask >> e & 1 for mask in cover) for e in range(max(cover).bit_length())]
+            shapes["duplicate"] += len(set(cover)) < len(cover)
+            shapes["empty row"] += 0 in cover
+            shapes["must"] += any(suite.satisfied_musts(cs))
+            shapes["sole carrier"] += 1 in carriers
+        assert min(shapes.values()) >= 20, shapes
+
+    def test_matches_oracles_on_random_covers(self):
+        # wider than the tiny suites, so the first dive is often not minimum
+        # and an overstated bound shows; each cover gets one duplicated row
+        rng = np.random.default_rng(9)
+        shapes = dict.fromkeys(("empty row", "sole carrier"), 0)
+        for _ in range(300):
+            n = int(rng.integers(0, 9))
+            cover = [
+                sum(1 << e for e in range(n) if rng.random() < 0.35)
+                for _ in range(int(rng.integers(1, 11)))
+            ]
+            cover.insert(int(rng.integers(len(cover))), cover[int(rng.integers(len(cover)))])
+            self._check(cover)
+            carriers = [sum(mask >> e & 1 for mask in cover) for e in range(n)]
+            shapes["empty row"] += 0 in cover
+            shapes["sole carrier"] += 1 in carriers
+        assert min(shapes.values()) >= 20, shapes
+
+    def test_no_elements_keeps_no_rows(self):
+        sol = cover_search([0, 0, 0])
+        assert sol.status == SolveStatus.OPTIMAL and sol.values.tolist() == [0, 0, 0]
+        # the one pair these rows hold is avoided, so no row covers anything
+        sys_ = make_system([2, 2])
+        cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
+        suite = TestSuite(sys_, [TestCase((0, 0))] * 3)
+        out, stats = minimize_suite(suite, cs)
+        assert len(out) == 0 and stats["elements"] == 0
+
+
 class TestRunPipeline:
+    def test_unproven_cover_marks_run_degraded(self, monkeypatch):
+        import paircover.pipeline as pl
+
+        sys_, cs = make_bbu()
+        _, report = run_pipeline(sys_, cs)
+        assert report.cover["proved_optimal"] and not report.degraded
+        assert report.cover["rows"] == report.raw_size
+
+        def unproven(cover, time_limit=None):
+            sol = cover_search(cover, time_limit=time_limit)
+            return MilpSolution(SolveStatus.FEASIBLE, sol.objective, sol.values, sol.stats)
+
+        monkeypatch.setattr(pl, "solve", unproven)
+        suite, report = run_pipeline(sys_, cs)
+        assert report.degraded and not report.cover["proved_optimal"]
+        assert "fallback" not in report.cover
+        assert verify_suite(suite, cs)[0]
+
     def test_end_to_end_reference_instance(self):
         sys_, cs = make_bbu()
         suite, report = run_pipeline(sys_, cs)
