@@ -29,12 +29,10 @@ from .interactions import (
 )
 from .gcp import Partition, partition_musts
 from .greedy import greedy_suite
-from .milp import MilpModel, MilpSolution, SolveStatus, solve
 from .monolithic import (
     ModelSizeError,
     MonolithicTimeout,
     build_monolithic,
-    max_coverage_suite,
     minimal_suite,
 )
 from .pipeline import PipelineConfig, RunReport, minimize_suite, run_pipeline

@@ -36,12 +36,10 @@ def _load_model(args):
 
 
 def _emit_suite(args, suite: TestSuite) -> None:
-    text = pio.suite_to_csv(suite)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        pio.write_suite_csv(args.out, suite)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(pio.suite_to_csv(suite))
 
 
 def _cmd_generate(args) -> int:

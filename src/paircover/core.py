@@ -130,16 +130,6 @@ class PartialAssignment:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.picks)
 
-    @property
-    def factors(self) -> tuple[int, ...]:
-        return tuple(f for f, _ in self.picks)
-
-    def get(self, factor: int) -> int | None:
-        for f, v in self.picks:
-            if f == factor:
-                return v
-        return None
-
     def validate_against(self, system: FactorSystem) -> None:
         if not self.picks:
             raise StructureError("partial assignment must pick at least one factor")

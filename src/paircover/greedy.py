@@ -21,28 +21,6 @@ from .interactions import CoverageState, InteractionUniverse, find_extension
 MAX_BACKTRACKS_PER_CASE = 10_000
 
 
-class _FactorAdjacency:
-    """Per-factor flat view of the universe for vectorized level scoring."""
-
-    def __init__(self, universe: InteractionUniverse):
-        system = universe.system
-        n = system.n_factors
-        f1, v1 = universe.f1, universe.v1
-        f2, v2 = universe.f2, universe.v2
-        ids = np.arange(len(universe), dtype=np.int64)
-        self.level: list[np.ndarray] = []
-        self.other_f: list[np.ndarray] = []
-        self.other_v: list[np.ndarray] = []
-        self.pair: list[np.ndarray] = []
-        for f in range(n):
-            a_side = f1 == f
-            b_side = f2 == f
-            self.level.append(np.concatenate([v1[a_side], v2[b_side]]))
-            self.other_f.append(np.concatenate([f2[a_side], f1[b_side]]))
-            self.other_v.append(np.concatenate([v2[a_side], v1[b_side]]))
-            self.pair.append(np.concatenate([ids[a_side], ids[b_side]]))
-
-
 def greedy_suite(
     system: FactorSystem,
     constraints: ConstraintSet,
@@ -56,7 +34,15 @@ def greedy_suite(
         universe = InteractionUniverse(system, constraints)
     n = system.n_factors
     card = system.cardinalities
-    adj = _FactorAdjacency(universe)
+    every = np.arange(n)
+    # sym[f, a, g, b]: the pair (f, a), (g, b) in either order; the padding
+    # level makes an unassigned factor (level -1) read id -1, no pair
+    pid = universe.pair_id
+    sym = np.pad(
+        np.maximum(pid, pid.transpose(2, 3, 0, 1)),
+        ((0, 0), (0, 0), (0, 0), (0, 1)),
+        constant_values=-1,
+    )
     rng = np.random.default_rng(seed)
     state = CoverageState(universe)
     suite = TestSuite(system)
@@ -65,11 +51,11 @@ def greedy_suite(
     while not state.is_full:
         if len(suite) >= limit:
             raise PaircoverError(f"greedy did not converge within {limit} cases")
-        unc = ~state.mask
+        open_ = ~state.mask
         # factor order: most uncovered pairs touched first
-        touch = np.zeros(n, dtype=np.int64)
-        np.add.at(touch, universe.f1[unc], 1)
-        np.add.at(touch, universe.f2[unc], 1)
+        touch = np.bincount(universe.f1[open_], minlength=n)
+        touch += np.bincount(universe.f2[open_], minlength=n)
+        unc = np.append(open_, False)  # id -1 reads False
         factor_order = sorted(range(n), key=lambda f: (-int(touch[f]), f))
 
         assigned = np.full(n, -1, dtype=np.int64)
@@ -81,12 +67,10 @@ def greedy_suite(
         while 0 <= pos < n:
             f = factor_order[pos]
             if candidates[pos] is None:
-                lv, of, ov, pr = adj.level[f], adj.other_f[f], adj.other_v[f], adj.pair[f]
-                hit = unc[pr] & (assigned[of] == ov)
-                scores = np.bincount(lv[hit], minlength=card[f])
-                if not hit.any():
+                scores = unc[sym[f, : card[f], every, assigned]].sum(axis=0)
+                if not scores.any():
                     # nothing assigned connects yet: rank by uncovered potential
-                    scores = np.bincount(lv[unc[pr]], minlength=card[f])
+                    scores = unc[sym[f, : card[f]]].sum(axis=(1, 2))
                 rot = int(rng.integers(card[f]))
                 keys = sorted(
                     range(card[f]),

@@ -126,27 +126,8 @@ def parse_model(text: str) -> tuple[FactorSystem, ConstraintSet]:
     return system, cs
 
 
-def format_model(system: FactorSystem, constraints: ConstraintSet) -> str:
-    """Inverse of :func:`parse_model`, canonical order."""
-    out = []
-    for f in system.factors:
-        out.append(f"{f.name}: " + ", ".join(f.level_names))
-    for kw, tuples in (("AVOID", constraints.avoid), ("MUST", constraints.must)):
-        for pa in tuples:
-            body = ", ".join(
-                f"{system.factors[f].name}={system.factors[f].level_names[v]}"
-                for f, v in pa.picks
-            )
-            out.append(f"{kw}: {body}")
-    return "\n".join(out) + "\n"
-
-
 def load_model(path) -> tuple[FactorSystem, ConstraintSet]:
     return parse_model(Path(path).read_text())
-
-
-def save_model(path, system: FactorSystem, constraints: ConstraintSet) -> None:
-    Path(path).write_text(format_model(system, constraints))
 
 
 def suite_to_csv(suite: TestSuite) -> str:

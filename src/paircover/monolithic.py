@@ -212,29 +212,3 @@ def minimal_suite(
             report["wall_s"] = time.perf_counter() - t0
             return suite, report
     raise PaircoverError(f"no covering suite found with m <= {hi}")
-
-
-def max_coverage_suite(
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    m: int,
-    time_limit: float | None = DEFAULT_TIME_LIMIT,
-) -> tuple[TestSuite, dict]:
-    """Best coverage achievable with exactly m cases (the raw maximization)."""
-    constraints.validate_against(system)
-    universe = InteractionUniverse(system, constraints)
-    mono = build_monolithic(system, constraints, m, universe)
-    sol = mono.solve(time_limit)
-    if not sol.has_solution:
-        if sol.status == SolveStatus.INFEASIBLE:
-            raise StructureError(
-                f"no valid suite with m={m} cases satisfies the must tuples"
-            )
-        raise MonolithicTimeout(f"no incumbent within {time_limit}s at m={m}")
-    suite = mono.decode(sol.values)
-    return suite, {
-        "status": sol.status.value,
-        "covered": sol.objective,
-        "universe": len(universe),
-        "proved_optimal": sol.status == SolveStatus.OPTIMAL,
-    }

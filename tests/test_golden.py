@@ -7,9 +7,11 @@ change that means to alter suites updates them and says why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from paircover import bench, io
+from paircover import bench, greedy, io
+from paircover.core import ConstraintSet, PartialAssignment
 from paircover.greedy import greedy_suite
 from paircover.pipeline import PipelineConfig, run_pipeline
 
@@ -54,7 +56,14 @@ GREEDY_DIGESTS = [
     "c35f43d2661c46e7834ba9e908f93ed8dc759293b5cc2bd406ee4638007b00b7",
     "925fe850db62c28680fbd9e2606ed5d2f15ac760d6d27e11176d91b811785d31",
     "3229b4f0d9b32fbb4390372e1ac15600cdd0ada4e8ae2b26d594fd41d3885c31",
+    # _wide_instance(s) for s in WIDE_SEEDS
+    "dc7dfc83a8f9b0f4a76b8b53cd3ae0b5aae661fb9fcf2f0b983d7182846cbb19",
+    "092ec878c3cf92f40e373d1a78c7d9a61ad78a8e1126f935c2b2431280068316",
+    "5a249c91b73d1da911aed51e26940ee52c5233dc22b32f614e25c4130a5eaa93",
 ]
+# Wide models on which the greedy walk falls back to ``_progress_case``,
+# which no random_instance seed reaches.
+WIDE_SEEDS = (6, 8, 10)
 
 
 def _digest(suite):
@@ -65,6 +74,17 @@ def _instance(name):
     if name.startswith("rand-"):
         return bench.random_instance(int(name[len("rand-") :]))
     return bench.classic_instances()[name]
+
+
+def _wide_instance(seed):
+    """12-16 factors, dense two-pick avoids, and a dead level: F0=v2 is
+    avoided with both levels of F3."""
+    rng = np.random.default_rng(seed)
+    n = 12 + seed % 5
+    cards = [3, 3, 3, 2] + [int(c) for c in rng.integers(2, 5, size=n - 4)]
+    system = bench.make_system(cards)
+    trap = (PartialAssignment(((0, 2), (3, 0))), PartialAssignment(((0, 2), (3, 1))))
+    return system, ConstraintSet(avoid=bench.random_avoids(system, rng, 5 * n // 2) + trap)
 
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
@@ -78,6 +98,19 @@ def test_pipeline_suites(weighted):
     assert got == {k: v for k, v in PIPELINE_DIGESTS.items() if k[1] == weighted}
 
 
-def test_greedy_suites():
-    got = [_digest(greedy_suite(*bench.random_instance(s), seed=0)) for s in range(25)]
+def test_greedy_suites(monkeypatch):
+    instances = [bench.random_instance(s) for s in range(25)]
+    instances += [_wide_instance(s) for s in WIDE_SEEDS]
+    progress = greedy._progress_case
+    calls = []
+
+    def counted(*args):
+        calls.append(len(got))  # the index of the instance being built
+        return progress(*args)
+
+    monkeypatch.setattr(greedy, "_progress_case", counted)
+    got = []
+    for system, cs in instances:
+        got.append(_digest(greedy_suite(system, cs, seed=0)))
     assert got == GREEDY_DIGESTS
+    assert set(range(25, len(instances))) <= set(calls)

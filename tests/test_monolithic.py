@@ -2,12 +2,11 @@ import pytest
 
 from paircover.bench import make_system
 from paircover.core import ConstraintSet, PartialAssignment, StructureError
-from paircover.interactions import CoverageState, InteractionUniverse, verify_suite
+from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.monolithic import (
     ModelSizeError,
     build_monolithic,
     coverage_lower_bound,
-    max_coverage_suite,
     minimal_suite,
 )
 
@@ -48,43 +47,6 @@ class TestBuildMonolithic:
         sys_ = make_system([4, 4, 4, 4])
         with pytest.raises(ModelSizeError):
             build_monolithic(sys_, ConstraintSet(), m=30, max_vars=1000)
-
-
-class TestCoverageObjective:
-    def test_three_slots_cover_three_pairs(self):
-        # 2x2 has 4 pairs but 3 slots can cover at most 3 of them
-        sys_ = make_system([2, 2])
-        suite, info = max_coverage_suite(sys_, ConstraintSet(), m=3)
-        assert info["covered"] == 3
-        assert info["proved_optimal"]
-        assert len(suite) == 3
-
-    def test_four_slots_cover_all(self):
-        sys_ = make_system([2, 2])
-        suite, info = max_coverage_suite(sys_, ConstraintSet(), m=4)
-        assert info["covered"] == 4 == info["universe"]
-        uni = InteractionUniverse(sys_, ConstraintSet())
-        state = CoverageState(uni)
-        for tc in suite:
-            state.mark_case(tc)
-        assert state.is_full
-
-    def test_must_forces_carrier(self):
-        sys_ = make_system([2, 2, 2])
-        cs = ConstraintSet(must=(PartialAssignment(((0, 1), (1, 1), (2, 1))),))
-        suite, _ = max_coverage_suite(sys_, cs, m=4)
-        assert any(tc.levels == (1, 1, 1) for tc in suite)
-
-    def test_infeasible_when_musts_exceed_slots(self):
-        sys_ = make_system([2, 2])
-        cs = ConstraintSet(
-            must=(
-                PartialAssignment(((0, 0), (1, 0))),
-                PartialAssignment(((0, 1), (1, 1))),
-            )
-        )
-        with pytest.raises(StructureError):
-            max_coverage_suite(sys_, cs, m=1)
 
 
 def test_coverage_lower_bound():

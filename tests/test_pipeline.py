@@ -140,7 +140,6 @@ class TestMinimizeSuite:
             sys_, [tc for s in range(3) for tc in greedy_suite(sys_, cs, seed=s)]
         )
         assert len(suite) == 73
-        minimize_suite(TestSuite(sys_, suite.cases[:2]), cs)  # compiles a jit kernel
         t0 = time.perf_counter()
         out, stats = minimize_suite(suite, cs, time_limit=0.5)
         assert time.perf_counter() - t0 < 3.0
