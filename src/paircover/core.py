@@ -75,7 +75,7 @@ class FactorSystem:
     def cardinality(self, i: int) -> int:
         return self.factors[i].cardinality
 
-    @property
+    @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(f.cardinality for f in self.factors)
 

@@ -9,7 +9,8 @@ up front so coverage ratios are measured against what is actually coverable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,13 +47,16 @@ def find_extension(
     assignment: PartialAssignment,
     system: FactorSystem,
     constraints: ConstraintSet,
+    start: Sequence[int] | None = None,
 ) -> TestCase | None:
-    """The lexicographically first constraint-valid case extending ``assignment``.
+    """The first constraint-valid case extending ``assignment``.
 
-    Depth-first over the unassigned factors in index order, trying levels in
-    index order and skipping any level that completes an avoid tuple
-    (``ConstraintSet.completes_avoid``), so the first leaf reached is the
-    smallest valid extension.  Returns None when no valid extension exists,
+    Depth-first over the unassigned factors in index order, skipping any
+    level that completes an avoid tuple (``ConstraintSet.completes_avoid``).
+    Each factor f tries ``start[f]`` first, then the levels after it in
+    index order, wrapping around to 0; with ``start=None`` every factor
+    starts at 0, so the first leaf reached is the lexicographically smallest
+    valid extension.  Returns None when no valid extension exists,
     including when the fixed picks already complete an avoid tuple.
 
     Forward checking: after the fixed picks and after each pick, every
@@ -81,12 +85,16 @@ def find_extension(
     if any(wipes_out(f, v) for f, v in assignment.picks):
         return None
     free = [f for f in range(system.n_factors) if levels[f] < 0]
+    if start is None:
+        order = [range(card[f]) for f in free]
+    else:
+        order = [(*range(start[f], card[f]), *range(start[f])) for f in free]
 
     def search(k: int) -> bool:
         if k == len(free):
             return True
         f = free[k]
-        for v in range(card[f]):
+        for v in order[k]:
             if not constraints.completes_avoid(f, v, levels):
                 levels[f] = v
                 if not wipes_out(f, v) and search(k + 1):
@@ -106,6 +114,10 @@ class InteractionUniverse:
     is the universe index of the pair (i, a), (j, b), or -1 when i >= j,
     when a level is padding or when the pair is not achievable, so coverage
     marking is a single gather per case.
+
+    ``witnesses`` are cases the caller already has, such as the suite being
+    verified: the avoid-valid ones prove their pairs achievable before any
+    extension search, so they save searches and change nothing else.
     """
 
     def __init__(
@@ -113,6 +125,7 @@ class InteractionUniverse:
         system: FactorSystem,
         constraints: ConstraintSet,
         weighted: bool = True,
+        witnesses: Iterable[TestCase] = (),
     ):
         constraints.validate_against(system)
         self.system = system
@@ -130,7 +143,7 @@ class InteractionUniverse:
         )
         self._tri = np.triu_indices(n, 1)
         if constraints.avoid:
-            ok = self._witnessed(ok)
+            ok = self._witnessed(ok, witnesses)
 
         i, j, a, b = np.nonzero(ok)
         self.f1 = i.astype(np.int32)
@@ -141,39 +154,64 @@ class InteractionUniverse:
         self.pair_id = np.full((n, top, n, top), -1, dtype=np.int64)
         self.pair_id[i, a, j, b] = np.arange(len(i))
 
-    def _witnessed(self, candidates: np.ndarray) -> np.ndarray:
+    def _witnessed(self, candidates: np.ndarray, witnesses: Iterable[TestCase]) -> np.ndarray:
         """Which candidate pairs ``[i, j, a, b]`` some valid case holds.
 
-        Every case an extension search returns witnesses all of its pairs,
-        so a pair is searched only while no earlier witness holds it.  Each
-        single level is searched first: its case witnesses many pairs at
-        once, and a level with no valid case rules out all of its pairs.
+        Every valid case witnesses all of its pairs: first the avoid-valid
+        ``witnesses`` (the others are skipped), then each case an extension
+        search returns, so a pair is searched only while no witness holds
+        it.  A single level is searched only while no witness holds it: its
+        case witnesses many pairs at once, and a level with no valid case
+        rules out all of its pairs.  A pair whose two picks complete an
+        avoid tuple is dropped without a search.  Successive searches start
+        each factor at a different level (``find_extension``'s ``start``), so
+        their cases spread over the levels instead of crowding near level 0.
         """
         system, constraints = self.system, self.constraints
+        card = system.cardinalities
+        n = system.n_factors
         i, j = self._tri
         seen = np.zeros_like(candidates)
+        held = np.zeros((n, candidates.shape[-1]), dtype=bool)  # [f, v]: a witness picks it
+        searches = count()
+
+        def mark(levels) -> None:
+            lv = np.array(levels, dtype=np.int64)  # one case or a stack of them
+            seen[i, j, lv[..., i], lv[..., j]] = True
+            held[np.arange(n), lv] = True
 
         def witness(*picks) -> bool:
+            w = next(searches)
+            # each factor steps through its levels at its own stride, shifted
+            # once per lap, so successive cases share few pairs
+            start = [(w * (f + 1) + w // c) % c for f, c in enumerate(card)]
             # through the module attribute, which perfbench's tracer rebinds
-            tc = find_extension(PartialAssignment(picks), system, constraints)
+            tc = find_extension(PartialAssignment(picks), system, constraints, start)
             if tc is not None:
-                lv = np.array(tc.levels)
-                seen[i, j, lv[i], lv[j]] = True
+                mark(tc.levels)
             return tc is not None
 
+        valid = [tc.levels for tc in witnesses if validate_case(tc, system, constraints)]
+        if valid:
+            mark(valid)
         dead = [
             (f, v)
-            for f in range(system.n_factors)
-            for v in range(system.cardinality(f))
-            if not witness((f, v))
+            for f in range(n)
+            for v in range(card[f])
+            if not held[f, v] and not witness((f, v))
         ]
         todo = candidates & ~seen
         for f, v in dead:
             todo[f, :, v, :] = False
             todo[:, f, :, v] = False
+        levels = [-1] * n
         for p, q, a, b in zip(*(x.tolist() for x in np.nonzero(todo))):
-            if not seen[p, q, a, b]:
+            if seen[p, q, a, b]:
+                continue
+            levels[p] = a
+            if not constraints.completes_avoid(q, b, levels):
                 witness((p, a), (q, b))
+            levels[p] = -1
         return seen
 
     def __len__(self) -> int:
@@ -248,12 +286,14 @@ def verify_suite(
 ) -> tuple[bool, list[str]]:
     """Full-suite check: validity, must satisfaction, complete coverage.
 
-    Returns (ok, problems); problems lists one message per violation.
+    Returns (ok, problems); problems lists one message per violation.  A
+    universe built here is seeded with the suite's avoid-valid rows, so only
+    the pairs the suite leaves uncovered need an extension search.
     """
     system = suite.system
     constraints.validate_against(system)
     if universe is None:
-        universe = InteractionUniverse(system, constraints)
+        universe = InteractionUniverse(system, constraints, witnesses=suite)
     problems: list[str] = []
     for r, tc in enumerate(suite):
         if not validate_case(tc, system, constraints):

@@ -98,6 +98,7 @@ class TestGenerate:
                 assert 0 <= data["universe_s"] <= data["wall_s"]
             else:
                 assert data["phase_wall_s"]["universe"] >= 0
+                assert data["phase_wall_s"]["verify"] >= 0
 
     def test_monolithic_small(self, tmp_path):
         model = tmp_path / "tiny.model"

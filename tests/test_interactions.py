@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import paircover
 from paircover import interactions
-from paircover.bench import make_bbu, make_system, random_avoids
+from paircover.bench import make_bbu, make_system, random_avoids, random_instance
 from paircover.core import (
     ConstraintSet,
     PartialAssignment,
@@ -22,6 +22,7 @@ from paircover.core import (
     subsumes,
     validate_case,
 )
+from paircover.greedy import greedy_suite
 from paircover.interactions import (
     CoverageState,
     Interaction,
@@ -68,9 +69,10 @@ class TestFindExtension:
 
     def test_first_valid_extension_oracle(self):
         # the lexicographically first valid case agreeing with the picks, or
-        # None; greedy's fallback case and so its suites depend on which one
+        # None; greedy's fallback case and so its suites depend on which one.
+        # With a start, each free factor tries start[f] first and wraps around.
         rng = np.random.default_rng(20)
-        found = missing = 0
+        found = missing = rotated = 0
         for _ in range(300):
             cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
             sys_ = make_system(cards)
@@ -80,14 +82,24 @@ class TestFindExtension:
                 avoid += random_avoids(sys_, rng, int(rng.integers(0, 4)), size=3)
             cs = ConstraintSet(avoid=avoid)
             valid = enumerate_valid_cases(sys_, cs)  # in lexicographic order
+            start = [int(rng.integers(c)) for c in cards]
             for k in (1, 2) if n > 2 else (1,):
                 fs = sorted(rng.choice(n, size=k, replace=False).tolist())
                 pa = PartialAssignment(tuple((f, int(rng.integers(cards[f]))) for f in fs))
-                want = next((tc for tc in valid if subsumes(tc, pa)), None)
+                fits = [tc for tc in valid if subsumes(tc, pa)]
+                want = fits[0] if fits else None
                 assert find_extension(pa, sys_, cs) == want
+                assert find_extension(pa, sys_, cs, None) == want
+                first = min(
+                    fits,
+                    key=lambda tc: [(v - s) % c for v, s, c in zip(tc.levels, start, cards)],
+                    default=None,
+                )
+                assert find_extension(pa, sys_, cs, start) == first
                 found += want is not None
                 missing += want is None
-        assert found > 200 and missing > 20
+                rotated += first != want
+        assert found > 200 and missing > 20 and rotated > 100
 
 
 def late_dead_end_model():
@@ -101,6 +113,26 @@ def late_dead_end_model():
     return system, ConstraintSet(avoid=random_avoids(system, rng, int(rng.integers(20, 21))))
 
 
+def planted_instance(rng):
+    """A tiny system with 2- and 3-pick avoids plus one planted shape."""
+    cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
+    n = len(cards)
+    sys_ = make_system(cards)
+    avoid = list(random_avoids(sys_, rng, int(rng.integers(0, 4))))
+    if n >= 3:
+        avoid += random_avoids(sys_, rng, int(rng.integers(0, 3)), size=3)
+        i, j, k = (int(f) for f in rng.choice(n, size=3, replace=False))
+        a, b = int(rng.integers(cards[i])), int(rng.integers(cards[j]))
+        if rng.random() < 0.5:  # (i, a) avoided with every level of k
+            avoid += [PartialAssignment(((i, a), (k, w))) for w in range(cards[k])]
+        else:  # each level of k avoided with (i, a) or with (j, b)
+            avoid += [
+                PartialAssignment(((j, b) if w % 2 else (i, a), (k, w)))
+                for w in range(cards[k])
+            ]
+    return sys_, ConstraintSet(avoid=tuple(avoid))
+
+
 class TestUniverse:
     def test_unconstrained_counts(self):
         sys_ = make_system([2, 3, 4])
@@ -108,27 +140,12 @@ class TestUniverse:
         assert len(uni) == 2 * 3 + 2 * 4 + 3 * 4
 
     def test_matches_enumeration_oracle(self, rng):
-        # 2- and 3-pick avoids plus one planted shape per system, so every
-        # shortcut of the build is taken: a level with no valid case, and a
-        # pair that neither pick kills but a third factor does
+        # every shortcut of the build is taken: a level with no valid case,
+        # and a pair that neither pick kills but a third factor does
         dead_levels = third_factor_kills = 0
         for _ in range(200):
-            cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
-            n = len(cards)
-            sys_ = make_system(cards)
-            avoid = list(random_avoids(sys_, rng, int(rng.integers(0, 4))))
-            if n >= 3:
-                avoid += random_avoids(sys_, rng, int(rng.integers(0, 3)), size=3)
-                i, j, k = (int(f) for f in rng.choice(n, size=3, replace=False))
-                a, b = int(rng.integers(cards[i])), int(rng.integers(cards[j]))
-                if rng.random() < 0.5:  # (i, a) avoided with every level of k
-                    avoid += [PartialAssignment(((i, a), (k, w))) for w in range(cards[k])]
-                else:  # each level of k avoided with (i, a) or with (j, b)
-                    avoid += [
-                        PartialAssignment(((j, b) if w % 2 else (i, a), (k, w)))
-                        for w in range(cards[k])
-                    ]
-            cs = ConstraintSet(avoid=tuple(avoid))
+            sys_, cs = planted_instance(rng)
+            n, cards = sys_.n_factors, sys_.cardinalities
             uni = InteractionUniverse(sys_, cs)
             valid = enumerate_valid_cases(sys_, cs)
             want = achievable_pairs(sys_, valid)
@@ -136,7 +153,7 @@ class TestUniverse:
             assert got == want
 
             alive = {(f, tc.levels[f]) for tc in valid for f in range(n)}
-            avoided = {av.picks for av in avoid if len(av) == 2}
+            avoided = {av.picks for av in cs.avoid if len(av) == 2}
             dead_levels += len(alive) < sum(cards)
             third_factor_kills += any(
                 (p, x) in alive
@@ -149,6 +166,22 @@ class TestUniverse:
                 for y in range(cards[q])
             )
         assert dead_levels > 50 and third_factor_kills > 50
+
+    def test_seeded_build_matches_unseeded(self, rng):
+        # witnesses only save searches: random suites, avoid-violating rows
+        # among them, leave every array of the universe as it was
+        instances = [planted_instance(rng) for _ in range(200)]
+        instances += [random_instance(k) for k in range(25)]
+        violating = 0
+        for sys_, cs in instances:
+            rows = rng.integers(sys_.cardinalities, size=(int(rng.integers(1, 12)), sys_.n_factors))
+            suite = TestSuite(sys_, [TestCase(tuple(map(int, r))) for r in rows])
+            violating += not all(validate_case(tc, sys_, cs) for tc in suite)
+            plain = InteractionUniverse(sys_, cs)
+            seeded = InteractionUniverse(sys_, cs, witnesses=suite)
+            for name in ("f1", "v1", "f2", "v2", "weights", "pair_id"):
+                assert np.array_equal(getattr(seeded, name), getattr(plain, name))
+        assert violating > 50
 
     def test_trap_level_dies_without_a_search_per_pair(self, monkeypatch):
         # the greedy-wide trap: level 2 of factor 0 is avoided with both
@@ -299,6 +332,44 @@ class TestVerifySuite:
         assert not ok
         assert any("must" in p for p in problems)
         assert any("uncovered" in p for p in problems)
+
+    def test_complete_suite_searches_only_uncovered_pairs(self, monkeypatch):
+        # a greedy-wide trap model: level 2 of factor 0 is avoided with both
+        # levels of factor 8, behind seven three-level factors, and two-pick
+        # avoids that spare level 0 join the factors after it
+        rng = np.random.default_rng(31)
+        cards = [3] * 8 + [2, 2, 3, 4, 2, 3]
+        sys_ = make_system(cards)
+        avoid = [PartialAssignment(((0, 2), (8, w))) for w in range(2)]
+        for _ in range(12):
+            f, g = (int(x) for x in rng.choice(range(9, 14), size=2, replace=False))
+            avoid.append(
+                PartialAssignment(
+                    ((f, int(rng.integers(1, cards[f]))), (g, int(rng.integers(1, cards[g]))))
+                )
+            )
+        cs = ConstraintSet(avoid=tuple(avoid))
+        suite = greedy_suite(sys_, cs)
+        calls = []
+        search = interactions.find_extension
+        monkeypatch.setattr(
+            interactions, "find_extension", lambda *args: calls.append(1) or search(*args)
+        )
+        assert verify_suite(suite, cs) == (True, [])
+        n = len(cards)
+        # pairs the suite covers or a single avoid tuple rules out
+        settled = {
+            (i, tc.levels[i], j, tc.levels[j]) for tc in suite for i in range(n) for j in range(i + 1, n)
+        }
+        settled |= {(i, a, j, b) for (i, a), (j, b) in (av.picks for av in avoid)}
+        searchable = sum(
+            (i, a, j, b) not in settled
+            for i in range(n)
+            for j in range(i + 1, n)
+            for a in range(cards[i])
+            for b in range(cards[j])
+        )
+        assert 0 < len(calls) <= searchable
 
 
 @settings(max_examples=25, deadline=None)

@@ -86,6 +86,24 @@ class TestMinimizeSuite:
         ok, problems = verify_suite(out, cs)
         assert ok, problems
 
+    def test_avoid_violating_row_seeds_nothing(self):
+        # the row avoided in bbu holds the one unachievable pair; a universe
+        # seeded with the suite skips it, so problems and output match those
+        # of an unseeded build
+        sys_, cs = make_bbu()
+        bad = TestCase((0, 3, 0, 0))
+        full = greedy_suite(sys_, cs)
+        for rows in ([bad, *full], [*list(full)[:3], bad]):
+            suite = TestSuite(sys_, rows)
+            plain = InteractionUniverse(sys_, cs)
+            ok, problems = verify_suite(suite, cs)
+            assert not ok and (ok, problems) == verify_suite(suite, cs, plain)
+            assert f"case {rows.index(bad)} violates an avoid tuple: {bad.levels}" in problems
+            out, stats = minimize_suite(suite, cs)
+            want, want_stats = minimize_suite(suite, cs, plain)
+            assert list(out) == list(want)
+            assert {**stats, "wall_s": 0} == {**want_stats, "wall_s": 0}
+
     def test_preserves_only_covered_pairs(self):
         # a suite covering a strict subset of the universe stays a cover of
         # that subset; minimize must not demand the rest
