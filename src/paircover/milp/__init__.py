@@ -1,10 +1,9 @@
-"""Binary integer programming layer: model container and its two solvers.
+"""Binary integer programming layer.
 
-``solve`` is ``solve_reference``, the built-in exact kernel.  No command
-runs it: the step and the set cover have structured searches of their own
-(``sequential.solve``, ``pipeline.solve``), and the kernel is the oracle
-the tests check them against.  ``solve_highs`` hands a model to scipy's
-HiGHS; the monolithic method runs it.
+``MilpModel`` holds a binary program and ``solve_highs`` hands it to scipy's
+HiGHS; the monolithic method runs that pair.  ``MilpSolution`` and
+``SolveStatus`` are also the result types that the step search
+(``sequential.solve``) and the set cover search (``pipeline.solve``) return.
 """
 
 from .model import (
@@ -15,9 +14,6 @@ from .model import (
     verify_solution,
 )
 from .highs import solve_highs
-from .reference import solve_reference
-
-solve = solve_reference
 
 __all__ = [
     "MilpModel",
@@ -25,7 +21,5 @@ __all__ = [
     "SolveStatus",
     "objective_value",
     "verify_solution",
-    "solve",
     "solve_highs",
-    "solve_reference",
 ]

@@ -1,7 +1,7 @@
 """The scipy (HiGHS) adapter, the solver of the monolithic slot model.
 
-HiGHS branch and cut decides the monolithic models far faster than the
-built-in kernel, which has no LP relaxation.  scipy is imported inside the
+HiGHS branch and cut decides the monolithic models far faster than a
+branch and bound without an LP relaxation.  scipy is imported inside the
 call, since ``scipy.optimize`` takes longer to import than a whole small
 CLI run needs.
 """

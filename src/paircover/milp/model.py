@@ -2,7 +2,7 @@
 
 Every variable is binary and every coefficient, objective weight and
 right-hand side is an integer.  All formulations this package builds fit
-that shape, and it lets the reference solver work in exact int64
+that shape, and it lets the tests' reference kernel work in exact int64
 arithmetic end to end.
 """
 

@@ -27,7 +27,7 @@ from .core import (
     StructureError,
     TestSuite,
 )
-from .interactions import CoverageState, InteractionUniverse
+from .interactions import InteractionUniverse, verify_suite
 from .milp import MilpModel, MilpSolution, SolveStatus, solve_highs
 from .sequential import decode_case
 
@@ -59,7 +59,7 @@ class MonolithicModel:
     m: int
 
     def solve(self, time_limit: float | None) -> MilpSolution:
-        """Solve with HiGHS: the built-in kernel has no LP relaxation and
+        """Solve with HiGHS: a branch and bound without an LP relaxation
         stalls on slot models past toy sizes."""
         return solve_highs(self.milp, time_limit=time_limit)
 
@@ -200,14 +200,11 @@ def minimal_suite(
         if sol.has_solution and sol.objective == nu:
             suite = mono.decode(sol.values)
             # decoded suite must actually do what the objective claims
-            state = CoverageState(universe)
-            for tc in suite:
-                state.mark_case(tc)
-            if not state.is_full:
-                raise PaircoverError("decoded monolithic suite misses pairs")
-            for sat in suite.satisfied_musts(constraints):
-                if not sat:
-                    raise PaircoverError("decoded monolithic suite misses a must")
+            ok, problems = verify_suite(suite, constraints, universe)
+            if not ok:
+                raise PaircoverError(
+                    "decoded monolithic suite is unsound: " + "; ".join(problems[:3])
+                )
             report["m"] = m
             report["wall_s"] = time.perf_counter() - t0
             return suite, report

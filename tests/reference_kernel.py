@@ -1,4 +1,8 @@
-"""Built-in exact solver for binary integer programs.
+"""Exact branch and bound for binary integer programs: the tests' oracle.
+
+No command runs this kernel: the per-case step and the set cover have
+structured searches of their own (``sequential.solve``, ``pipeline.solve``),
+and the tests check them against it.
 
 Depth-first branch and bound over the binary variables with unit
 propagation on the rows and an optimistic objective bound.  Everything is
@@ -9,11 +13,11 @@ coefficient and 0 first otherwise, so results are reproducible across runs
 and platforms.
 
 The search loop lives in one self-contained kernel function over flat numpy
-arrays.  Numba cannot read the wall clock inside a nopython kernel, so the
-kernel runs in node-budget slices: it returns with its whole state parked in
-the arrays, the Python wrapper checks the deadline, and the next call picks
-up exactly where it stopped.  The same source runs un-jitted when
-``PAIRCOVER_PURE_PYTHON=1``.
+arrays.  It runs in node-budget slices so that the hot loop never reads the
+clock: a slice returns with the whole search state parked in the arrays, the
+Python wrapper checks the deadline, and the next call picks up exactly where
+it stopped.  The slice size only bounds how far past its time limit a solve
+can run.
 """
 
 from __future__ import annotations
@@ -22,16 +26,13 @@ import time
 
 import numpy as np
 
-from .._jit import JIT_ENABLED, maybe_jit
-from ..core import PaircoverError
-from .model import MilpModel, MilpSolution, SolveStatus, verify_solution
+from paircover.core import PaircoverError
+from paircover.milp.model import MilpModel, MilpSolution, SolveStatus, verify_solution
 
 NEG_INF = -(2**62)
 
-# nodes per kernel call between deadline checks, sized per lane: pure Python
-# runs 5-6k nodes/s, so a 250k-node slice would overshoot a time limit by
-# about 40 s there; the compiled kernel keeps the large slice
-SLICE_NODES = 250_000 if JIT_ENABLED else 2_000
+# nodes per kernel call between deadline checks
+SLICE_NODES = 2_000
 
 # st[] slots: 0 trail_n, 1 depth, 2 cur_obj, 3 pos_slack, 4 best_obj,
 # 5 has_best, 6 mode (0 descend, 1 backtrack), 7 pmark, 8 rows_seeded,
@@ -39,7 +40,6 @@ SLICE_NODES = 250_000 if JIT_ENABLED else 2_000
 _ST_SIZE = 12
 
 
-@maybe_jit(cache=True)
 def _bnb_run(
     obj,
     indptr,

@@ -22,11 +22,12 @@ from paircover.interactions import (
     find_extension,
     verify_suite,
 )
-from paircover.milp import MilpModel, SolveStatus, solve_reference
+from paircover.milp import MilpModel, SolveStatus
 from paircover.monolithic import minimal_suite
 from paircover.pipeline import PipelineConfig, minimize_suite, run_pipeline
 
 from conftest import brute_force_milp, oracle_min_suite_size, random_constraints
+from reference_kernel import solve_reference
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 

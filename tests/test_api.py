@@ -13,9 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "paircover"
 
-# the reference kernel the oracle tests compare the searches against
-TEST_ORACLES = {"solve_reference"}
-
 
 def _names(node) -> Counter:
     """Names read through a Name or an Attribute anywhere below ``node``."""
@@ -43,6 +40,6 @@ def test_public_names_have_a_library_caller():
     unused = [
         f"{path}::{node.name}"
         for path, node in defined
-        if node.name not in TEST_ORACLES and used[node.name] <= _names(node)[node.name]
+        if used[node.name] <= _names(node)[node.name]
     ]
     assert not unused, f"public names no library code uses: {unused}"

@@ -291,12 +291,20 @@ class TestErrors:
 
 def test_import_does_not_load_scipy():
     # scipy.optimize takes longer to import than a small run needs; only the
-    # monolithic method's solver may pull it in, at call time
+    # monolithic method's solver may pull it in, at call time.  The tests'
+    # reference kernel, numba and the lane constants perfbench reads run on
+    # no command path, so a command loads none of them either.
     src = str(Path(paircover.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = "import sys, paircover.cli; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import sys, paircover.cli\n"
+        "banned = {'scipy', 'numba', 'paircover._jit', 'reference_kernel'}\n"
+        "loaded = sorted(banned & set(sys.modules))\n"
+        "sys.exit(f'loaded: {loaded}' if loaded else 0)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_readme_flags_exist():

@@ -8,14 +8,12 @@ from paircover.milp import (
     MilpModel,
     SolveStatus,
     objective_value,
-    solve,
     solve_highs,
-    solve_reference,
     verify_solution,
 )
-from paircover.milp import reference as reference_mod
 
 from conftest import brute_force_milp
+from reference_kernel import solve_reference
 
 
 def _random_model(rng, max_vars=8, sense=None):
@@ -193,27 +191,7 @@ class TestReferenceSolver:
         assert sol.stats["wall_s"] >= 0.0
 
 
-class TestPurePythonLane:
-    """The kernel must give identical answers with numba stripped off."""
-
-    def test_lanes_agree(self, rng, monkeypatch):
-        kernel = reference_mod._bnb_run
-        pure = getattr(kernel, "py_func", kernel)
-        models = [_random_model(rng, max_vars=6) for _ in range(25)]
-        jit_results = [solve_reference(m) for m in models]
-        monkeypatch.setattr(reference_mod, "_bnb_run", pure)
-        for m, expect in zip(models, jit_results):
-            m._ref_arrays = None
-            got = solve_reference(m)
-            assert got.status is expect.status
-            assert got.objective == expect.objective
-
-
 class TestBackends:
-    def test_solve_is_the_reference_kernel(self):
-        # one cover solver under both names, not a wrapper
-        assert solve is solve_reference
-
     def test_scipy_agrees_with_reference(self, rng):
         for _ in range(40):
             m = _random_model(rng, max_vars=10)

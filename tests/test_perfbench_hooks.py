@@ -1,10 +1,11 @@
 """The benchmark's hooks into the package still resolve.
 
 ``perfbench/spans.py`` rebinds module attributes (``sequential.solve``,
-``gcp.find_extension``, ...) to trace a run, and ``perfbench/ready.py``
-brings the package to ready; a rename in the package breaks both silently,
-because the benchmark's own tests live outside this directory.  The two
-files are loaded here unedited.
+``gcp.find_extension``, ...) to trace a run, ``perfbench/ready.py``
+brings the package to ready, and ``perfbench/run.py`` records the kernel
+lane from ``paircover._jit``; a rename in the package breaks all three
+silently, because the benchmark's own tests live outside this directory.
+The files are loaded here unedited.
 """
 
 import importlib.util
@@ -60,3 +61,11 @@ def test_traced_universe_build_counts_its_searches():
 
 def test_ready_loads_the_model_files():
     _load("ready").ready(sorted(str(p) for p in (ROOT / "models").glob("*.model")))
+
+
+def test_run_records_the_kernel_lane(monkeypatch):
+    # run.py imports its sibling modules ready and workloads by bare name
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    env = _load("run").environment()
+    assert isinstance(env["has_numba"], bool)
+    assert env["jit_enabled"] is False

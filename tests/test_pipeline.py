@@ -13,7 +13,7 @@ from paircover.core import (
 )
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, verify_suite
-from paircover.milp import MilpSolution, SolveStatus, solve_reference
+from paircover.milp import MilpSolution, SolveStatus
 from paircover.pipeline import (
     PipelineConfig,
     apply_warm_start,
@@ -28,6 +28,7 @@ from conftest import (
     oracle_min_suite_size,
     random_constraints,
 )
+from reference_kernel import solve_reference
 
 
 class TestApplyWarmStart:

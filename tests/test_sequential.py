@@ -13,7 +13,7 @@ from paircover.core import (
     validate_case,
 )
 from paircover.interactions import CoverageState, InteractionUniverse
-from paircover.milp import MilpSolution, SolveStatus, solve_highs, solve_reference
+from paircover.milp import MilpSolution, SolveStatus, solve_highs
 from paircover.sequential import (
     StepTimeout,
     build_step,
@@ -23,6 +23,7 @@ from paircover.sequential import (
 )
 
 from conftest import brute_force_step, enumerate_valid_cases, step_milp
+from reference_kernel import solve_reference
 
 
 def fresh_state(system, constraints, weighted=True):
@@ -193,7 +194,7 @@ class TestSearchOracle:
     CORPUS = [(random_instance(seed), None) for seed in range(25)] + [
         (make_bbu(), make_bbu()[1].must[0])
     ]
-    # solve_reference runs in pure Python here and needs up to 23 s for an
+    # solve_reference is plain Python and needs up to 23 s for an
     # early state of a larger model, so it sees every state of the small
     # universes and the states with few uncovered pairs elsewhere
     REF_SMALL_UNIVERSE = 100
