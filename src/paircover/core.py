@@ -286,8 +286,3 @@ class TestSuite:
     def append(self, case: TestCase) -> None:
         case.validate_against(self.system)
         self.cases.append(case)
-
-    def satisfied_musts(self, constraints: ConstraintSet) -> list[bool]:
-        return [
-            any(subsumes(tc, m) for tc in self.cases) for m in constraints.must
-        ]

@@ -102,25 +102,21 @@ def greedy_suite(
         if pos == n:
             tc = TestCase(tuple(int(v) for v in assigned))
             if state.would_cover(tc) == 0:
-                tc = _progress_case(system, constraints, universe, state)
+                tc = _progress_case(state)
         else:
             # constraints cornered the greedy walk; fall back to a witness
-            tc = _progress_case(system, constraints, universe, state)
+            tc = _progress_case(state)
         state.mark_case(tc)
         suite.append(tc)
     return suite
 
 
-def _progress_case(
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    universe: InteractionUniverse,
-    state: CoverageState,
-) -> TestCase:
+def _progress_case(state: CoverageState) -> TestCase:
     """A valid case containing the first uncovered pair; always exists."""
+    universe = state.universe
     u = int(state.uncovered_indices()[0])
     tc = find_extension(
-        universe.interaction(u).as_assignment(), system, constraints
+        universe.interaction(u).as_assignment(), universe.system, universe.constraints
     )
     if tc is None:
         raise PaircoverError("universe contains an unachievable pair")

@@ -97,10 +97,6 @@ class MilpModel:
         return len(self._rhs)
 
     @property
-    def nnz(self) -> int:
-        return len(self._vidx)
-
-    @property
     def objective(self) -> tuple[int, ...]:
         return tuple(self._obj)
 
@@ -134,14 +130,18 @@ class SolveStatus(enum.Enum):
 class MilpSolution:
     """Outcome of one solve call.
 
-    ``values`` is an int8 0/1 vector when a solution exists, else None.
-    ``objective`` is reported in the model's own sense.  ``stats`` carries
-    solver-specific counters (nodes, wall time).
+    ``values`` is None when no solution exists.  Otherwise it is what the
+    producer found: the int8 0/1 vector of a ``MilpModel`` from HiGHS
+    (``solve_highs``), the level per factor from the step search
+    (``sequential.solve``), or the int8 0/1 keep vector over the rows from
+    the cover search (``pipeline.solve``).  ``objective`` is reported in
+    the model's own sense.  ``stats`` carries solver-specific counters
+    (nodes, wall time).
     """
 
     status: SolveStatus
     objective: int | None
-    values: np.ndarray | None
+    values: np.ndarray | list[int] | None
     stats: dict = field(default_factory=dict)
 
     @property

@@ -25,11 +25,12 @@ from .core import (
     FactorSystem,
     PaircoverError,
     StructureError,
+    TestCase,
     TestSuite,
+    validate_case,
 )
 from .interactions import InteractionUniverse, verify_suite
 from .milp import MilpModel, MilpSolution, SolveStatus, solve_highs
-from .sequential import decode_case
 
 
 class ModelSizeError(PaircoverError):
@@ -49,7 +50,8 @@ class MonolithicModel:
     """The assembled program plus everything needed to decode a solution.
 
     Slot c's x variables are the one-hot block starting at var
-    ``c * sum(cardinalities)``.
+    ``c * sum(cardinalities)``: one variable per (factor, level), factors in
+    index order and levels in index order within each factor.
     """
 
     milp: MilpModel
@@ -64,12 +66,23 @@ class MonolithicModel:
         return solve_highs(self.milp, time_limit=time_limit)
 
     def decode(self, values) -> TestSuite:
-        nx = sum(self.system.cardinalities)
+        """The suite held by the slots' one-hot x blocks of a HiGHS solution."""
         suite = TestSuite(self.system)
+        k = 0
         for c in range(self.m):
-            suite.append(
-                decode_case(values, c * nx, self.system, self.constraints, f"slot {c}")
-            )
+            levels = []
+            for i, card in enumerate(self.system.cardinalities):
+                picks = [a for a in range(card) if values[k + a] == 1]
+                if len(picks) > 1:
+                    raise StructureError(f"slot {c}: factor {i} has two levels set")
+                if not picks:
+                    raise StructureError(f"slot {c}: factor {i} has no level set")
+                levels.append(picks[0])
+                k += card
+            tc = TestCase(tuple(levels))
+            if not validate_case(tc, self.system, self.constraints):
+                raise StructureError(f"decoded slot {c} violates an avoid tuple")
+            suite.append(tc)
         return suite
 
 

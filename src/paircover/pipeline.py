@@ -27,11 +27,7 @@ from .core import (
 from .gcp import partition_musts
 from .interactions import CoverageState, InteractionUniverse, verify_suite
 from .milp import MilpSolution, SolveStatus
-from .sequential import (
-    DEFAULT_STEP_TIME_LIMIT,
-    generate_single_case,
-    handle_must_include,
-)
+from .sequential import DEFAULT_STEP_TIME_LIMIT, generate_single_case
 
 
 class PipelineStallError(PaircoverError):
@@ -282,30 +278,18 @@ def run_pipeline(
     if open_musts:
         partition = partition_musts(system, constraints, open_musts)
         report.must_groups = partition.n_groups
-        cases, must_stats = handle_must_include(
-            system,
-            constraints,
-            universe,
-            coverage,
-            partition.merged,
-            time_limit=cfg.step_time_limit,
-        )
-        for tc in cases:
+        for fixed in partition.merged:
+            tc, st = generate_single_case(coverage, fixed, cfg.step_time_limit)
+            coverage.mark_case(tc)
             suite.append(tc)
-        report.phase1_cases = len(cases)
-        report.steps.extend({"phase": 1, **st} for st in must_stats)
-        report.degraded |= any(not st["proved_optimal"] for st in must_stats)
+            report.steps.append({"phase": 1, **st, "fixed": fixed.picks})
+            report.phase1_cases += 1
+            report.degraded |= not st["proved_optimal"]
     report.phase_wall_s["must"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
     while True:
-        tc, st = generate_single_case(
-            system,
-            constraints,
-            universe,
-            coverage,
-            time_limit=cfg.step_time_limit,
-        )
+        tc, st = generate_single_case(coverage, time_limit=cfg.step_time_limit)
         if tc is None:
             break
         fresh = coverage.mark_case(tc)

@@ -39,31 +39,6 @@ class StepTimeout(PaircoverError):
     """A per-case solve produced no usable case within its budget."""
 
 
-def decode_case(
-    values, start: int, system: FactorSystem, constraints: ConstraintSet, what: str
-) -> TestCase:
-    """The case held by one-hot x variables from var ``start`` on.
-
-    The block has one variable per (factor, level), factors in index order
-    and levels in index order within each factor.  ``what`` names the case
-    in error messages.
-    """
-    levels = []
-    k = start
-    for i, card in enumerate(system.cardinalities):
-        picks = [a for a in range(card) if values[k + a] == 1]
-        if len(picks) > 1:
-            raise StructureError(f"{what}: factor {i} has two levels set")
-        if not picks:
-            raise StructureError(f"{what}: factor {i} has no level set")
-        levels.append(picks[0])
-        k += card
-    tc = TestCase(tuple(levels))
-    if not validate_case(tc, system, constraints):
-        raise StructureError(f"decoded {what} violates an avoid tuple")
-    return tc
-
-
 @dataclass
 class StepModel:
     """The one-case program in structured form.
@@ -85,17 +60,20 @@ class StepModel:
     tail: list[int]  # n + 1 entries, tail[n] == 0
 
     def decode(self, values) -> TestCase:
-        return decode_case(values, 0, self.system, self.constraints, "step case")
+        """The case of the level per factor ``solve`` found."""
+        tc = TestCase(tuple(values))
+        if not validate_case(tc, self.system, self.constraints):
+            raise StructureError("decoded step case violates an avoid tuple")
+        return tc
 
 
 def build_step(
-    system: FactorSystem,
-    constraints: ConstraintSet,
     universe: InteractionUniverse,
     uncovered_ids,
     fixed: PartialAssignment | None = None,
 ) -> StepModel:
     """Assemble the one-case maximization over the given uncovered pairs."""
+    system, constraints = universe.system, universe.constraints
     card = system.cardinalities
     n, top = len(card), max(card)
     allowed = [tuple(range(c - 1, -1, -1)) for c in card]
@@ -132,7 +110,8 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     the result is the lexicographically largest optimal case.  The search
     stops as soon as the incumbent reaches the root bound.  The deadline is
     checked every 1024 nodes; on timeout the incumbent comes back as
-    FEASIBLE.  ``values`` is the one-hot x block ``StepModel.decode`` reads.
+    FEASIBLE.  ``values`` is the level per factor, which
+    ``StepModel.decode`` turns into the case.
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
@@ -182,21 +161,17 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     if best_levels is None:
         status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.INFEASIBLE
         return MilpSolution(status, None, None, stats)
-    values = np.zeros(sum(card), dtype=np.int8)
-    values[np.cumsum((0,) + card[:-1]) + best_levels] = 1
     status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
-    return MilpSolution(status, best, values, stats)
+    return MilpSolution(status, best, best_levels, stats)
 
 
 def generate_single_case(
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    universe: InteractionUniverse,
     coverage: CoverageState,
     fixed: PartialAssignment | None = None,
     time_limit: float | None = DEFAULT_STEP_TIME_LIMIT,
 ) -> tuple[TestCase | None, dict]:
-    """Best next case, or None when everything is already covered.
+    """Best next case over ``coverage.universe``, or None when everything is
+    already covered and no picks are fixed.
 
     A solve that times out with an incumbent still returns that case and
     flags the step as unproven; with no incumbent it raises StepTimeout.
@@ -205,7 +180,7 @@ def generate_single_case(
     if len(uncovered) == 0 and fixed is None:
         return None, {"complete": True}
     t0 = time.perf_counter()
-    step = build_step(system, constraints, universe, uncovered, fixed)
+    step = build_step(coverage.universe, uncovered, fixed)
     sol = solve(step, time_limit=time_limit)
     stats = {
         "uncovered_before": int(len(uncovered)),
@@ -222,32 +197,3 @@ def generate_single_case(
     if not sol.has_solution:
         raise StepTimeout(f"no case found within {time_limit}s")
     return step.decode(sol.values), stats
-
-
-def handle_must_include(
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    universe: InteractionUniverse,
-    coverage: CoverageState,
-    merged_groups: list[PartialAssignment],
-    time_limit: float | None = DEFAULT_STEP_TIME_LIMIT,
-) -> tuple[list[TestCase], list[dict]]:
-    """One case per must group, each maximizing fresh coverage around it."""
-    cases: list[TestCase] = []
-    stats: list[dict] = []
-    for merged in merged_groups:
-        tc, st = generate_single_case(
-            system,
-            constraints,
-            universe,
-            coverage,
-            fixed=merged,
-            time_limit=time_limit,
-        )
-        if tc is None:  # coverage complete but the group still needs its case
-            raise PaircoverError("must group produced no case")
-        coverage.mark_case(tc)
-        st["fixed"] = merged.picks
-        cases.append(tc)
-        stats.append(st)
-    return cases, stats

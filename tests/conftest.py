@@ -2,8 +2,9 @@
 
 The brute-force oracles deliberately avoid the package's solver and
 universe machinery: valid cases come from enumerating the full product
-space, achievable pairs from scanning those cases, and minimum suite sizes
-from a depth-limited set-cover search over them.  Slow but trustworthy at
+space, achievable pairs from scanning those cases, minimum suite sizes
+from a depth-limited set-cover search over them, and the must tuples a
+suite carries (``satisfied_musts``) from a plain scan of its rows.  Slow but trustworthy at
 the scales the tests use.  ``brute_force_step`` scores every valid case
 against a universe's pair list, and ``step_milp`` states a per-case step
 as a generic binary MILP, so the step search can be checked against
@@ -63,6 +64,14 @@ def enumerate_valid_cases(system, constraints):
         if ok:
             out.append(TestCase(levels))
     return out
+
+
+def satisfied_musts(suite, constraints):
+    """Per must tuple, whether some row of ``suite`` holds all its picks."""
+    return [
+        any(all(tc.levels[f] == v for f, v in mu.picks) for tc in suite)
+        for mu in constraints.must
+    ]
 
 
 def achievable_pairs(system, valid_cases):
@@ -190,7 +199,7 @@ def step_milp(system, constraints, universe, uncovered_ids, fixed=None):
     """The per-case step as a binary MILP: x per (factor, level), p per pair.
 
     x variables come first (factors in index order, levels in index order),
-    so the solution's leading block is what ``decode_case`` reads.  A p only
+    so the solution's leading block is the one-hot of the chosen case.  A p only
     needs the upper half of the AND coupling (p <= x on each side): the
     objective already pushes every p up.
     """

@@ -377,7 +377,7 @@ def solve_reference(
     fphase = np.zeros(nv + 2, dtype=np.int8)
     fmark = np.zeros(nv + 2, dtype=np.int32)
     best_val = np.zeros(nv, dtype=np.int8)
-    qbuf = np.zeros(model.nnz + nc + 8, dtype=np.int32)
+    qbuf = np.zeros(len(model.to_arrays()["vidx"]) + nc + 8, dtype=np.int32)
     qflag = np.zeros(max(nc, 1), dtype=np.uint8)
     st = np.zeros(_ST_SIZE, dtype=np.int64)
 

@@ -26,7 +26,12 @@ from paircover.milp import MilpModel, SolveStatus
 from paircover.monolithic import minimal_suite
 from paircover.pipeline import PipelineConfig, minimize_suite, run_pipeline
 
-from conftest import brute_force_milp, oracle_min_suite_size, random_constraints
+from conftest import (
+    brute_force_milp,
+    oracle_min_suite_size,
+    random_constraints,
+    satisfied_musts,
+)
 from reference_kernel import solve_reference
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -53,7 +58,7 @@ def test_criterion_1_radio_case_study(tmp_path):
     no_blocked_row = all(
         not (tc.levels[0] == 0 and tc.levels[1] == 3) for tc in suite
     )
-    must_present = all(suite.satisfied_musts(cs))
+    must_present = all(satisfied_musts(suite, cs))
     ok = (
         rc == 0
         and len(suite) <= 21

@@ -1,9 +1,10 @@
 """Every public name in the package is used by the package itself.
 
-A public top-level ``def`` or ``class`` in ``src/paircover`` must be
-referenced somewhere else in ``src/`` or ``perfbench/`` (test files aside):
-a name that only tests call is test scaffolding, and belongs in the tests.
-Package ``__init__`` re-exports do not count as uses.
+A public top-level ``def`` or ``class`` in ``src/paircover``, and a public
+method or property of a public class, must be referenced somewhere else in
+``src/`` or ``perfbench/`` (test files aside): a name that only tests call
+is test scaffolding, and belongs in the tests.  Package ``__init__``
+re-exports do not count as uses.
 """
 
 import ast
@@ -25,6 +26,10 @@ def _names(node) -> Counter:
     return seen
 
 
+def _public(body, kinds):
+    return [n for n in body if isinstance(n, kinds) and not n.name.startswith("_")]
+
+
 def test_public_names_have_a_library_caller():
     sources = list(PACKAGE.rglob("*.py")) + [
         p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
@@ -34,12 +39,10 @@ def test_public_names_have_a_library_caller():
     for path in sources:
         tree = ast.parse(path.read_text(), str(path))
         used += _names(tree)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((path.relative_to(ROOT), node))
-    unused = [
-        f"{path}::{node.name}"
-        for path, node in defined
-        if used[node.name] <= _names(node)[node.name]
-    ]
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{path.relative_to(ROOT)}::{node.name}"
+            defined.append((where, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{where}.{m.name}", m) for m in _public(node.body, ast.FunctionDef)]
+    unused = [where for where, node in defined if used[node.name] <= _names(node)[node.name]]
     assert not unused, f"public names no library code uses: {unused}"

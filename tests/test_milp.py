@@ -75,8 +75,8 @@ class TestModelConstruction:
         m.add_constraint({a: 1, b: 1}, "<=", 1)
         m.add_constraint({b: 3}, ">=", 1)
         m.add_constraint({a: 1, b: -2}, "==", 0)
-        assert (m.nvars, m.ncons, m.nnz) == (2, 3, 5)
         arr = m.to_arrays()
+        assert (m.nvars, m.ncons, len(arr["vidx"])) == (2, 3, 5)
         assert arr["obj"].tolist() == [2, -1]
         assert arr["indptr"].tolist() == [0, 2, 3, 5]
         assert arr["rel"].tolist() == [0, 1, 2]

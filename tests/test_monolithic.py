@@ -1,7 +1,7 @@
 import pytest
 
 from paircover.bench import make_system
-from paircover.core import ConstraintSet, PartialAssignment, StructureError
+from paircover.core import ConstraintSet, PartialAssignment, StructureError, TestCase
 from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.monolithic import (
     ModelSizeError,
@@ -47,6 +47,43 @@ class TestBuildMonolithic:
         sys_ = make_system([4, 4, 4, 4])
         with pytest.raises(ModelSizeError):
             build_monolithic(sys_, ConstraintSet(), m=30, max_vars=1000)
+
+
+class TestDecode:
+    """The one-hot slot blocks of a HiGHS solution, read back with their checks."""
+
+    @staticmethod
+    def _model():
+        # 2x3 with F0=0, F1=0 avoided; two slots of 5 x variables each
+        sys_ = make_system([2, 3])
+        cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
+        return build_monolithic(sys_, cs, m=2)
+
+    @staticmethod
+    def _values(mono, *slots):
+        values = [0] * mono.milp.nvars
+        for c, ones in enumerate(slots):
+            for k in ones:
+                values[c * 5 + k] = 1
+        return values
+
+    def test_slots_become_cases(self):
+        mono = self._model()
+        suite = mono.decode(self._values(mono, (1, 4), (0, 3)))
+        assert suite.cases == [TestCase((1, 2)), TestCase((0, 1))]
+
+    @pytest.mark.parametrize(
+        "slot1, message",
+        [
+            ((0, 1, 3), "slot 1: factor 0 has two levels set"),
+            ((0,), "slot 1: factor 1 has no level set"),
+            ((0, 2), "decoded slot 1 violates an avoid tuple"),
+        ],
+    )
+    def test_bad_slot_raises(self, slot1, message):
+        mono = self._model()
+        with pytest.raises(StructureError, match=message):
+            mono.decode(self._values(mono, (1, 4), slot1))
 
 
 def test_coverage_lower_bound():

@@ -41,10 +41,13 @@ def test_traced_pipeline_run_counts_its_layers():
     spans = _load("spans")
     system, constraints = make_bbu()
     with spans.installed(spans.Tracer()) as tracer:
-        run_pipeline(system, constraints)
+        _, report = run_pipeline(system, constraints)
     m = spans.layer_metrics(tracer)
     assert m["milp.step_nodes"] > 0 and m["pipeline.raw_size"] > 0
-    assert m["sequential.steps"] > 0 and m["interactions.universe_builds"] == 1
+    # must-phase steps included: both phases call pipeline.generate_single_case
+    assert m["sequential.steps"] == len(report.steps) > 0
+    assert m["sequential.formulate_s"] > 0 and m["sequential.decode_s"] > 0
+    assert m["interactions.universe_builds"] == 1
     assert m["interactions.extension_calls"] > 0 and m["gcp.groups"] == 1
 
 

@@ -27,6 +27,7 @@ from conftest import (
     covered_by_some,
     oracle_min_suite_size,
     random_constraints,
+    satisfied_musts,
 )
 from reference_kernel import solve_reference
 
@@ -83,7 +84,7 @@ class TestMinimizeSuite:
         raw.append(carrier)
         out, _ = minimize_suite(raw, cs)
         assert len(out) <= len(raw)
-        assert all(out.satisfied_musts(cs))
+        assert all(satisfied_musts(out, cs))
         ok, problems = verify_suite(out, cs)
         assert ok, problems
 
@@ -231,12 +232,12 @@ class TestCoverSearch:
             pairs = [set(universe.case_pair_ids(tc.levels).tolist()) for tc in suite]
             kept = [set(universe.case_pair_ids(tc.levels).tolist()) for tc in out]
             assert set().union(*pairs) == set().union(*kept)
-            assert suite.satisfied_musts(cs) == out.satisfied_musts(cs)
+            assert satisfied_musts(suite, cs) == satisfied_musts(out, cs)
 
             carriers = [sum(mask >> e & 1 for mask in cover) for e in range(max(cover).bit_length())]
             shapes["duplicate"] += len(set(cover)) < len(cover)
             shapes["empty row"] += 0 in cover
-            shapes["must"] += any(suite.satisfied_musts(cs))
+            shapes["must"] += any(satisfied_musts(suite, cs))
             shapes["sole carrier"] += 1 in carriers
         assert min(shapes.values()) >= 20, shapes
 
@@ -315,6 +316,27 @@ class TestRunPipeline:
         assert hot.phase2_cases <= cold.phase2_cases
         ok, problems = verify_suite(warm_suite, cs)
         assert ok, problems
+
+    def test_must_group_case_holds_its_picks(self):
+        sys_, cs = make_bbu()
+        picks = ((0, 3), (1, 3), (2, 1))  # bbu's one must group
+        suite, report = run_pipeline(sys_, cs, config=PipelineConfig(minimize=False))
+        assert report.must_groups == 1 and report.phase1_cases == 1
+        step = report.steps[0]
+        assert step["phase"] == 1 and step["fixed"] == picks
+        assert step["objective"] > 0 and "fresh" not in step
+        assert all(suite.cases[0].levels[f] == v for f, v in picks)
+
+    def test_must_group_gets_a_case_after_full_coverage(self):
+        # the warm rows cover every pair, so the group's step finds no
+        # uncovered pair left but must still place the case
+        sys_ = make_system([2, 2, 2])
+        cs = ConstraintSet(must=(PartialAssignment(((0, 0), (1, 0), (2, 1))),))
+        warm = TestSuite(sys_, [TestCase(lv) for lv in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))])
+        suite, report = run_pipeline(sys_, cs, warm_start=warm, config=PipelineConfig(alpha=1.0))
+        assert report.warm_retained == 4 and report.phase1_cases == 1
+        assert report.steps[0]["uncovered_before"] == 0 and report.phase2_cases == 0
+        assert TestCase((0, 0, 1)) in suite.cases
 
     def test_presatisfied_musts_skip_phase1(self):
         sys_, cs = make_bbu()

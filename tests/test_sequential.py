@@ -14,13 +14,7 @@ from paircover.core import (
 )
 from paircover.interactions import CoverageState, InteractionUniverse
 from paircover.milp import MilpSolution, SolveStatus, solve_highs
-from paircover.sequential import (
-    StepTimeout,
-    build_step,
-    decode_case,
-    generate_single_case,
-    handle_must_include,
-)
+from paircover.sequential import StepTimeout, build_step, generate_single_case
 
 from conftest import brute_force_step, enumerate_valid_cases, step_milp
 from reference_kernel import solve_reference
@@ -37,7 +31,7 @@ class TestBuildStep:
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
         uni, cov = fresh_state(sys_, cs)
         cov.mark_case(TestCase((1, 2)))
-        step = build_step(sys_, cs, uni, cov.uncovered_indices())
+        step = build_step(uni, cov.uncovered_indices())
         for k, it in enumerate(uni.interactions()):
             want = 0 if cov.mask[k] else int(uni.weights[k])
             assert step.gain[it.i, it.a, it.j, it.b] == want
@@ -53,9 +47,9 @@ class TestBuildStep:
         sys_ = make_system([2, 3])
         uni, cov = fresh_state(sys_, ConstraintSet())
         fixed = PartialAssignment(((1, 2),))
-        step = build_step(sys_, ConstraintSet(), uni, cov.uncovered_indices(), fixed)
+        step = build_step(uni, cov.uncovered_indices(), fixed)
         assert step.allowed == [(1, 0), (2,)]
-        tc, _ = generate_single_case(sys_, ConstraintSet(), uni, cov, fixed=fixed)
+        tc, _ = generate_single_case(cov, fixed=fixed)
         assert tc.levels == (1, 2)
 
     def test_out_of_range_fix_rejected(self):
@@ -63,47 +57,64 @@ class TestBuildStep:
         uni, cov = fresh_state(sys_, ConstraintSet())
         fixed = PartialAssignment(((0, 2),))  # factor 0 has levels 0 and 1
         with pytest.raises(StructureError):
-            build_step(sys_, ConstraintSet(), uni, cov.uncovered_indices(), fixed)
+            build_step(uni, cov.uncovered_indices(), fixed)
 
     def test_objective_uses_weights(self):
         sys_ = make_system([2, 4])
         uni, cov = fresh_state(sys_, ConstraintSet(), weighted=True)
-        step = build_step(sys_, ConstraintSet(), uni, cov.uncovered_indices())
+        step = build_step(uni, cov.uncovered_indices())
         assert set(step.gain[0, :2, 1, :4].ravel().tolist()) == {8}  # 2 * 4
         assert step.gain.sum() == 8 * 8
+
+
+class TestStepDecode:
+    def test_levels_become_the_case(self):
+        sys_, cs = make_bbu()
+        uni, cov = fresh_state(sys_, cs)
+        step = build_step(uni, cov.uncovered_indices())
+        sol = sequential.solve(step)
+        assert sol.values == list(step.decode(sol.values).levels)
+        assert step.decode([1, 1, 1, 1]) == TestCase((1, 1, 1, 1))
+
+    def test_avoid_violation_raises(self):
+        sys_, cs = make_bbu()  # avoids F0=0 with F1=3
+        uni, cov = fresh_state(sys_, cs)
+        step = build_step(uni, cov.uncovered_indices())
+        with pytest.raises(StructureError, match="avoid"):
+            step.decode([0, 3, 0, 0])
 
 
 class TestGenerateSingleCase:
     def test_first_case_maximal(self):
         sys_ = make_system([3, 3, 3])
-        uni, cov = fresh_state(sys_, ConstraintSet())
-        tc, stats = generate_single_case(sys_, ConstraintSet(), uni, cov)
+        _, cov = fresh_state(sys_, ConstraintSet())
+        tc, stats = generate_single_case(cov)
         assert tc is not None
         assert stats["objective"] == 3 * 9  # 3 pairs, weight 9 each
         assert stats["proved_optimal"]
 
     def test_none_when_complete(self):
         sys_ = make_system([2, 2])
-        uni, cov = fresh_state(sys_, ConstraintSet())
+        _, cov = fresh_state(sys_, ConstraintSet())
         for a in range(2):
             for b in range(2):
                 cov.mark_case(TestCase((a, b)))
-        tc, stats = generate_single_case(sys_, ConstraintSet(), uni, cov)
+        tc, stats = generate_single_case(cov)
         assert tc is None and stats["complete"]
 
     def test_respects_avoids(self):
         sys_, cs = make_bbu()
-        uni, cov = fresh_state(sys_, cs)
+        _, cov = fresh_state(sys_, cs)
         for _ in range(5):
-            tc, _ = generate_single_case(sys_, cs, uni, cov)
+            tc, _ = generate_single_case(cov)
             assert validate_case(tc, sys_, cs)
             cov.mark_case(tc)
 
     def test_fixed_picks_honored(self):
         sys_, cs = make_bbu()
-        uni, cov = fresh_state(sys_, cs)
+        _, cov = fresh_state(sys_, cs)
         fixed = PartialAssignment(((0, 3), (1, 3), (2, 1)))
-        tc, _ = generate_single_case(sys_, cs, uni, cov, fixed=fixed)
+        tc, _ = generate_single_case(cov, fixed=fixed)
         assert tc.levels[0] == 3 and tc.levels[1] == 3 and tc.levels[2] == 1
 
     def test_conflicting_fix_is_infeasible(self):
@@ -111,11 +122,11 @@ class TestGenerateSingleCase:
         two = PartialAssignment(((0, 0), (1, 0)))
         three = PartialAssignment(((0, 1), (1, 0), (2, 1)))
         cs = ConstraintSet(avoid=(two, three, PartialAssignment(((1, 1), (2, 1)))))
-        uni, cov = fresh_state(sys_, cs)
+        _, cov = fresh_state(sys_, cs)
         # the last fix leaves factor 1 free, but each of its levels completes an avoid
         for fixed in (two, three, PartialAssignment(((0, 1), (2, 1)))):
             with pytest.raises(StructureError):
-                generate_single_case(sys_, cs, uni, cov, fixed=fixed)
+                generate_single_case(cov, fixed=fixed)
 
     def test_progress_until_full(self):
         # each step must close at least one uncovered pair, so the loop
@@ -125,7 +136,7 @@ class TestGenerateSingleCase:
         uni, cov = fresh_state(sys_, cs)
         steps = 0
         while True:
-            tc, _ = generate_single_case(sys_, cs, uni, cov)
+            tc, _ = generate_single_case(cov)
             if tc is None:
                 break
             fresh = cov.mark_case(tc)
@@ -140,33 +151,9 @@ class TestGenerateSingleCase:
 
         monkeypatch.setattr(sequential, "solve", starved)
         sys_ = make_system([2, 2])
-        uni, cov = fresh_state(sys_, ConstraintSet())
+        _, cov = fresh_state(sys_, ConstraintSet())
         with pytest.raises(StepTimeout):
-            generate_single_case(sys_, ConstraintSet(), uni, cov)
-
-
-class TestHandleMustInclude:
-    def test_one_case_per_group(self):
-        sys_, cs = make_bbu()
-        uni, cov = fresh_state(sys_, cs)
-        merged = [PartialAssignment(((0, 3), (1, 3), (2, 1)))]
-        cases, stats = handle_must_include(sys_, cs, uni, cov, merged)
-        assert len(cases) == 1 and len(stats) == 1
-        tc = cases[0]
-        for f, v in merged[0].picks:
-            assert tc.levels[f] == v
-        assert cov.covered_count > 0
-        assert stats[0]["fixed"] == merged[0].picks
-
-    def test_groups_get_cases_even_after_full_coverage(self):
-        sys_ = make_system([2, 2])
-        uni, cov = fresh_state(sys_, ConstraintSet())
-        for a in range(2):
-            for b in range(2):
-                cov.mark_case(TestCase((a, b)))
-        merged = [PartialAssignment(((0, 1),))]
-        cases, _ = handle_must_include(sys_, ConstraintSet(), uni, cov, merged)
-        assert len(cases) == 1 and cases[0].levels[0] == 1
+            generate_single_case(cov)
 
 
 def pipeline_states(system, constraints, weighted, fixed=None):
@@ -177,13 +164,18 @@ def pipeline_states(system, constraints, weighted, fixed=None):
         if len(uncovered) == 0 and fixed is None:
             return
         yield uni, uncovered, fixed
-        tc, _ = generate_single_case(system, constraints, uni, cov, fixed=fixed)
+        tc, _ = generate_single_case(cov, fixed=fixed)
         cov.mark_case(tc)
         fixed = None
 
 
-def search(system, constraints, uni, uncovered, fixed):
-    step = build_step(system, constraints, uni, uncovered, fixed)
+def one_hot(system, tc):
+    """The x block ``step_milp`` gives case ``tc``: one 0/1 per (factor, level)."""
+    return [int(a == v) for card, v in zip(system.cardinalities, tc.levels) for a in range(card)]
+
+
+def search(uni, uncovered, fixed):
+    step = build_step(uni, uncovered, fixed)
     sol = sequential.solve(step)
     return sol, (step.decode(sol.values) if sol.has_solution else None)
 
@@ -206,7 +198,7 @@ class TestSearchOracle:
             cases = np.array([tc.levels for tc in enumerate_valid_cases(sys_, cs)])
             for weighted in (True, False):
                 for uni, uncovered, fix in pipeline_states(sys_, cs, weighted, fixed):
-                    sol, tc = search(sys_, cs, uni, uncovered, fix)
+                    sol, tc = search(uni, uncovered, fix)
                     assert sol.status is SolveStatus.OPTIMAL
                     assert (sol.objective, tc) == brute_force_step(cases, uni, uncovered, fix)
                     checked += 1
@@ -215,7 +207,8 @@ class TestSearchOracle:
                     ref = solve_reference(step_milp(sys_, cs, uni, uncovered, fix))
                     assert ref.status is SolveStatus.OPTIMAL
                     assert ref.objective == sol.objective
-                    assert decode_case(ref.values, 0, sys_, cs, "reference case") == tc
+                    x = ref.values[: sum(sys_.cardinalities)].tolist()
+                    assert x == one_hot(sys_, tc)
                     ref_checked += 1
         print(f"{checked} states match enumeration, {ref_checked} the reference")
         assert checked > 1200 and ref_checked > 300
@@ -224,7 +217,7 @@ class TestSearchOracle:
         sys_, cs = make_bbu()
         for weighted in (True, False):
             for uni, uncovered, fix in pipeline_states(sys_, cs, weighted, cs.must[0]):
-                sol, _ = search(sys_, cs, uni, uncovered, fix)
+                sol, _ = search(uni, uncovered, fix)
                 ref = solve_highs(step_milp(sys_, cs, uni, uncovered, fix))
                 assert ref.status is SolveStatus.OPTIMAL
                 assert ref.objective == sol.objective
@@ -247,7 +240,7 @@ class TestSearchOracle:
                 f = int(rng.integers(len(cards)))
                 fixed = PartialAssignment(((f, int(rng.integers(cards[f]))),))
             want = brute_force_step(cases, uni, cov.uncovered_indices(), fixed)
-            sol, tc = search(sys_, cs, uni, cov.uncovered_indices(), fixed)
+            sol, tc = search(uni, cov.uncovered_indices(), fixed)
             if want == (None, None):
                 assert sol.status is SolveStatus.INFEASIBLE
                 continue
@@ -261,13 +254,13 @@ def test_time_limit_overshoot_is_bounded():
     # on 4^20 the first four cases are perfect and proven at once; the fifth
     # search runs far past half a second
     sys_ = make_system([4] * 20)
-    uni, cov = fresh_state(sys_, ConstraintSet())
+    _, cov = fresh_state(sys_, ConstraintSet())
     for _ in range(4):
-        tc, st = generate_single_case(sys_, ConstraintSet(), uni, cov)
+        tc, st = generate_single_case(cov)
         assert st["proved_optimal"]
         cov.mark_case(tc)
     t0 = time.perf_counter()
-    tc, st = generate_single_case(sys_, ConstraintSet(), uni, cov, time_limit=0.5)
+    tc, st = generate_single_case(cov, time_limit=0.5)
     assert time.perf_counter() - t0 < 2.0
     assert not st["proved_optimal"] and st["status"] == "feasible"
     assert validate_case(tc, sys_, ConstraintSet()) and cov.would_cover(tc) > 0
