@@ -54,15 +54,18 @@ def _cmd_generate(args) -> int:
         universe_s = time.perf_counter() - t0
         suite = greedy_suite(system, cs, universe=universe, seed=args.seed)
         wall = time.perf_counter() - t0
-        report = {
-            "method": "greedy",
-            "seed": args.seed,
-            "final_size": len(suite),
-            "universe_size": len(universe),
-            "coverage_curve": coverage_curve(suite, universe),
-            "wall_s": wall,
-            "universe_s": universe_s,
-        }
+
+        def report() -> dict:
+            return {
+                "method": "greedy",
+                "seed": args.seed,
+                "final_size": len(suite),
+                "universe_size": len(universe),
+                "coverage_curve": coverage_curve(suite, universe),
+                "wall_s": wall,
+                "universe_s": universe_s,
+            }
+
         degraded = False
         if cs.must:
             print(
@@ -71,7 +74,10 @@ def _cmd_generate(args) -> int:
             )
     elif args.method == "monolithic":
         suite, info = minimal_suite(system, cs, time_limit=args.time_limit)
-        report = {"method": "monolithic", "final_size": len(suite), **info}
+
+        def report() -> dict:
+            return {"method": "monolithic", "final_size": len(suite), **info}
+
         degraded = False
     else:
         cfg = PipelineConfig(
@@ -81,12 +87,15 @@ def _cmd_generate(args) -> int:
             minimize=not args.no_minimize,
         )
         suite, run_report = run_pipeline(system, cs, warm_start=warm, config=cfg)
-        report = {"method": "sequential", **run_report.to_dict()}
+
+        def report() -> dict:
+            return {"method": "sequential", **run_report.to_dict()}
+
         degraded = run_report.degraded
 
     _emit_suite(args, suite)
-    if args.report:
-        pio.write_report(args.report, report)
+    if args.report:  # built only when asked for: the curve and the deep copy cost time
+        pio.write_report(args.report, report())
     print(
         f"{len(suite)} cases ({args.method}); "
         f"coverage verified{'; DEGRADED' if degraded else ''}",

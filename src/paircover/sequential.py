@@ -8,14 +8,19 @@ cardinalities, so rarer combinations get priority; an unweighted universe
 makes every pair count 1.
 
 The program is a max-weight clique in a k-partite graph (one part per
-factor), so it is solved by an exact depth-first search over factor levels
-with a per-factor-pair bound, not as a generic binary MILP.
+factor), so it is solved by an exact depth-first search over the levels of
+the leading factors with a per-factor-pair bound, not as a generic binary
+MILP.  The last factors form a suffix block whose cases are all scored in
+one numpy pass at each leaf of that search, the way AETG scores candidate
+rows.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +37,79 @@ from .interactions import CoverageState, InteractionUniverse
 from .milp import MilpSolution, SolveStatus
 
 DEFAULT_STEP_TIME_LIMIT = 60.0
-_UNREACHABLE = -(2**40)  # gain of a level the step does not allow
+BLOCK_CASES = 256  # most cases the suffix block scores in one pass
+_UNREACHABLE = -(2**40)  # gain of a level or case the step does not allow
+_CHECK_EVERY = 1024  # nodes between deadline checks
 
 
 class StepTimeout(PaircoverError):
     """A per-case solve produced no usable case within its budget."""
+
+
+class _SuffixBlock:
+    """Every case of a universe's last factors ``start..n-1``, as tables.
+
+    ``start`` is the lowest factor such that the cardinalities from it on
+    multiply to at most BLOCK_CASES, but the block always holds the last
+    factor.  The tables depend only on the universe, so each universe builds
+    them once (``_suffix_block``).  Each has one column per block case, in
+    descending lexicographic order, the order the search tries them in:
+
+    - ``cases``: (m, K), the level of each block factor;
+    - ``cells``: (m, K), the flat index of each pick (start + j, level) into
+      an (n, L) table, so one ``take`` reads such a table per case;
+    - ``pair_ids``: (m(m-1)/2, K), the universe pair id of each pair inside
+      each case, -1 for a pair that is not in the universe;
+    - ``floor``: (K,), 0, or _UNREACHABLE for a case that completes an
+      avoid tuple all of whose picks lie in the block;
+    - ``straddling``: (prefix picks, cases) per avoid tuple with picks on
+      both sides: once the search has made those prefix picks, those cases
+      are invalid.  Tuples with the same prefix picks share one entry.
+
+    ``root`` (n, L) is what each level adds before any pick: 0, or
+    _UNREACHABLE for a padding level.
+    """
+
+    def __init__(self, universe: InteractionUniverse):
+        card = universe.system.cardinalities
+        n, top = len(card), universe.pair_id.shape[1]
+        start = n - 1
+        while start > 0 and math.prod(card[start - 1 :]) <= BLOCK_CASES:
+            start -= 1
+        self.start = start
+        sizes = card[start:]
+        m = len(sizes)
+        self.cases = np.array(sizes)[:, None] - 1 - np.indices(sizes).reshape(m, -1)
+        self.cells = (start + np.arange(m))[:, None] * top + self.cases
+        p, q = np.triu_indices(m, 1)
+        at = start + np.arange(m)[:, None]
+        self.pair_ids = universe.pair_id[at[p], self.cases[p], at[q], self.cases[q]]
+        self.floor = np.zeros(self.cases.shape[1], dtype=np.int64)
+        straddling: dict[tuple, np.ndarray] = {}
+        for av in universe.constraints.avoid:
+            inner = [self.cases[f - start] == v for f, v in av.picks if f >= start]
+            if not inner:
+                continue
+            rows = np.logical_and.reduce(inner)
+            outer = tuple((f, v) for f, v in av.picks if f < start)
+            if outer:
+                straddling[outer] = straddling.get(outer, False) | rows
+            else:
+                self.floor[rows] = _UNREACHABLE
+        self.straddling = list(straddling.items())
+        self.root = np.where(np.arange(top) < np.array(card)[:, None], 0, _UNREACHABLE)
+
+
+def _suffix_block(universe: InteractionUniverse) -> _SuffixBlock:
+    """The universe's block tables, built on its first step.
+
+    They are kept on the universe itself, not in a module-level cache, so
+    they are freed with it.
+    """
+    block = universe.__dict__.get("_suffix_block")
+    if block is None:
+        block = universe.__dict__["_suffix_block"] = _SuffixBlock(universe)
+    return block
 
 
 @dataclass
@@ -48,16 +121,40 @@ class StepModel:
     ``sum(gain[i, a_i, j, a_j] for i < j)``.  ``gain[i, a, j, b]`` is the
     weight of the pair (i, a), (j, b) while it is uncovered and 0 otherwise
     (also for i >= j and for padding levels): the universe's ``pair_id``
-    table read through the uncovered weights.  ``tail[d]`` bounds what the
-    pairs among factors d.. can add: the sum of each such factor pair's
-    largest entry over the allowed levels.
+    table read through the uncovered weights ``weights`` (one entry per
+    pair id, plus a trailing 0 that id -1 reads).  ``tail[d]`` bounds what
+    the pairs among factors d.. can add: the sum of each such factor pair's
+    largest entry over the allowed levels.  ``root[i, a]`` is 0 when level
+    a of factor i is allowed and _UNREACHABLE otherwise.
+
+    ``block`` holds the universe's suffix block, and ``block_score[k]`` is
+    what the pairs inside its case k add, or _UNREACHABLE when the case
+    completes an avoid tuple inside the block.  ``gain`` and ``tail`` are
+    built on first read: ``solve`` needs them only when the block does not
+    start at factor 0.
     """
 
     system: FactorSystem
     constraints: ConstraintSet
     allowed: list[tuple[int, ...]]  # descending: the search order
-    gain: np.ndarray  # int64 (n, L, n, L), L the largest cardinality
-    tail: list[int]  # n + 1 entries, tail[n] == 0
+    root: np.ndarray  # int64 (n, L)
+    block: _SuffixBlock
+    block_score: np.ndarray  # int64 (K,)
+    weights: np.ndarray  # int64, len(universe) + 1
+    pair_id: np.ndarray  # the universe's (n, L, n, L) pair table
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """int64 (n, L, n, L), L the largest cardinality."""
+        return self.weights[self.pair_id]
+
+    @cached_property
+    def tail(self) -> list[int]:
+        """n + 1 entries, tail[n] == 0."""
+        ok = self.root == 0
+        reachable = np.where(ok[:, :, None, None] & ok[None, None], self.gain, 0)
+        per_factor = reachable.max(axis=(1, 3)).sum(axis=1)
+        return np.concatenate([np.cumsum(per_factor[::-1])[::-1], [0]]).tolist()
 
     def decode(self, values) -> TestCase:
         """The case of the level per factor ``solve`` found."""
@@ -74,26 +171,22 @@ def build_step(
 ) -> StepModel:
     """Assemble the one-case maximization over the given uncovered pairs."""
     system, constraints = universe.system, universe.constraints
-    card = system.cardinalities
-    n, top = len(card), max(card)
-    allowed = [tuple(range(c - 1, -1, -1)) for c in card]
+    block = _suffix_block(universe)
+    allowed = [tuple(range(c - 1, -1, -1)) for c in system.cardinalities]
+    root = block.root
     if fixed is not None:
         fixed.validate_against(system)
+        root = root.copy()
         for f, v in fixed.picks:
             allowed[f] = (v,)
+            root[f] = _UNREACHABLE
+            root[f, v] = 0
 
     ids = np.asarray(uncovered_ids, dtype=np.int64)
     w = np.zeros(len(universe) + 1, dtype=np.int64)  # pair_id -1 reads the last 0
     w[ids] = universe.weights[ids]
-    gain = w[universe.pair_id]
-
-    mask = np.zeros((n, top), dtype=bool)
-    for i, levels in enumerate(allowed):
-        mask[i, list(levels)] = True
-    reachable = np.where(mask[:, :, None, None] & mask[None, None], gain, 0)
-    per_factor = reachable.max(axis=(1, 3)).sum(axis=1)
-    tail = np.concatenate([np.cumsum(per_factor[::-1])[::-1], [0]]).tolist()
-    return StepModel(system, constraints, allowed, gain, tail)
+    score = w.take(block.pair_ids).sum(axis=0) + block.floor
+    return StepModel(system, constraints, allowed, root, block, score, w, universe.pair_id)
 
 
 class _Stop(Exception):
@@ -103,57 +196,70 @@ class _Stop(Exception):
 def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     """Best case of ``step``, exact unless ``time_limit`` runs out.
 
-    Depth-first over the factors in index order, levels in descending
-    order.  A child is entered only while its bound (picks so far, plus
-    each later factor's best level against them, plus ``tail``) beats the
-    incumbent, and only a strictly better leaf replaces the incumbent, so
-    the result is the lexicographically largest optimal case.  The search
-    stops as soon as the incumbent reaches the root bound.  The deadline is
-    checked every 1024 nodes; on timeout the incumbent comes back as
-    FEASIBLE.  ``values`` is the level per factor, which
-    ``StepModel.decode`` turns into the case.
+    Depth-first over the factors before the suffix block (``step.block``)
+    in index order, levels in descending order.  A child is entered only
+    while its bound (picks so far, plus each later factor's best level
+    against them, plus ``tail``) beats the incumbent.  Each leaf, or the
+    root when the block starts at factor 0, scores all the block's cases
+    at once: the picks so far, plus ``block_score``, plus what each block
+    pick adds against the picks so far; cases that complete an avoid tuple
+    are masked.  The first best case, in descending order, replaces the
+    incumbent only when strictly better, so the result is the
+    lexicographically largest optimal case.  The search stops as soon as
+    the incumbent reaches the root bound.
+
+    ``nodes`` counts the search's nodes plus one per block scoring.  The
+    deadline is checked each time 1024 more nodes have been counted; on
+    timeout the incumbent comes back as FEASIBLE.  ``values`` is the level
+    per factor, which ``StepModel.decode`` turns into the case.
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
-    allowed, gain, tail = step.allowed, step.gain, step.tail
+    allowed, block, block_score = step.allowed, step.block, step.block_score
+    s, cases, cells, straddling = block.start, block.cases, block.cells, block.straddling
     completes_avoid = step.constraints.completes_avoid
-    card = step.system.cardinalities
-    n = len(card)
+    n = len(allowed)
     levels = [-1] * n  # factors at or past the current depth stay -1
     best, best_levels = -1, None
-    nodes = 0
+    nodes, check_at = 0, _CHECK_EVERY
     timed_out = False
+    gain, tail = (step.gain, step.tail) if s else (None, None)  # no prefix: no bound
 
     def visit(d: int, cur: int, reach: np.ndarray) -> None:
         # reach[j, b]: what level b of factor j adds to the picks on factors < d
-        nonlocal best, best_levels, nodes, timed_out
+        nonlocal best, best_levels, nodes, check_at, timed_out
+        if d == s:
+            nodes += 1
+            score = block_score + reach.take(cells).sum(axis=0)
+            for picks, rows in straddling:
+                if all(levels[g] == v for g, v in picks):
+                    score[rows] = _UNREACHABLE
+            k = int(score.argmax())
+            value = cur + int(score[k])
+            if value > best:
+                best, best_levels = value, levels[:s] + cases[:, k].tolist()
+                if s and best >= tail[0]:
+                    raise _Stop
+            return
         here = reach[d].tolist()
-        last = d == n - 1
-        if not last:
-            child = reach + gain[d]
-            rest = (child[:, d + 1 :].max(axis=2).sum(axis=1) + tail[d + 1]).tolist()
+        child = reach + gain[d]
+        rest = (child[:, d + 1 :].max(axis=2).sum(axis=1) + tail[d + 1]).tolist()
         for a in allowed[d]:
             value = cur + here[a]
-            if value + (0 if last else rest[a]) <= best or completes_avoid(d, a, levels):
+            if value + rest[a] <= best or completes_avoid(d, a, levels):
                 continue
+            if nodes >= check_at and deadline is not None:
+                check_at = nodes + _CHECK_EVERY
+                if time.perf_counter() >= deadline:
+                    timed_out = True
+                    raise _Stop
             nodes += 1
-            if nodes % 1024 == 0 and deadline is not None and time.perf_counter() >= deadline:
-                timed_out = True
-                raise _Stop
             levels[d] = a
-            if not last:
-                visit(d + 1, value, child[a])
-                continue
-            best, best_levels = value, levels[:]
-            if best >= tail[0]:
-                raise _Stop
+            visit(d + 1, value, child[a])
         levels[d] = -1
 
-    root = np.full((n, max(card)), _UNREACHABLE, dtype=np.int64)
-    for i, lv in enumerate(allowed):
-        root[i, list(lv)] = 0
     try:
-        visit(0, 0, root)
+        visit(0, 0, step.root)
     except _Stop:
         pass
 

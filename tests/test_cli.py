@@ -14,6 +14,7 @@ from paircover.core import ConstraintSet, TestSuite
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse
 from paircover.io import load_model, read_suite_csv, write_suite_csv
+from paircover.pipeline import RunReport
 
 MODEL_TEXT = """\
 A: a0, a1, a2
@@ -62,6 +63,17 @@ class TestGenerate:
         assert data["coverage_curve"][-1] == 1.0
         # the generated suite verifies clean through the CLI as well
         assert cli.main(["verify", "--model", str(model_file), "--suite", str(out)]) == 0
+
+    def test_report_is_built_only_when_asked_for(self, model_file, tmp_path, monkeypatch):
+        def unwanted(*args, **kwargs):
+            raise AssertionError("report built without --report")
+
+        monkeypatch.setattr(cli, "coverage_curve", unwanted)
+        monkeypatch.setattr(RunReport, "to_dict", unwanted)
+        for method in ("sequential", "greedy", "monolithic"):
+            out = tmp_path / f"{method}.csv"
+            argv = ["generate", "--model", str(model_file), "--method", method, "--out", str(out)]
+            assert cli.main(argv) == 0
 
     def test_stdout_default(self, model_file, capsys):
         rc = cli.main(["generate", "--model", str(model_file), "--method", "greedy"])

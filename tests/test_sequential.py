@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -264,3 +266,85 @@ def test_time_limit_overshoot_is_bounded():
     assert time.perf_counter() - t0 < 2.0
     assert not st["proved_optimal"] and st["status"] == "feasible"
     assert validate_case(tc, sys_, ConstraintSet()) and cov.would_cover(tc) > 0
+
+
+class TestSuffixBlock:
+    """The suffix block's one-pass scoring against enumeration."""
+
+    @staticmethod
+    def avoids(*tuples):
+        return tuple(PartialAssignment(t) for t in tuples)
+
+    # (cardinalities, avoid tuples, fixed picks of the first step): the
+    # block starts at factor 3 of 2^11 and factor 1 of 3^6, and takes all
+    # of 4^4.  Each model has three-pick avoids across the block's start,
+    # and fixes a pick before the block and one inside it.
+    MODELS = [
+        (
+            [2] * 11,
+            avoids(
+                ((0, 1), (4, 1), (9, 1)),
+                ((2, 1), (3, 1), (10, 0)),
+                ((1, 0), (2, 0), (5, 1)),
+                ((0, 0), (1, 1)),
+                ((6, 1), (7, 1), (8, 0)),
+            ),
+            ((1, 1), (6, 1)),
+        ),
+        (
+            [3] * 6,
+            avoids(
+                ((0, 2), (1, 2), (4, 0)),
+                ((0, 1), (3, 2), (5, 2)),
+                ((2, 0), (4, 2)),
+            ),
+            ((0, 2), (3, 0)),
+        ),
+        ([4] * 4, avoids(((0, 3), (1, 3), (3, 0)), ((1, 2), (2, 1))), ((0, 1), (2, 3))),
+    ]
+
+    def test_matches_enumeration(self, rng):
+        starts = set()
+        checked = 0
+        for cards, avoid, picks in self.MODELS:
+            sys_, cs = make_system(cards), ConstraintSet(avoid=avoid)
+            cases = np.array([tc.levels for tc in enumerate_valid_cases(sys_, cs)])
+            states = []
+            for weighted in (True, False):
+                states += pipeline_states(sys_, cs, weighted, PartialAssignment(picks))
+                uni, cov = fresh_state(sys_, cs, weighted)
+                for _ in range(8):  # random coverage, with and without fixed picks
+                    uncovered = np.flatnonzero(rng.random(len(uni)) < 0.5)
+                    states += [(uni, uncovered, None), (uni, uncovered, PartialAssignment(picks))]
+            for uni, uncovered, fixed in states:
+                step = build_step(uni, uncovered, fixed)
+                starts.add(step.block.start)
+                sol = sequential.solve(step)
+                assert sol.status is SolveStatus.OPTIMAL
+                tc = step.decode(sol.values)
+                assert (sol.objective, tc) == brute_force_step(cases, uni, uncovered, fixed)
+                checked += 1
+        assert starts == {0, 1, 3} and checked > 100
+
+
+@pytest.mark.parametrize("cards", [[2] * 30, [4] * 20])
+def test_deadline_is_checked_within_1024_nodes(cards):
+    sys_ = make_system(cards)
+    _, cov = fresh_state(sys_, ConstraintSet())
+    for _ in range(4):
+        tc, _ = generate_single_case(cov, time_limit=0.0)
+        cov.mark_case(tc)
+    tc, st = generate_single_case(cov, time_limit=0.0)
+    assert st["status"] == "feasible" and st["nodes"] <= 1024
+    assert cov.would_cover(tc) > 0
+
+
+def test_block_tables_are_freed_with_their_universe():
+    sys_ = make_system([3] * 6)
+    uni, cov = fresh_state(sys_, ConstraintSet())
+    tc, _ = generate_single_case(cov)
+    cov.mark_case(tc)
+    ref = weakref.ref(uni)
+    del uni, cov
+    gc.collect()
+    assert ref() is None
