@@ -15,8 +15,9 @@ from . import io as pio
 from .core import PaircoverError, TestSuite
 from .greedy import greedy_suite
 from .interactions import InteractionUniverse, coverage_curve, verify_suite
-from .monolithic import minimal_suite
-from .pipeline import PipelineConfig, minimize_suite, run_pipeline
+from .monolithic import DEFAULT_TIME_LIMIT, minimal_suite
+from .pipeline import DEFAULT_MINIMIZE_TIME_LIMIT, PipelineConfig, minimize_suite, run_pipeline
+from .sequential import DEFAULT_STEP_TIME_LIMIT
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -30,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_model(args):
-    if getattr(args, "pict", None):
+    if args.pict:
         return pio.load_pict(args.pict)
     return pio.load_model(args.model)
 
@@ -96,9 +97,10 @@ def _cmd_generate(args) -> int:
     _emit_suite(args, suite)
     if args.report:  # built only when asked for: the curve and the deep copy cost time
         pio.write_report(args.report, report())
+    # the greedy path never runs verify_suite, so it claims no verification
+    verified = "" if args.method == "greedy" else "; coverage verified"
     print(
-        f"{len(suite)} cases ({args.method}); "
-        f"coverage verified{'; DEGRADED' if degraded else ''}",
+        f"{len(suite)} cases ({args.method}){verified}{'; DEGRADED' if degraded else ''}",
         file=sys.stderr,
     )
     return EXIT_DEGRADED if degraded else EXIT_OK
@@ -167,11 +169,10 @@ def build_parser() -> _Parser:
     p = _Parser(prog="paircover", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_model_args(sp, pict_ok=True):
+    def add_model_args(sp):
         g = sp.add_mutually_exclusive_group(required=True)
         g.add_argument("--model", help="model file (native grammar)")
-        if pict_ok:
-            g.add_argument("--pict", help="PICT-style parameter file")
+        g.add_argument("--pict", help="PICT-style parameter file")
 
     g = sub.add_parser("generate", help="generate a covering suite")
     add_model_args(g)
@@ -182,13 +183,15 @@ def build_parser() -> _Parser:
         choices=("sequential", "greedy", "monolithic"),
         default="sequential",
     )
-    g.add_argument("--alpha", type=float, default=0.9, help="warm-start retention")
+    g.add_argument("--alpha", type=float, default=PipelineConfig.alpha, help="warm-start retention")
     g.add_argument("--unweighted", action="store_true")
     g.add_argument("--no-minimize", action="store_true")
     g.add_argument("--warm-start", help="suite CSV to warm-start from")
     g.add_argument("--seed", type=int, default=0, help="greedy tie rotation seed")
-    g.add_argument("--step-time-limit", type=float, default=60.0)
-    g.add_argument("--time-limit", type=float, default=3600.0, help="monolithic per-m budget")
+    g.add_argument("--step-time-limit", type=float, default=DEFAULT_STEP_TIME_LIMIT)
+    g.add_argument(
+        "--time-limit", type=float, default=DEFAULT_TIME_LIMIT, help="monolithic per-m budget"
+    )
     g.set_defaults(fn=_cmd_generate)
 
     v = sub.add_parser("verify", help="check a suite against a model")
@@ -200,7 +203,7 @@ def build_parser() -> _Parser:
     add_model_args(m)
     m.add_argument("--suite", required=True)
     m.add_argument("--out", help="write the reduced suite here (default: stdout)")
-    m.add_argument("--time-limit", type=float, default=60.0)
+    m.add_argument("--time-limit", type=float, default=DEFAULT_MINIMIZE_TIME_LIMIT)
     m.set_defaults(fn=_cmd_minimize)
 
     b = sub.add_parser("bench", help="run the benchmark matrix")

@@ -26,7 +26,6 @@ def greedy_suite(
     constraints: ConstraintSet,
     universe: InteractionUniverse | None = None,
     seed: int = 0,
-    max_cases: int | None = None,
 ) -> TestSuite:
     """Cover every achievable pair with one greedy case after another."""
     constraints.validate_against(system)
@@ -46,7 +45,7 @@ def greedy_suite(
     rng = np.random.default_rng(seed)
     state = CoverageState(universe)
     suite = TestSuite(system)
-    limit = max_cases if max_cases is not None else len(universe) + 1
+    limit = len(universe) + 1
 
     while not state.is_full:
         if len(suite) >= limit:
@@ -59,54 +58,42 @@ def greedy_suite(
         factor_order = sorted(range(n), key=lambda f: (-int(touch[f]), f))
 
         assigned = np.full(n, -1, dtype=np.int64)
-        # per-factor candidate orderings, built lazily at first visit
-        candidates: list[list[int] | None] = [None] * n
-        cursor = [0] * n
+        # per position, the levels left to try, ranked at first visit.  A factor
+        # that runs out resets its level; the one being placed may hold a stale
+        # level, which completes_avoid never reads
+        ranked: list = [None] * n
         pos = 0
         backtracks = 0
         while 0 <= pos < n:
             f = factor_order[pos]
-            if candidates[pos] is None:
+            if ranked[pos] is None:
                 scores = unc[sym[f, : card[f], every, assigned]].sum(axis=0)
                 if not scores.any():
                     # nothing assigned connects yet: rank by uncovered potential
                     scores = unc[sym[f, : card[f]]].sum(axis=(1, 2))
                 rot = int(rng.integers(card[f]))
-                keys = sorted(
-                    range(card[f]),
-                    key=lambda v: (-int(scores[v]), (v - rot) % card[f]),
+                ranked[pos] = iter(
+                    sorted(range(card[f]), key=lambda v: (-int(scores[v]), (v - rot) % card[f]))
                 )
-                candidates[pos] = keys
-                cursor[pos] = 0
-            placed = False
-            keys = candidates[pos]
-            while cursor[pos] < len(keys):
-                v = keys[cursor[pos]]
-                cursor[pos] += 1
+            for v in ranked[pos]:
                 if not constraints.completes_avoid(f, v, assigned):
                     assigned[f] = v
-                    placed = True
+                    pos += 1
                     break
-            if placed:
-                pos += 1
             else:
-                candidates[pos] = None
+                ranked[pos] = None
                 assigned[f] = -1
                 pos -= 1
-                if pos >= 0:
-                    assigned[factor_order[pos]] = -1
                 backtracks += 1
                 if backtracks > MAX_BACKTRACKS_PER_CASE:
                     break
 
-        if pos == n:
-            tc = TestCase(tuple(int(v) for v in assigned))
-            if state.would_cover(tc) == 0:
-                tc = _progress_case(state)
-        else:
-            # constraints cornered the greedy walk; fall back to a witness
+        tc = TestCase(tuple(int(v) for v in assigned)) if pos == n else None
+        if tc is None or state.mark_case(tc) == 0:
+            # constraints cornered the walk, or its case marked nothing new:
+            # fall back to a witness of an uncovered pair
             tc = _progress_case(state)
-        state.mark_case(tc)
+            state.mark_case(tc)
         suite.append(tc)
     return suite
 

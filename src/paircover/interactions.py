@@ -86,9 +86,8 @@ def find_extension(
         return None
     free = [f for f in range(system.n_factors) if levels[f] < 0]
     if start is None:
-        order = [range(card[f]) for f in free]
-    else:
-        order = [(*range(start[f], card[f]), *range(start[f])) for f in free]
+        start = [0] * system.n_factors
+    order = [(*range(start[f], card[f]), *range(start[f])) for f in free]
 
     def search(k: int) -> bool:
         if k == len(free):
@@ -222,9 +221,6 @@ class InteractionUniverse:
             int(self.f1[k]), int(self.v1[k]), int(self.f2[k]), int(self.v2[k])
         )
 
-    def interactions(self) -> list[Interaction]:
-        return [self.interaction(k) for k in range(len(self))]
-
     def case_pair_ids(self, levels: Iterable[int]) -> np.ndarray:
         """Universe indices of the achievable pairs a case contains."""
         arr = np.asarray(tuple(levels), dtype=np.int64)
@@ -263,10 +259,6 @@ class CoverageState:
         fresh = int((~self.mask[ids]).sum())
         self.mask[ids] = True
         return fresh
-
-    def would_cover(self, case: TestCase) -> int:
-        ids = self.universe.case_pair_ids(case.levels)
-        return int((~self.mask[ids]).sum())
 
 
 def coverage_curve(suite: TestSuite, universe: InteractionUniverse) -> list[float]:

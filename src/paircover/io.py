@@ -226,9 +226,8 @@ def load_pict(path) -> tuple[FactorSystem, ConstraintSet]:
     return parse_pict(Path(path).read_text())
 
 
-def report_to_json(report) -> str:
-    data = report.to_dict() if hasattr(report, "to_dict") else dict(report)
-    return json.dumps(data, indent=2) + "\n"
+def report_to_json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
 
 
 def write_report(path, report) -> None:

@@ -14,27 +14,12 @@ from ..core import PaircoverError
 from .model import MilpModel, MilpSolution, SolveStatus, objective_value, verify_solution
 
 
-def _trivial_unconstrained(model: MilpModel) -> MilpSolution:
-    obj = np.array(model.objective, dtype=np.int64)
-    want = obj > 0 if model.sense == "max" else obj < 0
-    values = want.astype(np.int8)
-    return MilpSolution(
-        SolveStatus.OPTIMAL,
-        objective_value(model, values),
-        values,
-        {"note": "no constraints"},
-    )
-
-
 def solve_highs(model: MilpModel, time_limit: float | None = None) -> MilpSolution:
     """Solve with scipy.optimize.milp (HiGHS branch and cut), gap 0."""
     from scipy import sparse
     from scipy.optimize import Bounds
     from scipy.optimize import LinearConstraint as SciLinearConstraint
     from scipy.optimize import milp as sci_milp
-
-    if model.ncons == 0:
-        return _trivial_unconstrained(model)
 
     arr = model.to_arrays()
     nv, nc = model.nvars, model.ncons
@@ -67,9 +52,9 @@ def solve_highs(model: MilpModel, time_limit: float | None = None) -> MilpSoluti
 
     stats = {"scipy_status": int(res.status)}
     if res.x is not None:
-        values = np.round(res.x).astype(np.int8)
-        if not verify_solution(model, values):
+        if not verify_solution(model, res.x):
             raise PaircoverError("HiGHS returned a non-integral or invalid point")
+        values = np.round(res.x).astype(np.int8)
         objective = objective_value(model, values)
         status = SolveStatus.OPTIMAL if res.status == 0 else SolveStatus.FEASIBLE
         return MilpSolution(status, objective, values, stats)

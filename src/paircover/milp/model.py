@@ -96,10 +96,6 @@ class MilpModel:
     def ncons(self) -> int:
         return len(self._rhs)
 
-    @property
-    def objective(self) -> tuple[int, ...]:
-        return tuple(self._obj)
-
     def to_arrays(self) -> dict:
         """CSR view of the rows plus objective, cached until mutation.
 

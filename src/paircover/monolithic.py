@@ -30,7 +30,7 @@ from .core import (
     validate_case,
 )
 from .interactions import InteractionUniverse, verify_suite
-from .milp import MilpModel, MilpSolution, SolveStatus, solve_highs
+from .milp import MilpModel, SolveStatus, solve_highs
 
 
 class ModelSizeError(PaircoverError):
@@ -60,11 +60,6 @@ class MonolithicModel:
     universe: InteractionUniverse
     m: int
 
-    def solve(self, time_limit: float | None) -> MilpSolution:
-        """Solve with HiGHS: a branch and bound without an LP relaxation
-        stalls on slot models past toy sizes."""
-        return solve_highs(self.milp, time_limit=time_limit)
-
     def decode(self, values) -> TestSuite:
         """The suite held by the slots' one-hot x blocks of a HiGHS solution."""
         suite = TestSuite(self.system)
@@ -91,7 +86,6 @@ def build_monolithic(
     constraints: ConstraintSet,
     m: int,
     universe: InteractionUniverse | None = None,
-    max_vars: int = DEFAULT_MAX_VARS,
 ) -> MonolithicModel:
     """Assemble the m-slot coverage maximization program."""
     if m < 1:
@@ -105,9 +99,9 @@ def build_monolithic(
     nu = len(universe)
     n_must = len(constraints.must)
     est_vars = m * nx + m * nu + nu + m * n_must
-    if est_vars > max_vars:
+    if est_vars > DEFAULT_MAX_VARS:
         raise ModelSizeError(
-            f"monolithic model would need {est_vars} variables (cap {max_vars})"
+            f"monolithic model would need {est_vars} variables (cap {DEFAULT_MAX_VARS})"
         )
 
     milp = MilpModel(sense="max")
@@ -175,7 +169,6 @@ def minimal_suite(
     system: FactorSystem,
     constraints: ConstraintSet,
     time_limit: float | None = DEFAULT_TIME_LIMIT,
-    max_vars: int = DEFAULT_MAX_VARS,
 ) -> tuple[TestSuite, dict]:
     """Exact minimum-size suite via the m-search.
 
@@ -194,8 +187,10 @@ def minimal_suite(
     hi = nu + len(constraints.must) + 1
     t0 = time.perf_counter()
     for m in range(lb, hi + 1):
-        mono = build_monolithic(system, constraints, m, universe, max_vars=max_vars)
-        sol = mono.solve(time_limit)
+        mono = build_monolithic(system, constraints, m, universe)
+        # HiGHS: a branch and bound without an LP relaxation stalls on slot
+        # models past toy sizes
+        sol = solve_highs(mono.milp, time_limit)
         attempt = {
             "m": m,
             "status": sol.status.value,

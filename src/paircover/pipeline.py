@@ -30,6 +30,9 @@ from .milp import MilpSolution, SolveStatus
 from .sequential import DEFAULT_STEP_TIME_LIMIT, generate_single_case
 
 
+DEFAULT_MINIMIZE_TIME_LIMIT = 60.0
+
+
 class PipelineStallError(PaircoverError):
     """A generation step made no progress; the run cannot terminate."""
 
@@ -174,7 +177,7 @@ def minimize_suite(
     suite: TestSuite,
     constraints: ConstraintSet,
     universe: InteractionUniverse | None = None,
-    time_limit: float | None = 60.0,
+    time_limit: float | None = DEFAULT_MINIMIZE_TIME_LIMIT,
 ) -> tuple[TestSuite, dict]:
     """Smallest sub-suite keeping all covered pairs and all musts carried.
 

@@ -74,6 +74,11 @@ def satisfied_musts(suite, constraints):
     ]
 
 
+def universe_pairs(universe):
+    """Every interaction of ``universe``, in its canonical order."""
+    return [universe.interaction(k) for k in range(len(universe))]
+
+
 def achievable_pairs(system, valid_cases):
     """All (i, a, j, b) with i < j present in at least one valid case."""
     pairs = set()

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -8,13 +9,19 @@ from pathlib import Path
 import pytest
 
 import paircover
-from paircover import cli
+from paircover import cli, monolithic
 from paircover.bench import make_system
 from paircover.core import ConstraintSet, TestSuite
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse
 from paircover.io import load_model, read_suite_csv, write_suite_csv
-from paircover.pipeline import RunReport
+from paircover.pipeline import (
+    DEFAULT_MINIMIZE_TIME_LIMIT,
+    PipelineConfig,
+    RunReport,
+    minimize_suite,
+)
+from paircover.sequential import DEFAULT_STEP_TIME_LIMIT
 
 MODEL_TEXT = """\
 A: a0, a1, a2
@@ -82,6 +89,16 @@ class TestGenerate:
         assert captured.out.startswith("A,B,C")
         # must tuples are outside greedy's contract; the CLI says so
         assert "greedy ignores MUST" in captured.err
+
+    def test_only_verifying_methods_claim_verification(self, model_file, capsys):
+        want = {
+            "greedy": r"\d+ cases \(greedy\)",
+            "sequential": r"\d+ cases \(sequential\); coverage verified",
+            "monolithic": r"\d+ cases \(monolithic\); coverage verified",
+        }
+        for method, line in want.items():
+            assert cli.main(["generate", "--model", str(model_file), "--method", method]) == 0
+            assert re.fullmatch(line, capsys.readouterr().err.splitlines()[-1])
 
     def test_greedy_builds_universe_once(self, model_file, tmp_path, monkeypatch):
         builds = []
@@ -299,6 +316,17 @@ class TestErrors:
         rc = cli.main(["generate", "--model", str(bad)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_defaults_come_from_the_library():
+    parser = cli.build_parser()
+    gen = parser.parse_args(["generate", "--model", "m"])
+    assert gen.step_time_limit == DEFAULT_STEP_TIME_LIMIT
+    assert gen.alpha == PipelineConfig().alpha
+    assert gen.time_limit == monolithic.DEFAULT_TIME_LIMIT
+    mini = parser.parse_args(["minimize", "--model", "m", "--suite", "s"])
+    assert mini.time_limit == DEFAULT_MINIMIZE_TIME_LIMIT
+    assert inspect.signature(minimize_suite).parameters["time_limit"].default == mini.time_limit
 
 
 def test_import_does_not_load_scipy():

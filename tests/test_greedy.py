@@ -1,5 +1,3 @@
-import pytest
-
 from paircover.bench import make_bbu, make_system
 from paircover.core import ConstraintSet, validate_case
 from paircover.greedy import greedy_suite
@@ -59,9 +57,10 @@ class TestGreedySuite:
             ok, problems = full_and_valid(suite, sys_, cs)
             assert ok, problems
 
-    def test_max_cases_cap_raises_when_too_small(self):
-        sys_ = make_system([3, 3, 3])
-        from paircover.core import PaircoverError
-
-        with pytest.raises(PaircoverError):
-            greedy_suite(sys_, ConstraintSet(), max_cases=2)
+    def test_walk_is_iterative(self):
+        # a thousand factors: a walk that recursed once per factor would
+        # overflow Python's default recursion limit
+        sys_ = make_system([2] * 1000)
+        suite = greedy_suite(sys_, ConstraintSet())
+        ok, problems = verify_suite(suite, ConstraintSet())
+        assert ok, problems

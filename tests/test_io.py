@@ -174,12 +174,12 @@ class TestReportJson:
 
         sys_ = make_system([2, 2])
         suite, report = run_pipeline(sys_, ConstraintSet())
-        text = report_to_json(report)
+        text = report_to_json(report.to_dict())
         data = json.loads(text)
         assert data["final_size"] == len(suite)
         assert data["universe_size"] == 4
         path = tmp_path / "report.json"
-        write_report(path, report)
+        write_report(path, report.to_dict())
         assert json.loads(path.read_text()) == data
 
     def test_plain_dict(self):

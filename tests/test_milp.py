@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircover.core import StructureError
+from paircover.core import PaircoverError, StructureError
 from paircover.milp import (
     MilpModel,
     SolveStatus,
@@ -44,7 +44,7 @@ class TestModelConstruction:
         m = MilpModel()
         assert m.add_var() == 0
         assert m.add_var(obj=3) == 1
-        assert m.objective == (0, 3)
+        assert m.to_arrays()["obj"].tolist() == [0, 3]
 
     def test_fractional_coefficients_rejected(self):
         m = MilpModel()
@@ -210,6 +210,22 @@ class TestBackends:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == -3
         assert sol.values.tolist() == [1, 0]
+
+    def test_scipy_non_integral_point_rejected(self, monkeypatch):
+        # rounds to the feasible [0, 1], so only a check of the raw point sees it
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        def fractional(**kwargs):
+            return OptimizeResult(status=0, x=np.array([0.4, 0.6]), message="")
+
+        monkeypatch.setattr(scipy.optimize, "milp", fractional)
+        m = MilpModel()
+        a = m.add_var(obj=1)
+        b = m.add_var(obj=1)
+        m.add_constraint({a: 1, b: 1}, "<=", 1)
+        with pytest.raises(PaircoverError, match="non-integral"):
+            solve_highs(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -46,7 +46,8 @@ class TestBuildMonolithic:
     def test_size_cap(self):
         sys_ = make_system([4, 4, 4, 4])
         with pytest.raises(ModelSizeError):
-            build_monolithic(sys_, ConstraintSet(), m=30, max_vars=1000)
+            # 16 x and 96 q variables per slot, plus 96 p: over the cap at m=2000
+            build_monolithic(sys_, ConstraintSet(), m=2000)
 
 
 class TestDecode:

@@ -18,7 +18,7 @@ from paircover.interactions import CoverageState, InteractionUniverse
 from paircover.milp import MilpSolution, SolveStatus, solve_highs
 from paircover.sequential import StepTimeout, build_step, generate_single_case
 
-from conftest import brute_force_step, enumerate_valid_cases, step_milp
+from conftest import brute_force_step, enumerate_valid_cases, step_milp, universe_pairs
 from reference_kernel import solve_reference
 
 
@@ -34,7 +34,7 @@ class TestBuildStep:
         uni, cov = fresh_state(sys_, cs)
         cov.mark_case(TestCase((1, 2)))
         step = build_step(uni, cov.uncovered_indices())
-        for k, it in enumerate(uni.interactions()):
+        for k, it in enumerate(universe_pairs(uni)):
             want = 0 if cov.mask[k] else int(uni.weights[k])
             assert step.gain[it.i, it.a, it.j, it.b] == want
         assert step.gain.sum() == uni.weights[~cov.mask].sum()
@@ -265,7 +265,7 @@ def test_time_limit_overshoot_is_bounded():
     tc, st = generate_single_case(cov, time_limit=0.5)
     assert time.perf_counter() - t0 < 2.0
     assert not st["proved_optimal"] and st["status"] == "feasible"
-    assert validate_case(tc, sys_, ConstraintSet()) and cov.would_cover(tc) > 0
+    assert validate_case(tc, sys_, ConstraintSet()) and cov.mark_case(tc) > 0
 
 
 class TestSuffixBlock:
@@ -336,7 +336,7 @@ def test_deadline_is_checked_within_1024_nodes(cards):
         cov.mark_case(tc)
     tc, st = generate_single_case(cov, time_limit=0.0)
     assert st["status"] == "feasible" and st["nodes"] <= 1024
-    assert cov.would_cover(tc) > 0
+    assert cov.mark_case(tc) > 0
 
 
 def test_block_tables_are_freed_with_their_universe():
