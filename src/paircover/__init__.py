@@ -21,7 +21,6 @@ from .core import (
 )
 from .interactions import (
     CoverageState,
-    Interaction,
     InteractionUniverse,
     coverage_curve,
     find_extension,

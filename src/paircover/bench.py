@@ -61,7 +61,7 @@ def random_avoids(
         out.append(
             PartialAssignment(
                 tuple(
-                    (int(f), int(rng.integers(system.cardinality(int(f)))))
+                    (int(f), int(rng.integers(system.cardinalities[int(f)])))
                     for f in fs
                 )
             )

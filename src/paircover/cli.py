@@ -222,10 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PaircoverError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
+    except (PaircoverError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,7 +1,7 @@
 """Core data model: factors, assignments, test cases, constraints.
 
 Factors are indexed 0..n-1 and levels within factor i are indexed
-0..cardinality(i)-1.  All other modules work on these integer indices;
+0..cardinalities[i]-1.  All other modules work on these integer indices;
 names only matter at the I/O boundary.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator
 
 
 class PaircoverError(Exception):
@@ -72,9 +72,6 @@ class FactorSystem:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    def cardinality(self, i: int) -> int:
-        return self.factors[i].cardinality
-
     @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(f.cardinality for f in self.factors)
@@ -97,7 +94,7 @@ class FactorSystem:
     def check_pick(self, factor: int, level: int) -> None:
         if not 0 <= factor < self.n_factors:
             raise StructureError(f"factor index {factor} out of range")
-        if not 0 <= level < self.cardinality(factor):
+        if not 0 <= level < self.cardinalities[factor]:
             raise StructureError(
                 f"level index {level} out of range for factor {self.factors[factor].name!r}"
             )
@@ -119,10 +116,6 @@ class PartialAssignment:
         if len(set(factors)) != len(factors):
             raise StructureError("partial assignment picks the same factor twice")
         object.__setattr__(self, "picks", ordered)
-
-    @classmethod
-    def from_mapping(cls, m: Mapping[int, int]) -> "PartialAssignment":
-        return cls(tuple(m.items()))
 
     def __len__(self) -> int:
         return len(self.picks)
@@ -151,7 +144,7 @@ class PartialAssignment:
             raise StructureError("cannot merge conflicting assignments")
         m = dict(self.picks)
         m.update(other.picks)
-        return PartialAssignment.from_mapping(m)
+        return PartialAssignment(tuple(m.items()))
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,7 @@ def _progress_case(state: CoverageState) -> TestCase:
     """A valid case containing the first uncovered pair; always exists."""
     universe = state.universe
     u = int(state.uncovered_indices()[0])
-    tc = find_extension(
-        universe.interaction(u).as_assignment(), universe.system, universe.constraints
-    )
+    tc = find_extension(universe.interaction(u), universe.system, universe.constraints)
     if tc is None:
         raise PaircoverError("universe contains an unachievable pair")
     return tc

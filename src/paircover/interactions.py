@@ -8,7 +8,6 @@ up front so coverage ratios are measured against what is actually coverable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -18,29 +17,11 @@ from .core import (
     ConstraintSet,
     FactorSystem,
     PartialAssignment,
-    StructureError,
     TestCase,
     TestSuite,
     subsumes,
     validate_case,
 )
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """A pair of (factor, level) picks on two distinct factors, i < j."""
-
-    i: int
-    a: int
-    j: int
-    b: int
-
-    def __post_init__(self):
-        if self.i >= self.j:
-            raise StructureError("interaction factors must satisfy i < j")
-
-    def as_assignment(self) -> PartialAssignment:
-        return PartialAssignment(((self.i, self.a), (self.j, self.b)))
 
 
 def find_extension(
@@ -129,7 +110,6 @@ class InteractionUniverse:
         constraints.validate_against(system)
         self.system = system
         self.constraints = constraints
-        self.weighted = weighted
 
         card = np.array(system.cardinalities, dtype=np.int64)
         n, top = len(card), int(card.max())
@@ -216,9 +196,10 @@ class InteractionUniverse:
     def __len__(self) -> int:
         return int(self.f1.shape[0])
 
-    def interaction(self, k: int) -> Interaction:
-        return Interaction(
-            int(self.f1[k]), int(self.v1[k]), int(self.f2[k]), int(self.v2[k])
+    def interaction(self, k: int) -> PartialAssignment:
+        """Pair ``k`` as its two picks ((i, a), (j, b))."""
+        return PartialAssignment(
+            ((int(self.f1[k]), int(self.v1[k])), (int(self.f2[k]), int(self.v2[k])))
         )
 
     def case_pair_ids(self, levels: Iterable[int]) -> np.ndarray:
@@ -237,14 +218,10 @@ class CoverageState:
         self.mask = np.zeros(len(universe), dtype=bool)
 
     @property
-    def covered_count(self) -> int:
-        return int(self.mask.sum())
-
-    @property
     def ratio(self) -> float:
         if len(self.universe) == 0:
             return 1.0
-        return self.covered_count / len(self.universe)
+        return int(self.mask.sum()) / len(self.universe)
 
     @property
     def is_full(self) -> bool:
@@ -299,10 +276,8 @@ def verify_suite(
     if not state.is_full:
         missing = state.uncovered_indices()
         for k in missing[:20]:
-            it = universe.interaction(int(k))
-            problems.append(
-                f"uncovered pair: factor {it.i}={it.a}, factor {it.j}={it.b}"
-            )
+            (i, a), (j, b) = universe.interaction(int(k)).picks
+            problems.append(f"uncovered pair: factor {i}={a}, factor {j}={b}")
         if len(missing) > 20:
             problems.append(f"... and {len(missing) - 20} more uncovered pairs")
     return (not problems, problems)

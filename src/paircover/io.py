@@ -72,6 +72,24 @@ def _parse_picks(
         raise ParseError(str(e), line) from None
 
 
+def _parse_factor(line: str, ln: int, seen: set[str], level) -> Factor:
+    """The factor of a ``Name: level, ...`` line; ``level`` cleans each level."""
+    if ":" not in line:
+        raise ParseError(f"expected 'Name: level, ...' but got {line!r}", ln)
+    name, rest = (s.strip() for s in line.split(":", 1))
+    _check_name(name, "factor", ln)
+    if name in seen:
+        raise ParseError(f"duplicate factor {name!r}", ln)
+    seen.add(name)
+    levels = tuple(level(s) for s in rest.split(","))
+    for lv in levels:
+        _check_name(lv, "level", ln)
+    try:
+        return Factor(name, levels)
+    except StructureError as e:
+        raise ParseError(str(e), ln) from None
+
+
 def parse_model(text: str) -> tuple[FactorSystem, ConstraintSet]:
     """Parse the model grammar above into a system and its constraints."""
     factors: list[Factor] = []
@@ -88,22 +106,10 @@ def parse_model(text: str) -> tuple[FactorSystem, ConstraintSet]:
         if line.startswith("MUST:"):
             must_lines.append((ln, line[len("MUST:") :]))
             continue
-        if ":" not in line:
-            raise ParseError(f"expected 'Name: level, ...' but got {line!r}", ln)
-        name, rest = (s.strip() for s in line.split(":", 1))
-        _check_name(name, "factor", ln)
-        if name in _RESERVED:
+        name = line.split(":", 1)[0].strip()
+        if ":" in line and name in _RESERVED:
             raise ParseError(f"factor name {name!r} is reserved", ln)
-        if name in seen:
-            raise ParseError(f"duplicate factor {name!r}", ln)
-        seen.add(name)
-        levels = tuple(s.strip() for s in rest.split(","))
-        for lv in levels:
-            _check_name(lv, "level", ln)
-        try:
-            factors.append(Factor(name, levels))
-        except StructureError as e:
-            raise ParseError(str(e), ln) from None
+        factors.append(_parse_factor(line, ln, seen, str.strip))
 
     if len(factors) < 2:
         raise ParseError(f"model defines {len(factors)} factors, need at least 2")
@@ -203,20 +209,7 @@ def parse_pict(text: str) -> tuple[FactorSystem, ConstraintSet]:
                 "express the rule as AVOID/MUST lines in the native format",
                 ln,
             )
-        if ":" not in line:
-            raise ParseError(f"expected 'Name: v1, v2, ...' but got {line!r}", ln)
-        name, rest = (s.strip() for s in line.split(":", 1))
-        _check_name(name, "factor", ln)
-        if name in seen:
-            raise ParseError(f"duplicate factor {name!r}", ln)
-        seen.add(name)
-        levels = tuple(_strip_pict_weight(t) for t in rest.split(","))
-        for lv in levels:
-            _check_name(lv, "level", ln)
-        try:
-            factors.append(Factor(name, levels))
-        except StructureError as e:
-            raise ParseError(str(e), ln) from None
+        factors.append(_parse_factor(line, ln, seen, _strip_pict_weight))
     if len(factors) < 2:
         raise ParseError(f"PICT file defines {len(factors)} factors, need at least 2")
     return FactorSystem(tuple(factors)), ConstraintSet()

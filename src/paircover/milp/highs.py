@@ -16,6 +16,8 @@ from .model import MilpModel, MilpSolution, SolveStatus, objective_value, verify
 
 def solve_highs(model: MilpModel, time_limit: float | None = None) -> MilpSolution:
     """Solve with scipy.optimize.milp (HiGHS branch and cut), gap 0."""
+    if model.nvars == 0:  # scipy rejects it; its one point is the empty vector
+        return MilpSolution(SolveStatus.OPTIMAL, 0, np.zeros(0, dtype=np.int8))
     from scipy import sparse
     from scipy.optimize import Bounds
     from scipy.optimize import LinearConstraint as SciLinearConstraint

@@ -71,28 +71,6 @@ class RunReport:
         return asdict(self)
 
 
-def apply_warm_start(
-    warm: TestSuite,
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    alpha: float,
-) -> tuple[list, dict]:
-    """Constraint-valid prefix of the warm rows, alpha-truncated.
-
-    Rows violating an avoid tuple are dropped, then the first
-    ceil(alpha * kept) survivors are retained in order.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise PaircoverError(f"alpha must be in [0, 1], got {alpha}")
-    valid = [tc for tc in warm if validate_case(tc, system, constraints)]
-    retained = valid[: math.ceil(alpha * len(valid))]
-    return retained, {
-        "warm_given": len(warm),
-        "warm_valid": len(valid),
-        "warm_retained": len(retained),
-    }
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
@@ -182,10 +160,11 @@ def minimize_suite(
     """Smallest sub-suite keeping all covered pairs and all musts carried.
 
     The elements to keep covered are the universe pairs the suite covers
-    and each must tuple some row carries.  Falls back to the input suite
-    when the solve finds no cover in time, so the result is never larger
-    than what went in.  A universe built here is seeded with the suite's
-    avoid-valid rows (``InteractionUniverse``'s ``witnesses``).
+    and each must tuple some row carries: bit u of a row's mask is universe
+    pair u, and bit len(universe) + g is must tuple g.  Falls back to the
+    input suite when the solve finds no cover in time, so the result is
+    never larger than what went in.  A universe built here is seeded with
+    the suite's avoid-valid rows (``InteractionUniverse``'s ``witnesses``).
     """
     t0 = time.perf_counter()
     system = suite.system
@@ -195,36 +174,32 @@ def minimize_suite(
     if m == 0:
         return suite, {"status": "empty", "removed": 0, "proved_optimal": True}
 
-    ids = [universe.case_pair_ids(tc.levels).tolist() for tc in suite]
-    element = {u: e for e, u in enumerate(sorted(set().union(*ids)))}  # pair id -> element
-    carried = [
-        mu for mu in constraints.must if any(subsumes(tc, mu) for tc in suite)
-    ]  # a must not carried by the input cannot be required here
-    cover = []
-    for tc, row in zip(suite, ids):
+    cover, everything = [], 0
+    for tc in suite:
         mask = 0
-        for u in row:
-            mask |= 1 << element[u]
-        for k, mu in enumerate(carried, start=len(element)):
+        for u in universe.case_pair_ids(tc.levels).tolist():
+            mask |= 1 << u
+        # a must no row carries sets no bit, so it is not required
+        for g, mu in enumerate(constraints.must, start=len(universe)):
             if subsumes(tc, mu):
-                mask |= 1 << k
+                mask |= 1 << g
         cover.append(mask)
+        everything |= mask
 
     sol = solve(cover, time_limit=time_limit)
-    elements = len(element) + len(carried)
     out = suite  # no cover found in time: keep the input
     if sol.has_solution:
         union = 0
         for mask, z in zip(cover, sol.values.tolist()):
             if z == 1:
                 union |= mask
-        if union != (1 << elements) - 1:
+        if union != everything:
             raise PaircoverError("set cover solve left an element uncovered")
         out = TestSuite(system, [tc for tc, z in zip(suite, sol.values) if z == 1])
     stats = {
         "status": sol.status.value,
         "rows": m,
-        "elements": elements,
+        "elements": everything.bit_count(),
         "nodes": sol.stats.get("nodes"),
         "root_bound": sol.stats.get("root_bound"),
         "wall_s": time.perf_counter() - t0,
@@ -260,15 +235,18 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     if warm_start is not None:
-        retained, warm_stats = apply_warm_start(
-            warm_start, system, constraints, cfg.alpha
-        )
+        if not 0.0 <= cfg.alpha <= 1.0:
+            raise PaircoverError(f"alpha must be in [0, 1], got {cfg.alpha}")
+        # drop the rows that violate an avoid tuple, keep the first
+        # ceil(alpha * valid) of the rest, in order
+        valid = [tc for tc in warm_start if validate_case(tc, system, constraints)]
+        retained = valid[: math.ceil(cfg.alpha * len(valid))]
         for tc in retained:
             coverage.mark_case(tc)
             suite.append(tc)
-        report.warm_given = warm_stats["warm_given"]
-        report.warm_valid = warm_stats["warm_valid"]
-        report.warm_retained = warm_stats["warm_retained"]
+        report.warm_given = len(warm_start)
+        report.warm_valid = len(valid)
+        report.warm_retained = len(retained)
     report.phase_wall_s["warm"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -25,8 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    ConstraintSet,
-    FactorSystem,
     PaircoverError,
     PartialAssignment,
     StructureError,
@@ -116,16 +114,17 @@ def _suffix_block(universe: InteractionUniverse) -> _SuffixBlock:
 class StepModel:
     """The one-case program in structured form.
 
-    Pick one level per factor from ``allowed`` so that no avoid tuple is
-    completed (``constraints.completes_avoid``), maximizing
-    ``sum(gain[i, a_i, j, a_j] for i < j)``.  ``gain[i, a, j, b]`` is the
-    weight of the pair (i, a), (j, b) while it is uncovered and 0 otherwise
-    (also for i >= j and for padding levels): the universe's ``pair_id``
-    table read through the uncovered weights ``weights`` (one entry per
-    pair id, plus a trailing 0 that id -1 reads).  ``tail[d]`` bounds what
-    the pairs among factors d.. can add: the sum of each such factor pair's
-    largest entry over the allowed levels.  ``root[i, a]`` is 0 when level
-    a of factor i is allowed and _UNREACHABLE otherwise.
+    Pick one level per factor of ``universe.system`` so that no avoid tuple
+    is completed (``universe.constraints.completes_avoid``), maximizing
+    ``sum(gain[i, a_i, j, a_j] for i < j)`` over the levels ``root``
+    allows.  ``gain[i, a, j, b]`` is the weight of the pair (i, a), (j, b)
+    while it is uncovered and 0 otherwise (also for i >= j and for padding
+    levels): the universe's ``pair_id`` table read through the uncovered
+    weights ``weights`` (one entry per pair id, plus a trailing 0 that id
+    -1 reads).  ``root[i, a]`` is 0 when level a of factor i is allowed and
+    _UNREACHABLE when it is padding or a fixed pick excludes it.
+    ``tail[d]`` bounds what the pairs among factors d.. can add: the sum of
+    each such factor pair's largest entry over the allowed levels.
 
     ``block`` holds the universe's suffix block, and ``block_score[k]`` is
     what the pairs inside its case k add, or _UNREACHABLE when the case
@@ -134,19 +133,16 @@ class StepModel:
     start at factor 0.
     """
 
-    system: FactorSystem
-    constraints: ConstraintSet
-    allowed: list[tuple[int, ...]]  # descending: the search order
+    universe: InteractionUniverse
     root: np.ndarray  # int64 (n, L)
     block: _SuffixBlock
     block_score: np.ndarray  # int64 (K,)
     weights: np.ndarray  # int64, len(universe) + 1
-    pair_id: np.ndarray  # the universe's (n, L, n, L) pair table
 
     @cached_property
     def gain(self) -> np.ndarray:
         """int64 (n, L, n, L), L the largest cardinality."""
-        return self.weights[self.pair_id]
+        return self.weights[self.universe.pair_id]
 
     @cached_property
     def tail(self) -> list[int]:
@@ -159,7 +155,7 @@ class StepModel:
     def decode(self, values) -> TestCase:
         """The case of the level per factor ``solve`` found."""
         tc = TestCase(tuple(values))
-        if not validate_case(tc, self.system, self.constraints):
+        if not validate_case(tc, self.universe.system, self.universe.constraints):
             raise StructureError("decoded step case violates an avoid tuple")
         return tc
 
@@ -170,15 +166,12 @@ def build_step(
     fixed: PartialAssignment | None = None,
 ) -> StepModel:
     """Assemble the one-case maximization over the given uncovered pairs."""
-    system, constraints = universe.system, universe.constraints
     block = _suffix_block(universe)
-    allowed = [tuple(range(c - 1, -1, -1)) for c in system.cardinalities]
     root = block.root
     if fixed is not None:
-        fixed.validate_against(system)
+        fixed.validate_against(universe.system)
         root = root.copy()
         for f, v in fixed.picks:
-            allowed[f] = (v,)
             root[f] = _UNREACHABLE
             root[f, v] = 0
 
@@ -186,7 +179,7 @@ def build_step(
     w = np.zeros(len(universe) + 1, dtype=np.int64)  # pair_id -1 reads the last 0
     w[ids] = universe.weights[ids]
     score = w.take(block.pair_ids).sum(axis=0) + block.floor
-    return StepModel(system, constraints, allowed, root, block, score, w, universe.pair_id)
+    return StepModel(universe, root, block, score, w)
 
 
 class _Stop(Exception):
@@ -199,7 +192,8 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     Depth-first over the factors before the suffix block (``step.block``)
     in index order, levels in descending order.  A child is entered only
     while its bound (picks so far, plus each later factor's best level
-    against them, plus ``tail``) beats the incumbent.  Each leaf, or the
+    against them, plus ``tail``) beats the incumbent; a level ``root``
+    excludes starts at _UNREACHABLE, so it never does.  Each leaf, or the
     root when the block starts at factor 0, scores all the block's cases
     at once: the picks so far, plus ``block_score``, plus what each block
     pick adds against the picks so far; cases that complete an avoid tuple
@@ -215,10 +209,11 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     """
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + float(time_limit)
-    allowed, block, block_score = step.allowed, step.block, step.block_score
+    card = step.universe.system.cardinalities
+    block, block_score = step.block, step.block_score
     s, cases, cells, straddling = block.start, block.cases, block.cells, block.straddling
-    completes_avoid = step.constraints.completes_avoid
-    n = len(allowed)
+    completes_avoid = step.universe.constraints.completes_avoid
+    n = len(card)
     levels = [-1] * n  # factors at or past the current depth stay -1
     best, best_levels = -1, None
     nodes, check_at = 0, _CHECK_EVERY
@@ -244,7 +239,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
         here = reach[d].tolist()
         child = reach + gain[d]
         rest = (child[:, d + 1 :].max(axis=2).sum(axis=1) + tail[d + 1]).tolist()
-        for a in allowed[d]:
+        for a in range(card[d] - 1, -1, -1):
             value = cur + here[a]
             if value + rest[a] <= best or completes_avoid(d, a, levels):
                 continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):
         fs = sorted(rng.choice(system.n_factors, size=2, replace=False))
         avoid.append(
             PartialAssignment(
-                tuple((int(f), int(rng.integers(system.cardinality(int(f))))) for f in fs)
+                tuple((int(f), int(rng.integers(system.cardinalities[int(f)]))) for f in fs)
             )
         )
     musts = []
@@ -41,7 +42,7 @@ def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):
         k = int(rng.integers(1, min(system.n_factors, 3) + 1))
         fs = sorted(rng.choice(system.n_factors, size=k, replace=False))
         mu = PartialAssignment(
-            tuple((int(f), int(rng.integers(system.cardinality(int(f))))) for f in fs)
+            tuple((int(f), int(rng.integers(system.cardinalities[int(f)]))) for f in fs)
         )
         if any(mu.extends(av) for av in avoid):
             continue
@@ -74,9 +75,19 @@ def satisfied_musts(suite, constraints):
     ]
 
 
+class Pair(NamedTuple):
+    """A universe pair: level a of factor i with level b of factor j, i < j."""
+
+    i: int
+    a: int
+    j: int
+    b: int
+
+
 def universe_pairs(universe):
-    """Every interaction of ``universe``, in its canonical order."""
-    return [universe.interaction(k) for k in range(len(universe))]
+    """Every pair of ``universe`` as a ``Pair``, in its canonical order."""
+    columns = (universe.f1, universe.v1, universe.f2, universe.v2)
+    return [Pair(*p) for p in zip(*(c.tolist() for c in columns))]
 
 
 def achievable_pairs(system, valid_cases):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import paircover
+import paircover.milp
 from paircover import cli, monolithic
 from paircover.bench import make_system
 from paircover.core import ConstraintSet, TestSuite
@@ -360,3 +361,13 @@ def test_readme_flags_exist():
         flag for sp in sub.choices.values() for flag in sp._option_string_actions
     }
     assert named and not named - accepted, sorted(named - accepted)
+
+
+def test_readme_api_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    missing = {
+        name for name in named if not hasattr(paircover, name) and not hasattr(paircover.milp, name)
+    }
+    assert named and not missing, sorted(missing)

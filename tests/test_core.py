@@ -54,7 +54,7 @@ class TestFactorSystem:
         sys_ = make_system([2, 3, 4])
         assert sys_.n_factors == 3
         assert sys_.cardinalities == (2, 3, 4)
-        assert sys_.cardinality(2) == 4
+        assert sys_.cardinalities[2] == 4
 
 
 class TestPartialAssignment:

@@ -1,8 +1,10 @@
-"""Suites pinned byte for byte.
+"""Suites pinned byte for byte, and the search effort behind them.
 
 Each digest is the SHA-256 of ``io.suite_to_csv`` output.  A refactor of the
 formulation, the solver or the decoder must leave every one unchanged; a
-change that means to alter suites updates them and says why.
+change that means to alter suites updates them and says why.  The same holds
+for the node totals of the step and cover searches on the pinned instances:
+a refactor can keep every suite and still change how hard the searches work.
 """
 
 import hashlib
@@ -61,6 +63,12 @@ GREEDY_DIGESTS = [
     "092ec878c3cf92f40e373d1a78c7d9a61ad78a8e1126f935c2b2431280068316",
     "5a249c91b73d1da911aed51e26940ee52c5233dc22b32f614e25c4130a5eaa93",
 ]
+# Over classic_instances() plus random_instance seeds 0-24, run_pipeline
+# with its defaults: step nodes summed over report.steps, cover nodes from
+# report.cover.
+PINNED_STEP_NODES = 113_632
+PINNED_COVER_NODES = 821
+
 # Wide models on which the greedy walk falls back to ``_progress_case``,
 # which no random_instance seed reaches.
 WIDE_SEEDS = (6, 8, 10)
@@ -114,3 +122,14 @@ def test_greedy_suites(monkeypatch):
         got.append(_digest(greedy_suite(system, cs, seed=0)))
     assert got == GREEDY_DIGESTS
     assert set(range(25, len(instances))) <= set(calls)
+
+
+def test_pinned_search_effort():
+    instances = list(bench.classic_instances().values())
+    instances += [bench.random_instance(s) for s in range(25)]
+    step = cover = 0
+    for system, cs in instances:
+        _, report = run_pipeline(system, cs)
+        step += sum(st["nodes"] for st in report.steps)
+        cover += report.cover["nodes"]
+    assert (step, cover) == (PINNED_STEP_NODES, PINNED_COVER_NODES)

@@ -16,7 +16,6 @@ from paircover.bench import make_bbu, make_system, random_avoids, random_instanc
 from paircover.core import (
     ConstraintSet,
     PartialAssignment,
-    StructureError,
     TestCase,
     TestSuite,
     subsumes,
@@ -25,7 +24,6 @@ from paircover.core import (
 from paircover.greedy import greedy_suite
 from paircover.interactions import (
     CoverageState,
-    Interaction,
     InteractionUniverse,
     coverage_curve,
     find_extension,
@@ -33,16 +31,12 @@ from paircover.interactions import (
 )
 
 from conftest import (
+    Pair,
     achievable_pairs,
     enumerate_valid_cases,
     random_constraints,
     universe_pairs,
 )
-
-
-def test_interaction_orders_factors():
-    with pytest.raises(StructureError):
-        Interaction(2, 0, 1, 0)
 
 
 class TestFindExtension:
@@ -238,14 +232,13 @@ class TestUniverse:
         sys_, cs = make_bbu()
         uni = InteractionUniverse(sys_, cs)
         assert len(uni) == 6 * 4 * 4 - 1  # 6 factor pairs of 4x4 level pairs
-        missing = Interaction(0, 0, 1, 3)  # the avoided combination itself
+        missing = Pair(0, 0, 1, 3)  # the avoided combination itself
         assert missing not in universe_pairs(uni)
 
     def test_weights(self):
         sys_ = make_system([2, 3, 4])
         w = InteractionUniverse(sys_, ConstraintSet(), weighted=True)
-        it = w.interaction(0)
-        assert it.i == 0 and it.j == 1
+        assert w.interaction(0) == PartialAssignment(((0, 0), (1, 0)))
         assert w.weights[0] == 6  # 2 * 3
         u = InteractionUniverse(sys_, ConstraintSet(), weighted=False)
         assert set(np.unique(u.weights)) == {1}
@@ -284,7 +277,7 @@ class TestUniverse:
         uni = InteractionUniverse(sys_, cs)
         pairs = [uni.interaction(int(k)) for k in uni.case_pair_ids((3, 3, 1, 0))]
         assert len(pairs) == 6
-        assert Interaction(0, 3, 1, 3) in pairs
+        assert PartialAssignment(((0, 3), (1, 3))) in pairs
 
 
 class TestCoverageState:
@@ -380,8 +373,8 @@ def test_every_universe_pair_has_valid_witness(seed):
     sys_ = make_system(cards)
     cs = random_constraints(sys_, rng, n_avoid=int(rng.integers(0, 3)))
     uni = InteractionUniverse(sys_, cs)
-    for it in universe_pairs(uni):
-        tc = find_extension(it.as_assignment(), sys_, cs)
+    for k, it in enumerate(universe_pairs(uni)):
+        tc = find_extension(uni.interaction(k), sys_, cs)
         assert tc is not None
         assert validate_case(tc, sys_, cs)
         assert tc.levels[it.i] == it.a and tc.levels[it.j] == it.b

@@ -211,6 +211,12 @@ class TestBackends:
         assert sol.objective == -3
         assert sol.values.tolist() == [1, 0]
 
+    def test_scipy_empty_model_agrees_with_reference(self):
+        sci, ref = solve_highs(MilpModel()), solve_reference(MilpModel())
+        assert sci.status is ref.status is SolveStatus.OPTIMAL
+        assert sci.objective == ref.objective == 0
+        assert sci.values.tolist() == ref.values.tolist() == []
+
     def test_scipy_non_integral_point_rejected(self, monkeypatch):
         # rounds to the feasible [0, 1], so only a check of the raw point sees it
         import scipy.optimize

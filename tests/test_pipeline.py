@@ -16,7 +16,6 @@ from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.milp import MilpSolution, SolveStatus
 from paircover.pipeline import (
     PipelineConfig,
-    apply_warm_start,
     minimize_suite,
     run_pipeline,
 )
@@ -33,6 +32,12 @@ from reference_kernel import solve_reference
 
 
 class TestApplyWarmStart:
+    @staticmethod
+    def run(warm, cs, alpha):
+        return run_pipeline(
+            warm.system, cs, warm, PipelineConfig(alpha=alpha, minimize=False)
+        )
+
     def test_filters_invalid_rows(self):
         sys_, cs = make_bbu()
         warm = TestSuite(
@@ -43,27 +48,28 @@ class TestApplyWarmStart:
                 TestCase((2, 2, 2, 2)),
             ],
         )
-        retained, stats = apply_warm_start(warm, sys_, cs, alpha=1.0)
-        assert stats == {"warm_given": 3, "warm_valid": 2, "warm_retained": 2}
-        assert all(tc.levels != (0, 3, 0, 0) for tc in retained)
+        suite, report = self.run(warm, cs, alpha=1.0)
+        assert (report.warm_given, report.warm_valid, report.warm_retained) == (3, 2, 2)
+        assert [tc.levels for tc in suite.cases[:2]] == [(1, 1, 1, 1), (2, 2, 2, 2)]
 
     def test_alpha_keeps_prefix(self):
         sys_ = make_system([2, 2])
         warm = TestSuite(sys_, [TestCase((a, b)) for a in range(2) for b in range(2)])
-        retained, stats = apply_warm_start(warm, sys_, ConstraintSet(), alpha=0.5)
-        assert stats["warm_retained"] == 2  # ceil(0.5 * 4)
-        assert [tc.levels for tc in retained] == [(0, 0), (0, 1)]
+        suite, report = self.run(warm, ConstraintSet(), alpha=0.5)
+        assert report.warm_retained == 2  # ceil(0.5 * 4)
+        assert [tc.levels for tc in suite.cases[:2]] == [(0, 0), (0, 1)]
+        assert report.phase2_cases == 2
 
     def test_alpha_zero_discards_everything(self):
         sys_ = make_system([2, 2])
         warm = TestSuite(sys_, [TestCase((0, 0))])
-        retained, stats = apply_warm_start(warm, sys_, ConstraintSet(), alpha=0.0)
-        assert retained == [] and stats["warm_retained"] == 0
+        _, report = self.run(warm, ConstraintSet(), alpha=0.0)
+        assert (report.warm_given, report.warm_valid, report.warm_retained) == (1, 1, 0)
 
     def test_alpha_out_of_range(self):
         sys_ = make_system([2, 2])
         with pytest.raises(PaircoverError):
-            apply_warm_start(TestSuite(sys_), sys_, ConstraintSet(), alpha=1.5)
+            self.run(TestSuite(sys_), ConstraintSet(), alpha=1.5)
 
 
 class TestMinimizeSuite:

@@ -39,10 +39,11 @@ class TestBuildStep:
             assert step.gain[it.i, it.a, it.j, it.b] == want
         assert step.gain.sum() == uni.weights[~cov.mask].sum()
         assert step.gain[0, 0, 1, 0] == 0  # avoided, so not in the universe
-        assert step.constraints.completes_avoid(1, 0, [0, -1])
-        assert not step.constraints.completes_avoid(1, 0, [1, -1])
-        assert not step.constraints.completes_avoid(0, 0, [-1, -1])
-        assert step.allowed == [(1, 0), (2, 1, 0)]
+        assert step.universe.constraints.completes_avoid(1, 0, [0, -1])
+        assert not step.universe.constraints.completes_avoid(1, 0, [1, -1])
+        assert not step.universe.constraints.completes_avoid(0, 0, [-1, -1])
+        no = sequential._UNREACHABLE  # factor 0's third level is padding
+        assert step.root.tolist() == [[0, 0, no], [0, 0, 0]]
         assert step.tail[0] == step.gain.max() and step.tail[1:] == [0, 0]
 
     def test_fixed_pick_narrows_factor(self):
@@ -50,7 +51,8 @@ class TestBuildStep:
         uni, cov = fresh_state(sys_, ConstraintSet())
         fixed = PartialAssignment(((1, 2),))
         step = build_step(uni, cov.uncovered_indices(), fixed)
-        assert step.allowed == [(1, 0), (2,)]
+        no = sequential._UNREACHABLE
+        assert step.root.tolist() == [[0, 0, no], [no, no, 0]]
         tc, _ = generate_single_case(cov, fixed=fixed)
         assert tc.levels == (1, 2)
 
