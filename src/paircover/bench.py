@@ -122,10 +122,9 @@ METHODS = {
 
 def run_methods(
     instances: dict[str, tuple[FactorSystem, ConstraintSet]],
-    methods: list[str] | None = None,
+    methods: list[str],
     seed: int = 0,
 ) -> list[BenchRecord]:
-    methods = methods or ["sequential", "greedy"]
     records = []
     for name, (system, cs) in instances.items():
         universe = InteractionUniverse(system, cs)

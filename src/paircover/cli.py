@@ -15,6 +15,7 @@ from . import io as pio
 from .core import PaircoverError, TestSuite
 from .greedy import greedy_suite
 from .interactions import InteractionUniverse, coverage_curve, verify_suite
+from .milp import SolveStatus
 from .monolithic import DEFAULT_TIME_LIMIT, minimal_suite
 from .pipeline import DEFAULT_MINIMIZE_TIME_LIMIT, PipelineConfig, minimize_suite, run_pipeline
 from .sequential import DEFAULT_STEP_TIME_LIMIT
@@ -49,25 +50,18 @@ def _cmd_generate(args) -> int:
     if args.warm_start:
         warm = pio.read_suite_csv(args.warm_start, system)
 
+    universe, degraded = None, False
     if args.method == "greedy":
         t0 = time.perf_counter()
         universe = InteractionUniverse(system, cs)
         universe_s = time.perf_counter() - t0
         suite = greedy_suite(system, cs, universe=universe, seed=args.seed)
-        wall = time.perf_counter() - t0
-
-        def report() -> dict:
-            return {
-                "method": "greedy",
-                "seed": args.seed,
-                "final_size": len(suite),
-                "universe_size": len(universe),
-                "coverage_curve": coverage_curve(suite, universe),
-                "wall_s": wall,
-                "universe_s": universe_s,
-            }
-
-        degraded = False
+        info = {
+            "seed": args.seed,
+            "universe_size": len(universe),
+            "wall_s": time.perf_counter() - t0,
+            "universe_s": universe_s,
+        }
         if cs.must:
             print(
                 "note: greedy ignores MUST combinations; use the sequential method",
@@ -75,11 +69,6 @@ def _cmd_generate(args) -> int:
             )
     elif args.method == "monolithic":
         suite, info = minimal_suite(system, cs, time_limit=args.time_limit)
-
-        def report() -> dict:
-            return {"method": "monolithic", "final_size": len(suite), **info}
-
-        degraded = False
     else:
         cfg = PipelineConfig(
             weighted=not args.unweighted,
@@ -87,16 +76,20 @@ def _cmd_generate(args) -> int:
             step_time_limit=args.step_time_limit,
             minimize=not args.no_minimize,
         )
-        suite, run_report = run_pipeline(system, cs, warm_start=warm, config=cfg)
-
-        def report() -> dict:
-            return {"method": "sequential", **run_report.to_dict()}
-
-        degraded = run_report.degraded
+        suite, info = run_pipeline(system, cs, warm_start=warm, config=cfg)
+        degraded = info.degraded
 
     _emit_suite(args, suite)
     if args.report:  # built only when asked for: the curve and the deep copy cost time
-        pio.write_report(args.report, report())
+        if universe is None:  # the run's pair set, found from the suite's own cases
+            universe = InteractionUniverse(system, cs, witnesses=suite)
+        report = {
+            "method": args.method,
+            "final_size": len(suite),
+            **(info.to_dict() if args.method == "sequential" else info),
+            "coverage_curve": coverage_curve(suite, universe),
+        }
+        pio.write_report(args.report, report)
     # the greedy path never runs verify_suite, so it claims no verification
     verified = "" if args.method == "greedy" else "; coverage verified"
     print(
@@ -123,12 +116,11 @@ def _cmd_minimize(args) -> int:
     suite = pio.read_suite_csv(args.suite, system)
     out, stats = minimize_suite(suite, cs, time_limit=args.time_limit)
     _emit_suite(args, out)
-    if stats.get("fallback"):
-        note = " (time limit hit, kept input)"
-    elif not stats["proved_optimal"]:
-        note = " (time limit hit, kept best cover found)"
-    else:
-        note = ""
+    note = {
+        SolveStatus.OPTIMAL.value: "",
+        SolveStatus.FEASIBLE.value: " (time limit hit, kept best cover found)",
+        SolveStatus.TIMED_OUT.value: " (time limit hit, kept input)",
+    }[stats["status"]]
     print(f"{len(suite)} -> {len(out)} cases{note}", file=sys.stderr)
     return EXIT_DEGRADED if note else EXIT_OK
 
@@ -154,7 +146,9 @@ def _cmd_bench(args) -> int:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
-    taus = [1.0 + 0.05 * k for k in range(int((args.max_tau - 1.0) / 0.05) + 1)]
+    # every tau up to and including max_tau: the epsilon lifts (1.7 - 1) / 0.05,
+    # which is 13.999... in floating point, to 14
+    taus = [1.0 + 0.05 * k for k in range(int((args.max_tau - 1.0) / 0.05 + 1e-9) + 1)]
     profile = bench_mod.performance_profile(records, taus)
     if args.profile:
         with open(args.profile, "w") as fh:

@@ -22,7 +22,7 @@ from .interactions import find_extension
 
 @dataclass
 class Partition:
-    """Groups of indices into ``constraints.must``, in creation order."""
+    """Groups of indices into the partitioned must tuples, in creation order."""
 
     groups: list[list[int]]
     merged: list[PartialAssignment]
@@ -52,17 +52,14 @@ def incompatibility_edges(
 def partition_musts(
     system: FactorSystem,
     constraints: ConstraintSet,
-    musts: list[PartialAssignment] | None = None,
+    musts: list[PartialAssignment],
 ) -> Partition:
-    """Greedy-color the incompatibility graph of the must tuples.
+    """Greedy-color the incompatibility graph of ``musts``.
 
-    ``musts`` defaults to ``constraints.must``; passing a subset lets the
-    pipeline partition only the tuples a warm start left unsatisfied.
-    Raises StructureError for a must tuple with no valid extension at all,
-    since no suite could ever satisfy it.
+    The pipeline passes the must tuples of ``constraints`` that a warm
+    start left unsatisfied.  Raises StructureError for a must tuple with no
+    valid extension at all, since no suite could ever satisfy it.
     """
-    if musts is None:
-        musts = list(constraints.must)
     for mu in musts:
         mu.validate_against(system)
         if find_extension(mu, system, constraints) is None:

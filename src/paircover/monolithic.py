@@ -57,7 +57,6 @@ class MonolithicModel:
     milp: MilpModel
     system: FactorSystem
     constraints: ConstraintSet
-    universe: InteractionUniverse
     m: int
 
     def decode(self, values) -> TestSuite:
@@ -85,14 +84,12 @@ def build_monolithic(
     system: FactorSystem,
     constraints: ConstraintSet,
     m: int,
-    universe: InteractionUniverse | None = None,
+    universe: InteractionUniverse,
 ) -> MonolithicModel:
-    """Assemble the m-slot coverage maximization program."""
+    """Assemble the m-slot program covering the pairs of ``universe``."""
     if m < 1:
         raise StructureError(f"need at least one slot, got m={m}")
     constraints.validate_against(system)
-    if universe is None:
-        universe = InteractionUniverse(system, constraints)
     n = system.n_factors
     card = system.cardinalities
     nx = sum(card)
@@ -157,7 +154,7 @@ def build_monolithic(
             milp.add_constraint(coefs, "<=", len(mu) - 1)
         milp.add_constraint({y0 + g * m + c: 1 for c in range(m)}, ">=", 1)
 
-    return MonolithicModel(milp, system, constraints, universe, m)
+    return MonolithicModel(milp, system, constraints, m)
 
 
 def coverage_lower_bound(universe: InteractionUniverse) -> int:
@@ -179,7 +176,7 @@ def minimal_suite(
     constraints.validate_against(system)
     universe = InteractionUniverse(system, constraints)
     nu = len(universe)
-    report: dict = {"universe": nu, "attempts": []}
+    report: dict = {"universe_size": nu, "attempts": []}
     if nu == 0 and not constraints.must:
         return TestSuite(system), report
 

@@ -56,15 +56,12 @@ class RunReport:
     must_total: int = 0
     must_presatisfied: int = 0
     must_groups: int = 0
-    phase1_cases: int = 0
     phase2_cases: int = 0
     raw_size: int = 0
     final_size: int = 0
-    minimized: bool = False
     degraded: bool = False
     cover: dict = field(default_factory=dict)
     steps: list = field(default_factory=list)
-    coverage_curve: list = field(default_factory=list)
     phase_wall_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -95,8 +92,7 @@ def solve(cover: list[int], time_limit: float | None = None) -> MilpSolution:
     the deadline every 1024 nodes; on timeout the incumbent comes back as
     FEASIBLE.  ``values`` is the 0/1 keep vector, ``objective`` its size.
     """
-    t0 = time.perf_counter()
-    deadline = None if time_limit is None else t0 + float(time_limit)
+    deadline = None if time_limit is None else time.perf_counter() + float(time_limit)
     m = len(cover)
     everything = 0
     for mask in cover:
@@ -143,7 +139,7 @@ def solve(cover: list[int], time_limit: float | None = None) -> MilpSolution:
         if not uncovered & last[r]:
             stack.append((r + 1, uncovered, keep, kept))
 
-    stats = {"nodes": nodes, "root_bound": root, "wall_s": time.perf_counter() - t0}
+    stats = {"nodes": nodes, "root_bound": root}
     if best_keep is None:
         return MilpSolution(SolveStatus.TIMED_OUT, None, None, stats)
     values = np.array([best_keep >> r & 1 for r in range(m)], dtype=np.int8)
@@ -162,18 +158,16 @@ def minimize_suite(
     The elements to keep covered are the universe pairs the suite covers
     and each must tuple some row carries: bit u of a row's mask is universe
     pair u, and bit len(universe) + g is must tuple g.  Falls back to the
-    input suite when the solve finds no cover in time, so the result is
-    never larger than what went in.  A universe built here is seeded with
-    the suite's avoid-valid rows (``InteractionUniverse``'s ``witnesses``).
+    input suite when the solve finds no cover in time (status
+    ``timed_out``), so the result is never larger than what went in.  A
+    universe built here is seeded with the suite's avoid-valid rows
+    (``InteractionUniverse``'s ``witnesses``).
     """
     t0 = time.perf_counter()
     system = suite.system
     if universe is None:
         universe = InteractionUniverse(system, constraints, witnesses=suite)
     m = len(suite)
-    if m == 0:
-        return suite, {"status": "empty", "removed": 0, "proved_optimal": True}
-
     cover, everything = [], 0
     for tc in suite:
         mask = 0
@@ -203,11 +197,8 @@ def minimize_suite(
         "nodes": sol.stats.get("nodes"),
         "root_bound": sol.stats.get("root_bound"),
         "wall_s": time.perf_counter() - t0,
-        "proved_optimal": sol.status == SolveStatus.OPTIMAL,
         "removed": m - len(out),
     }
-    if not sol.has_solution:
-        stats["fallback"] = True
     return out, stats
 
 
@@ -264,8 +255,6 @@ def run_pipeline(
             coverage.mark_case(tc)
             suite.append(tc)
             report.steps.append({"phase": 1, **st, "fixed": fixed.picks})
-            report.phase1_cases += 1
-            report.degraded |= not st["proved_optimal"]
     report.phase_wall_s["must"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -282,24 +271,18 @@ def run_pipeline(
         st["fresh"] = fresh
         report.steps.append({"phase": 2, **st})
         report.phase2_cases += 1
-        report.degraded |= not st["proved_optimal"]
     report.phase_wall_s["generate"] = time.perf_counter() - t2
     report.raw_size = len(suite)
 
     t3 = time.perf_counter()
-    if cfg.minimize and len(suite):
-        suite, min_stats = minimize_suite(suite, constraints, universe)
-        report.minimized = True
-        report.cover = min_stats
-        report.degraded |= not min_stats["proved_optimal"]
+    if cfg.minimize:
+        suite, report.cover = minimize_suite(suite, constraints, universe)
         report.phase_wall_s["minimize"] = time.perf_counter() - t3
+    solves = [*report.steps, report.cover] if cfg.minimize else report.steps
+    report.degraded = any(s["status"] != SolveStatus.OPTIMAL.value for s in solves)
 
     report.final_size = len(suite)
     t4 = time.perf_counter()
-    # imported at call time: perfbench's tracer rebinds interactions.coverage_curve
-    from .interactions import coverage_curve
-
-    report.coverage_curve = coverage_curve(suite, universe)
     ok, problems = verify_suite(suite, constraints, universe)
     if not ok:
         raise PaircoverError(

@@ -207,8 +207,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     timeout the incumbent comes back as FEASIBLE.  ``values`` is the level
     per factor, which ``StepModel.decode`` turns into the case.
     """
-    t0 = time.perf_counter()
-    deadline = None if time_limit is None else t0 + float(time_limit)
+    deadline = None if time_limit is None else time.perf_counter() + float(time_limit)
     card = step.universe.system.cardinalities
     block, block_score = step.block, step.block_score
     s, cases, cells, straddling = block.start, block.cases, block.cells, block.straddling
@@ -258,7 +257,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     except _Stop:
         pass
 
-    stats = {"nodes": nodes, "wall_s": time.perf_counter() - t0}
+    stats = {"nodes": nodes}
     if best_levels is None:
         status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.INFEASIBLE
         return MilpSolution(status, None, None, stats)
@@ -271,15 +270,15 @@ def generate_single_case(
     fixed: PartialAssignment | None = None,
     time_limit: float | None = DEFAULT_STEP_TIME_LIMIT,
 ) -> tuple[TestCase | None, dict]:
-    """Best next case over ``coverage.universe``, or None when everything is
-    already covered and no picks are fixed.
+    """Best next case over ``coverage.universe`` and the step's stats, or
+    ``(None, {})`` when everything is already covered and no picks are fixed.
 
-    A solve that times out with an incumbent still returns that case and
-    flags the step as unproven; with no incumbent it raises StepTimeout.
+    A solve that times out with an incumbent still returns that case, with
+    status ``feasible``; with no incumbent it raises StepTimeout.
     """
     uncovered = coverage.uncovered_indices()
     if len(uncovered) == 0 and fixed is None:
-        return None, {"complete": True}
+        return None, {}
     t0 = time.perf_counter()
     step = build_step(coverage.universe, uncovered, fixed)
     sol = solve(step, time_limit=time_limit)
@@ -289,7 +288,6 @@ def generate_single_case(
         "objective": sol.objective,
         "nodes": sol.stats["nodes"],
         "wall_s": time.perf_counter() - t0,
-        "proved_optimal": sol.status == SolveStatus.OPTIMAL,
     }
     if sol.status == SolveStatus.INFEASIBLE:
         raise StructureError(

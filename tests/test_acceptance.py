@@ -218,7 +218,7 @@ def test_criterion_6_soundness_suite():
     runs = 0
     for name, (system, cs) in instances.items():
         if cs.must:
-            part = partition_musts(system, cs)
+            part = partition_musts(system, cs, list(cs.must))
             for merged in part.merged:
                 assert find_extension(merged, system, cs) is not None, (
                     f"{name}: must group not jointly extendable"
@@ -230,7 +230,7 @@ def test_criterion_6_soundness_suite():
                 ok, problems = verify_suite(suite, cs)
                 assert ok, f"{name} {cfg}: {problems[:2]}"
                 assert report.final_size <= report.raw_size, f"{name} {cfg}"
-                curve = report.coverage_curve
+                curve = coverage_curve(suite, InteractionUniverse(system, cs))
                 assert curve == sorted(curve), f"{name} {cfg}: curve not monotone"
                 smaller, _ = minimize_suite(suite, cs)
                 assert len(smaller) <= len(suite), f"{name} {cfg}"

@@ -10,12 +10,13 @@ import pytest
 
 import paircover
 import paircover.milp
-from paircover import cli, monolithic
+from paircover import cli, interactions, monolithic
 from paircover.bench import make_system
 from paircover.core import ConstraintSet, TestSuite
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse
 from paircover.io import load_model, read_suite_csv, write_suite_csv
+from paircover.milp import SolveStatus
 from paircover.pipeline import (
     DEFAULT_MINIMIZE_TIME_LIMIT,
     PipelineConfig,
@@ -77,11 +78,24 @@ class TestGenerate:
             raise AssertionError("report built without --report")
 
         monkeypatch.setattr(cli, "coverage_curve", unwanted)
+        monkeypatch.setattr(interactions, "coverage_curve", unwanted)
         monkeypatch.setattr(RunReport, "to_dict", unwanted)
         for method in ("sequential", "greedy", "monolithic"):
             out = tmp_path / f"{method}.csv"
             argv = ["generate", "--model", str(model_file), "--method", method, "--out", str(out)]
             assert cli.main(argv) == 0
+
+    def test_every_method_writes_one_report_shape(self, model_file, tmp_path):
+        system, _ = load_model(model_file)
+        for method in ("sequential", "greedy", "monolithic"):
+            out, report = tmp_path / f"{method}.csv", tmp_path / f"{method}.json"
+            argv = ["generate", "--model", str(model_file), "--method", method]
+            assert cli.main(argv + ["--out", str(out), "--report", str(report)]) == 0
+            data = json.loads(report.read_text())
+            assert data["method"] == method
+            assert data["final_size"] == len(read_suite_csv(out, system))
+            assert data["universe_size"] > 0
+            assert data["coverage_curve"][-1] == 1.0
 
     def test_stdout_default(self, model_file, capsys):
         rc = cli.main(["generate", "--model", str(model_file), "--method", "greedy"])
@@ -227,6 +241,14 @@ class TestMinimize:
         system, _ = load_model(model_file)
         assert len(read_suite_csv(reduced, system)) <= len(rows)
 
+    def test_empty_suite(self, model_file, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("A,B,C\n")
+        rc = cli.main(["minimize", "--model", str(model_file), "--suite", str(empty)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == "A,B,C\n" and captured.err == "0 -> 0 cases\n"
+
     def test_unproven_cover_exits_degraded(self, tmp_path, capsys):
         # the 73-row cover of test_pipeline's overshoot test: not proven in 0.5 s
         system, cs = make_system([4] * 6), ConstraintSet()
@@ -287,6 +309,14 @@ class TestBench:
         assert len(lines) == 3  # 2 instances x 1 method
         assert profile.read_text().startswith("tau,")
         assert "mean rank greedy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_tau, last", [("1.7", "1.700"), ("1.74", "1.700"), ("1.9", "1.900")])
+    def test_max_tau_is_the_last_tau(self, tmp_path, max_tau, last):
+        profile = tmp_path / "profile.csv"
+        argv = ["bench", "--family", "random", "--count", "1", "--methods", "greedy"]
+        argv += ["--out", str(tmp_path / "records.csv"), "--profile", str(profile)]
+        assert cli.main(argv + ["--max-tau", max_tau]) == 0
+        assert profile.read_text().splitlines()[-1].split(",")[0] == last
 
     def test_unknown_method(self, capsys):
         rc = cli.main(["bench", "--family", "random", "--count", "1", "--methods", "nope"])
@@ -371,3 +401,32 @@ def test_readme_api_names_exist():
         name for name in named if not hasattr(paircover, name) and not hasattr(paircover.milp, name)
     }
     assert named and not missing, sorted(missing)
+
+
+def test_readme_report_names_exist(model_file, tmp_path):
+    # every snake_case name the "Run reports" section spells in backticks is
+    # a report key, a solve status or a package name, so a field that is
+    # renamed or dropped cannot linger in the docs
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Run reports\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
+    bbu = root / "models" / "bbu_5g.model"
+    # the monolithic method runs on the small model: on bbu it takes minutes
+    runs = [(bbu, "sequential"), (bbu, "greedy"), (model_file, "monolithic")]
+    keys = set()
+
+    def collect(node):
+        if isinstance(node, dict):
+            keys.update(node)
+            node = list(node.values())
+        if isinstance(node, list):
+            for item in node:
+                collect(item)
+
+    for model, method in runs:
+        report = tmp_path / f"{method}.json"
+        argv = ["generate", "--model", str(model), "--method", method]
+        assert cli.main(argv + ["--out", str(tmp_path / "suite.csv"), "--report", str(report)]) == 0
+        collect(json.loads(report.read_text()))
+    known = keys | {s.value for s in SolveStatus} | set(dir(paircover))
+    assert named and not named - known, sorted(named - known)

@@ -36,13 +36,13 @@ class TestIncompatibilityEdges:
 class TestPartitionMusts:
     def test_empty(self):
         sys_ = make_system([2, 2])
-        part = partition_musts(sys_, ConstraintSet())
+        part = partition_musts(sys_, ConstraintSet(), [])
         assert part.n_groups == 0
 
     def test_groups_collapse_compatible_tuples(self):
         sys_ = make_system([3, 3, 3])
         cs = ConstraintSet(must=(pa((0, 0)), pa((1, 1)), pa((0, 1))))
-        part = partition_musts(sys_, cs)
+        part = partition_musts(sys_, cs, list(cs.must))
         assert part.n_groups == 2
         covered = sorted(g for grp in part.groups for g in grp)
         assert covered == [0, 1, 2]
@@ -71,7 +71,7 @@ class TestPartitionMusts:
         )
         edges = incompatibility_edges(list(cs.must), sys_, cs)
         assert edges == set()
-        part = partition_musts(sys_, cs)
+        part = partition_musts(sys_, cs, list(cs.must))
         assert part.n_groups == 2
         for mg in part.merged:
             assert find_extension(mg, sys_, cs) is not None
@@ -81,8 +81,8 @@ class TestPartitionMusts:
         cs = ConstraintSet(
             must=(pa((0, 0)), pa((0, 1)), pa((1, 0)), pa((2, 2)), pa((0, 2)))
         )
-        a = partition_musts(sys_, cs)
-        b = partition_musts(sys_, cs)
+        a = partition_musts(sys_, cs, list(cs.must))
+        b = partition_musts(sys_, cs, list(cs.must))
         assert a.groups == b.groups
         assert a.merged == b.merged
 
@@ -95,7 +95,7 @@ class TestPartitionMusts:
 
     def test_bbu_musts_fit_one_case(self):
         sys_, cs = make_bbu()
-        part = partition_musts(sys_, cs)
+        part = partition_musts(sys_, cs, list(cs.must))
         assert part.n_groups == 1
         assert find_extension(part.merged[0], sys_, cs) is not None
 
@@ -108,7 +108,7 @@ def test_random_partitions_are_sound(rng):
             sys_, rng, n_avoid=int(rng.integers(0, 3)), n_must=int(rng.integers(1, 5))
         )
         try:
-            part = partition_musts(sys_, cs)
+            part = partition_musts(sys_, cs, list(cs.must))
         except StructureError:
             # a generated must may have no valid extension; that rejection
             # is itself the contract

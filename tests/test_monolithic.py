@@ -17,7 +17,7 @@ class TestBuildMonolithic:
     def test_variable_counts(self):
         # 2x2 system, 4 slots: 4 levels per slot, 4 achievable pairs
         sys_ = make_system([2, 2])
-        mono = build_monolithic(sys_, ConstraintSet(), m=4)
+        mono = build_monolithic(sys_, ConstraintSet(), m=4, universe=InteractionUniverse(sys_, ConstraintSet()))
         n_x = 4 * 4
         n_q = 4 * 4
         n_p = 4
@@ -27,8 +27,8 @@ class TestBuildMonolithic:
     def test_must_adds_indicators(self):
         sys_ = make_system([2, 2])
         cs = ConstraintSet(must=(PartialAssignment(((0, 1),)),))
-        plain = build_monolithic(sys_, ConstraintSet(), m=3).milp
-        milp = build_monolithic(sys_, cs, m=3).milp
+        plain = build_monolithic(sys_, ConstraintSet(), m=3, universe=InteractionUniverse(sys_, ConstraintSet())).milp
+        milp = build_monolithic(sys_, cs, m=3, universe=InteractionUniverse(sys_, cs)).milp
         # one y per slot, appended last
         assert milp.nvars == plain.nvars + 3
         # per slot: y <= x and the containment row; then one "some slot" row
@@ -41,13 +41,13 @@ class TestBuildMonolithic:
     def test_rejects_zero_slots(self):
         sys_ = make_system([2, 2])
         with pytest.raises(StructureError):
-            build_monolithic(sys_, ConstraintSet(), m=0)
+            build_monolithic(sys_, ConstraintSet(), m=0, universe=InteractionUniverse(sys_, ConstraintSet()))
 
     def test_size_cap(self):
         sys_ = make_system([4, 4, 4, 4])
         with pytest.raises(ModelSizeError):
             # 16 x and 96 q variables per slot, plus 96 p: over the cap at m=2000
-            build_monolithic(sys_, ConstraintSet(), m=2000)
+            build_monolithic(sys_, ConstraintSet(), m=2000, universe=InteractionUniverse(sys_, ConstraintSet()))
 
 
 class TestDecode:
@@ -58,7 +58,7 @@ class TestDecode:
         # 2x3 with F0=0, F1=0 avoided; two slots of 5 x variables each
         sys_ = make_system([2, 3])
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
-        return build_monolithic(sys_, cs, m=2)
+        return build_monolithic(sys_, cs, m=2, universe=InteractionUniverse(sys_, cs))
 
     @staticmethod
     def _values(mono, *slots):
@@ -142,4 +142,4 @@ class TestMinimalSuite:
         )
         suite, report = minimal_suite(sys_, cs)
         assert len(suite) == 0
-        assert report["universe"] == 0
+        assert report["universe_size"] == 0

@@ -12,7 +12,7 @@ from paircover.core import (
     TestSuite,
 )
 from paircover.greedy import greedy_suite
-from paircover.interactions import InteractionUniverse, verify_suite
+from paircover.interactions import InteractionUniverse, coverage_curve, verify_suite
 from paircover.milp import MilpSolution, SolveStatus
 from paircover.pipeline import (
     PipelineConfig,
@@ -123,7 +123,7 @@ class TestMinimizeSuite:
     def test_empty_input(self):
         sys_ = make_system([2, 2])
         out, stats = minimize_suite(TestSuite(sys_), ConstraintSet())
-        assert len(out) == 0 and stats["status"] == "empty"
+        assert len(out) == 0 and stats["status"] == "optimal" and stats["removed"] == 0
 
     def test_fallback_when_solver_starved(self, monkeypatch):
         import paircover.pipeline as pl
@@ -138,7 +138,7 @@ class TestMinimizeSuite:
         bloated = TestSuite(sys_, cases + cases)
         out, stats = minimize_suite(bloated, ConstraintSet())
         assert len(out) == len(bloated)
-        assert stats["fallback"] and stats["removed"] == 0
+        assert stats["status"] == "timed_out" and stats["removed"] == 0
 
     def test_reports_the_cover_solve(self):
         sys_ = make_system([2, 2])
@@ -146,7 +146,7 @@ class TestMinimizeSuite:
         _, stats = minimize_suite(TestSuite(sys_, cases + cases), ConstraintSet())
         assert stats["rows"] == 8 and stats["elements"] == 4
         assert stats["root_bound"] == 4 and stats["nodes"] > 0
-        assert stats["wall_s"] >= 0 and stats["proved_optimal"]
+        assert stats["wall_s"] >= 0 and stats["status"] == "optimal"
         assert "nvars" not in stats and "ncons" not in stats
 
     def test_long_suite_needs_no_recursion(self):
@@ -155,7 +155,7 @@ class TestMinimizeSuite:
         cases = [TestCase((a, b)) for a in range(2) for b in range(2)]
         out, stats = minimize_suite(TestSuite(sys_, cases * 375), ConstraintSet())
         assert len(out) == 4 and stats["rows"] == 1500
-        assert stats["proved_optimal"]
+        assert stats["status"] == "optimal"
         assert verify_suite(out, ConstraintSet())[0]
 
     def test_time_limit_overshoot_is_bounded(self):
@@ -169,7 +169,7 @@ class TestMinimizeSuite:
         t0 = time.perf_counter()
         out, stats = minimize_suite(suite, cs, time_limit=0.5)
         assert time.perf_counter() - t0 < 3.0
-        assert not stats["proved_optimal"]
+        assert stats["status"] != "optimal"
         assert len(out) <= 73 and verify_suite(out, cs)[0]
 
 
@@ -282,7 +282,7 @@ class TestRunPipeline:
 
         sys_, cs = make_bbu()
         _, report = run_pipeline(sys_, cs)
-        assert report.cover["proved_optimal"] and not report.degraded
+        assert report.cover["status"] == "optimal" and not report.degraded
         assert report.cover["rows"] == report.raw_size
 
         def unproven(cover, time_limit=None):
@@ -291,8 +291,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pl, "solve", unproven)
         suite, report = run_pipeline(sys_, cs)
-        assert report.degraded and not report.cover["proved_optimal"]
-        assert "fallback" not in report.cover
+        assert report.degraded and report.cover["status"] == "feasible"
         assert verify_suite(suite, cs)[0]
 
     def test_end_to_end_reference_instance(self):
@@ -303,8 +302,8 @@ class TestRunPipeline:
         assert report.final_size == len(suite)
         assert report.final_size <= report.raw_size
         assert not report.degraded
-        assert report.must_groups == 1 and report.phase1_cases == 1
-        assert report.coverage_curve[-1] == 1.0
+        assert report.must_groups == 1 and len(report.steps) == report.phase2_cases + 1
+        assert coverage_curve(suite, InteractionUniverse(sys_, cs))[-1] == 1.0
 
     def test_unconstrained_small(self):
         sys_ = make_system([3, 3, 3])
@@ -327,7 +326,7 @@ class TestRunPipeline:
         sys_, cs = make_bbu()
         picks = ((0, 3), (1, 3), (2, 1))  # bbu's one must group
         suite, report = run_pipeline(sys_, cs, config=PipelineConfig(minimize=False))
-        assert report.must_groups == 1 and report.phase1_cases == 1
+        assert report.must_groups == 1
         step = report.steps[0]
         assert step["phase"] == 1 and step["fixed"] == picks
         assert step["objective"] > 0 and "fresh" not in step
@@ -340,7 +339,7 @@ class TestRunPipeline:
         cs = ConstraintSet(must=(PartialAssignment(((0, 0), (1, 0), (2, 1))),))
         warm = TestSuite(sys_, [TestCase(lv) for lv in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))])
         suite, report = run_pipeline(sys_, cs, warm_start=warm, config=PipelineConfig(alpha=1.0))
-        assert report.warm_retained == 4 and report.phase1_cases == 1
+        assert report.warm_retained == 4 and report.must_groups == 1
         assert report.steps[0]["uncovered_before"] == 0 and report.phase2_cases == 0
         assert TestCase((0, 0, 1)) in suite.cases
 
@@ -349,7 +348,7 @@ class TestRunPipeline:
         warm = TestSuite(sys_, [TestCase((3, 3, 1, 0))])  # carries the must
         _, report = run_pipeline(sys_, cs, warm_start=warm, config=PipelineConfig(alpha=1.0))
         assert report.must_presatisfied == 1
-        assert report.phase1_cases == 0
+        assert report.must_groups == 0
 
     def test_unweighted_config(self):
         sys_, cs = make_bbu()
@@ -363,13 +362,13 @@ class TestRunPipeline:
         suite, report = run_pipeline(
             sys_, ConstraintSet(), config=PipelineConfig(minimize=False)
         )
-        assert not report.minimized
+        assert report.cover == {}
         assert report.final_size == report.raw_size
 
     def test_curve_monotone(self):
         sys_, cs = make_bbu()
-        _, report = run_pipeline(sys_, cs)
-        curve = report.coverage_curve
+        suite, _ = run_pipeline(sys_, cs)
+        curve = coverage_curve(suite, InteractionUniverse(sys_, cs))
         assert curve == sorted(curve)
         assert curve[-1] == 1.0
 
