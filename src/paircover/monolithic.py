@@ -1,24 +1,27 @@
 """One-shot formulation: a fixed number of case slots, solved whole.
 
-For ``m`` slots the model picks one level per factor per slot and maximizes
-the number of distinct achievable pairs covered across slots.  Avoid tuples
-become per-slot knapsack rows; each must tuple gets containment indicator
-variables tied to the slots, at least one of which has to fire.
+For ``m`` slots the model picks one level per factor per slot and asks
+whether those m cases cover everything: it is a feasibility program with no
+objective.  Avoid tuples become per-slot knapsack rows.  Every tuple a slot
+must hold, each achievable pair and then each must tuple (the set cover's
+element order), gets one indicator per slot, tied by ``z <= x`` to each of
+its picks, and one row saying some slot's indicator fires.
 
-The coverage chain is x (slot picks level) -> q (slot covers pair) -> p
-(pair covered anywhere).  q needs both directions: q <= each x so a slot
-cannot claim a pair it does not contain, and q >= x + x - 1 so propagation
-fixes q as soon as both picks are down.  p <= sum of q over slots.
+Each case holds exactly one pair of the widest factor pair (the one with the
+most achievable pairs), and slots are interchangeable, so any cover can be
+permuted until slot k holds widest pair k.  Fixing those picks removes the
+slot symmetry that otherwise leaves the infeasible m undecided.
 
-``minimal_suite`` searches m upward from a pair-packing lower bound and
-returns the first m whose model covers everything, which is the exact
-minimum suite size.
+``minimal_suite`` searches m upward from that pair count and returns the
+first m whose model has a point, which is the exact minimum suite size.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     ConstraintSet,
@@ -93,15 +96,14 @@ def build_monolithic(
     n = system.n_factors
     card = system.cardinalities
     nx = sum(card)
-    nu = len(universe)
-    n_must = len(constraints.must)
-    est_vars = m * nx + m * nu + nu + m * n_must
+    tuples = [universe.interaction(u) for u in range(len(universe))] + list(constraints.must)
+    est_vars = m * (nx + len(tuples))
     if est_vars > DEFAULT_MAX_VARS:
         raise ModelSizeError(
             f"monolithic model would need {est_vars} variables (cap {DEFAULT_MAX_VARS})"
         )
 
-    milp = MilpModel(sense="max")
+    milp = MilpModel()
     base = [sum(card[:i]) for i in range(n)]
 
     def x(c, f, v) -> int:
@@ -110,56 +112,35 @@ def build_monolithic(
 
     for _ in range(m * nx):
         milp.add_var()
-    q0 = milp.nvars  # q of (slot c, pair u) is q0 + c * nu + u
-    for _ in range(m * nu):
-        milp.add_var()
-    p0 = milp.nvars  # p of pair u is p0 + u
-    for _ in range(nu):
-        milp.add_var(obj=1)
-    y0 = milp.nvars  # y of (must g, slot c) is y0 + g * m + c
-    for _ in range(n_must * m):
-        milp.add_var()
-
     # one level per factor per slot
     for c in range(m):
         for i in range(n):
             milp.add_constraint({x(c, i, a): 1 for a in range(card[i])}, "==", 1)
-    # q tied to both picks
-    for c in range(m):
-        for u in range(nu):
-            xi = x(c, universe.f1[u], universe.v1[u])
-            xj = x(c, universe.f2[u], universe.v2[u])
-            qv = q0 + c * nu + u
-            milp.add_constraint({qv: 1, xi: -1}, "<=", 0)
-            milp.add_constraint({qv: 1, xj: -1}, "<=", 0)
-            milp.add_constraint({xi: 1, xj: 1, qv: -1}, "<=", 1)
-    # p covered by some slot
-    for u in range(nu):
-        coefs = {p0 + u: 1}
-        for c in range(m):
-            coefs[q0 + c * nu + u] = -1
-        milp.add_constraint(coefs, "<=", 0)
     # avoid tuples per slot
     for c in range(m):
         for av in constraints.avoid:
             milp.add_constraint({x(c, f, v): 1 for f, v in av.picks}, "<=", len(av) - 1)
-    # must tuples: containment indicators, at least one slot fires
-    for g, mu in enumerate(constraints.must):
+    # slot k holds widest pair k
+    for c, u in enumerate(widest_pairs(universe)[:m]):
+        for f, v in tuples[u].picks:
+            milp.add_constraint({x(c, f, v): 1}, "==", 1)
+    # every pair, then every must: one indicator per slot, some slot holds it
+    for t in tuples:
+        z = [milp.add_var() for _ in range(m)]
         for c in range(m):
-            yv = y0 + g * m + c
-            coefs = {yv: -1}
-            for f, v in mu.picks:
-                milp.add_constraint({yv: 1, x(c, f, v): -1}, "<=", 0)
-                coefs[x(c, f, v)] = 1
-            milp.add_constraint(coefs, "<=", len(mu) - 1)
-        milp.add_constraint({y0 + g * m + c: 1 for c in range(m)}, ">=", 1)
+            for f, v in t.picks:
+                milp.add_constraint({z[c]: 1, x(c, f, v): -1}, "<=", 0)
+        milp.add_constraint(dict.fromkeys(z, 1), ">=", 1)
 
     return MonolithicModel(milp, system, constraints, m)
 
 
-def coverage_lower_bound(universe: InteractionUniverse) -> int:
-    """Most pairs any factor pair contributes; each case covers one of them."""
-    return int((universe.pair_id >= 0).sum(axis=(1, 3)).max())
+def widest_pairs(universe: InteractionUniverse) -> list[int]:
+    """The pair ids, in id order, of the factor pair with the most pairs."""
+    counts = (universe.pair_id >= 0).sum(axis=(1, 3))
+    i, j = np.unravel_index(counts.argmax(), counts.shape)
+    ids = universe.pair_id[i, :, j, :]
+    return ids[ids >= 0].tolist()
 
 
 def minimal_suite(
@@ -180,7 +161,7 @@ def minimal_suite(
     if nu == 0 and not constraints.must:
         return TestSuite(system), report
 
-    lb = max(coverage_lower_bound(universe), 1)
+    lb = max(len(widest_pairs(universe)), 1)
     hi = nu + len(constraints.must) + 1
     t0 = time.perf_counter()
     for m in range(lb, hi + 1):
@@ -188,29 +169,28 @@ def minimal_suite(
         # HiGHS: a branch and bound without an LP relaxation stalls on slot
         # models past toy sizes
         sol = solve_highs(mono.milp, time_limit)
-        attempt = {
-            "m": m,
-            "status": sol.status.value,
-            "objective": sol.objective,
-            "nvars": mono.milp.nvars,
-            "ncons": mono.milp.ncons,
-        }
-        report["attempts"].append(attempt)
-        if sol.status == SolveStatus.TIMED_OUT or (
-            sol.status == SolveStatus.FEASIBLE and (sol.objective or 0) < nu
-        ):
+        report["attempts"].append(
+            {
+                "m": m,
+                "status": sol.status.value,
+                "nvars": mono.milp.nvars,
+                "ncons": mono.milp.ncons,
+            }
+        )
+        if sol.status == SolveStatus.INFEASIBLE:
+            continue
+        if not sol.has_solution:
             raise MonolithicTimeout(
                 f"could not decide coverage at m={m} within {time_limit}s"
             )
-        if sol.has_solution and sol.objective == nu:
-            suite = mono.decode(sol.values)
-            # decoded suite must actually do what the objective claims
-            ok, problems = verify_suite(suite, constraints, universe)
-            if not ok:
-                raise PaircoverError(
-                    "decoded monolithic suite is unsound: " + "; ".join(problems[:3])
-                )
-            report["m"] = m
-            report["wall_s"] = time.perf_counter() - t0
-            return suite, report
+        # every point covers everything and each smaller m was infeasible
+        suite = mono.decode(sol.values)
+        ok, problems = verify_suite(suite, constraints, universe)
+        if not ok:
+            raise PaircoverError(
+                "decoded monolithic suite is unsound: " + "; ".join(problems[:3])
+            )
+        report["m"] = m
+        report["wall_s"] = time.perf_counter() - t0
+        return suite, report
     raise PaircoverError(f"no covering suite found with m <= {hi}")

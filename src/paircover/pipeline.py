@@ -210,6 +210,8 @@ def run_pipeline(
 ) -> tuple[TestSuite, RunReport]:
     """Warm start, must groups, per-case generation, set-cover pruning."""
     cfg = config or PipelineConfig()
+    if not 0.0 <= cfg.alpha <= 1.0:
+        raise PaircoverError(f"alpha must be in [0, 1], got {cfg.alpha}")
     constraints.validate_against(system)
     t = time.perf_counter()
     universe = InteractionUniverse(system, constraints, weighted=cfg.weighted)
@@ -226,8 +228,6 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     if warm_start is not None:
-        if not 0.0 <= cfg.alpha <= 1.0:
-            raise PaircoverError(f"alpha must be in [0, 1], got {cfg.alpha}")
         # drop the rows that violate an avoid tuple, keep the first
         # ceil(alpha * valid) of the rest, in order
         valid = [tc for tc in warm_start if validate_case(tc, system, constraints)]

@@ -348,6 +348,11 @@ class TestErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_alpha_out_of_range(self, model_file, capsys):
+        rc = cli.main(["generate", "--model", str(model_file), "--alpha", "5"])
+        assert rc == 1
+        assert "alpha must be in [0, 1]" in capsys.readouterr().err
+
 
 def test_defaults_come_from_the_library():
     parser = cli.build_parser()
@@ -403,7 +408,7 @@ def test_readme_api_names_exist():
     assert named and not missing, sorted(missing)
 
 
-def test_readme_report_names_exist(model_file, tmp_path):
+def test_readme_report_names_exist(tmp_path):
     # every snake_case name the "Run reports" section spells in backticks is
     # a report key, a solve status or a package name, so a field that is
     # renamed or dropped cannot linger in the docs
@@ -411,8 +416,7 @@ def test_readme_report_names_exist(model_file, tmp_path):
     section = (root / "README.md").read_text().split("\n## Run reports\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
     bbu = root / "models" / "bbu_5g.model"
-    # the monolithic method runs on the small model: on bbu it takes minutes
-    runs = [(bbu, "sequential"), (bbu, "greedy"), (model_file, "monolithic")]
+    runs = [(bbu, "sequential"), (bbu, "greedy"), (bbu, "monolithic")]
     keys = set()
 
     def collect(node):

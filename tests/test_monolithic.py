@@ -1,13 +1,13 @@
 import pytest
 
-from paircover.bench import make_system
+from paircover.bench import make_bbu, make_system
 from paircover.core import ConstraintSet, PartialAssignment, StructureError, TestCase
 from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.monolithic import (
     ModelSizeError,
     build_monolithic,
-    coverage_lower_bound,
     minimal_suite,
+    widest_pairs,
 )
 
 from conftest import oracle_min_suite_size, random_constraints
@@ -15,28 +15,27 @@ from conftest import oracle_min_suite_size, random_constraints
 
 class TestBuildMonolithic:
     def test_variable_counts(self):
-        # 2x2 system, 4 slots: 4 levels per slot, 4 achievable pairs
-        sys_ = make_system([2, 2])
-        mono = build_monolithic(sys_, ConstraintSet(), m=4, universe=InteractionUniverse(sys_, ConstraintSet()))
-        n_x = 4 * 4
-        n_q = 4 * 4
-        n_p = 4
-        assert n_x == 16
-        assert mono.milp.nvars == n_x + n_q + n_p
+        # 2x3 system, 4 slots, one must: per slot 5 levels, 6 pair
+        # indicators and 1 must indicator
+        sys_ = make_system([2, 3])
+        cs = ConstraintSet(must=(PartialAssignment(((0, 1), (1, 2))),))
+        mono = build_monolithic(sys_, cs, m=4, universe=InteractionUniverse(sys_, cs))
+        nx, nu, n_must = 5, 6, 1
+        assert mono.milp.nvars == 4 * (nx + nu + n_must)
 
     def test_must_adds_indicators(self):
         sys_ = make_system([2, 2])
         cs = ConstraintSet(must=(PartialAssignment(((0, 1),)),))
         plain = build_monolithic(sys_, ConstraintSet(), m=3, universe=InteractionUniverse(sys_, ConstraintSet())).milp
         milp = build_monolithic(sys_, cs, m=3, universe=InteractionUniverse(sys_, cs)).milp
-        # one y per slot, appended last
+        # one indicator per slot, appended last
         assert milp.nvars == plain.nvars + 3
-        # per slot: y <= x and the containment row; then one "some slot" row
-        assert milp.ncons == plain.ncons + 3 * 2 + 1
+        # per slot one z <= x row for the must's one pick; then one "some slot" row
+        assert milp.ncons == plain.ncons + 3 * 1 + 1
         arr = milp.to_arrays()
         last = arr["vidx"][arr["indptr"][-2] :].tolist()
         assert last == [plain.nvars, plain.nvars + 1, plain.nvars + 2]
-        assert (arr["rel"][-1], arr["rhs"][-1]) == (1, 1)  # sum of y >= 1
+        assert (arr["rel"][-1], arr["rhs"][-1]) == (1, 1)  # sum of z >= 1
 
     def test_rejects_zero_slots(self):
         sys_ = make_system([2, 2])
@@ -46,8 +45,30 @@ class TestBuildMonolithic:
     def test_size_cap(self):
         sys_ = make_system([4, 4, 4, 4])
         with pytest.raises(ModelSizeError):
-            # 16 x and 96 q variables per slot, plus 96 p: over the cap at m=2000
+            # 16 x and 96 pair indicators per slot: 224,000 variables at m=2000
             build_monolithic(sys_, ConstraintSet(), m=2000, universe=InteractionUniverse(sys_, ConstraintSet()))
+
+    def test_slot_k_holds_widest_pair_k(self):
+        # 2x3x2: the widest pair is (F0, F1) with 6 pairs; slots 0-5 are
+        # fixed to them and slot 6 is free
+        sys_ = make_system([2, 3, 2])
+        uni = InteractionUniverse(sys_, ConstraintSet())
+        mono = build_monolithic(sys_, ConstraintSet(), m=7, universe=uni)
+        arr = mono.milp.to_arrays()
+        fixed = set()
+        for r in range(mono.milp.ncons):
+            lo, hi = arr["indptr"][r], arr["indptr"][r + 1]
+            if hi - lo == 1 and arr["rel"][r] == 2:
+                assert (arr["coef"][lo], arr["rhs"][r]) == (1, 1)
+                fixed.add(int(arr["vidx"][lo]))
+        base = (0, 2, 5)  # x var of (factor, level 0) within a slot
+        want = {
+            k * 7 + base[f] + v
+            for k, u in enumerate(widest_pairs(uni))
+            for f, v in uni.interaction(u).picks
+        }
+        assert len(want) == 12
+        assert fixed == want
 
 
 class TestDecode:
@@ -87,10 +108,12 @@ class TestDecode:
             mono.decode(self._values(mono, (1, 4), slot1))
 
 
-def test_coverage_lower_bound():
+def test_widest_pairs():
     sys_ = make_system([2, 3, 4])
     uni = InteractionUniverse(sys_, ConstraintSet())
-    assert coverage_lower_bound(uni) == 12  # the 3x4 factor pair
+    want = [u for u in range(len(uni)) if (uni.f1[u], uni.f2[u]) == (1, 2)]
+    assert len(want) == 12  # the 3x4 factor pair
+    assert widest_pairs(uni) == want
 
 
 class TestMinimalSuite:
@@ -101,18 +124,34 @@ class TestMinimalSuite:
         assert report["m"] == 4
 
     def test_matches_set_cover_oracle(self, rng):
-        for _ in range(6):
+        # the exhaustive oracle is what checks the slot symmetry rows
+        checked = 0
+        while checked < 100:
             cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 4)))]
             sys_ = make_system(cards)
             cs = random_constraints(
                 sys_,
                 rng,
-                n_avoid=int(rng.integers(0, 2)),
-                n_must=int(rng.integers(0, 2)),
+                n_avoid=int(rng.integers(0, 4)),
+                n_must=int(rng.integers(0, 3)),
             )
-            want = oracle_min_suite_size(sys_, cs)
+            try:
+                want = oracle_min_suite_size(sys_, cs)
+            except ValueError:  # an unsatisfiable must: draw again
+                continue
             suite, _ = minimal_suite(sys_, cs)
-            assert len(suite) == want
+            assert len(suite) == want, (cards, cs)
+            checked += 1
+
+    def test_bbu_case_study(self):
+        # the paper's case study: m=16 is proven too small, 17 is reached
+        sys_, cs = make_bbu()
+        suite, report = minimal_suite(sys_, cs, time_limit=60)
+        assert len(suite) == 17 == report["m"]
+        assert [a["m"] for a in report["attempts"]] == [16, 17]
+        assert report["attempts"][0]["status"] == "infeasible"
+        ok, problems = verify_suite(suite, cs)
+        assert ok, problems
 
     def test_3x3x3_needs_nine(self):
         # the built-in kernel could not decide m=9 within a minute here

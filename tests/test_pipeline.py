@@ -71,6 +71,11 @@ class TestApplyWarmStart:
         with pytest.raises(PaircoverError):
             self.run(TestSuite(sys_), ConstraintSet(), alpha=1.5)
 
+    def test_alpha_out_of_range_without_warm_start(self):
+        sys_ = make_system([2, 2])
+        with pytest.raises(PaircoverError, match="alpha"):
+            run_pipeline(sys_, ConstraintSet(), config=PipelineConfig(alpha=1.5))
+
 
 class TestMinimizeSuite:
     def test_drops_redundant_rows(self):
