@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def _load_model(args):
     if args.pict:
         return pio.load_pict(args.pict)
@@ -181,7 +192,7 @@ def build_parser() -> _Parser:
     g.add_argument("--unweighted", action="store_true")
     g.add_argument("--no-minimize", action="store_true")
     g.add_argument("--warm-start", help="suite CSV to warm-start from")
-    g.add_argument("--seed", type=int, default=0, help="greedy tie rotation seed")
+    g.add_argument("--seed", type=_seed, default=0, help="greedy tie rotation seed")
     g.add_argument("--step-time-limit", type=float, default=DEFAULT_STEP_TIME_LIMIT)
     g.add_argument(
         "--time-limit", type=float, default=DEFAULT_TIME_LIMIT, help="monolithic per-m budget"
@@ -204,7 +215,7 @@ def build_parser() -> _Parser:
     b.add_argument("--family", choices=("classic", "random"), default="classic")
     b.add_argument("--methods", default="sequential,greedy")
     b.add_argument("--count", type=int, default=10, help="random instances")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0)
     b.add_argument("--out", help="records CSV (default: stdout)")
     b.add_argument("--profile", help="performance profile CSV")
     b.add_argument("--max-tau", type=float, default=2.0)

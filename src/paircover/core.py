@@ -120,9 +120,6 @@ class PartialAssignment:
     def __len__(self) -> int:
         return len(self.picks)
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.picks)
-
     def validate_against(self, system: FactorSystem) -> None:
         if not self.picks:
             raise StructureError("partial assignment must pick at least one factor")
@@ -154,12 +151,6 @@ class TestCase:
     __test__ = False  # domain class, not a pytest case
 
     levels: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __getitem__(self, factor: int) -> int:
-        return self.levels[factor]
 
     def validate_against(self, system: FactorSystem) -> None:
         if len(self.levels) != system.n_factors:

@@ -127,13 +127,18 @@ def parse_model(text: str) -> tuple[FactorSystem, ConstraintSet]:
                     ln,
                 )
         must.append(mu)
-    cs = ConstraintSet(avoid=avoid, must=tuple(must))
-    cs.validate_against(system)
-    return system, cs
+    return system, ConstraintSet(avoid=avoid, must=tuple(must))
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text (byte {e.start})") from None
 
 
 def load_model(path) -> tuple[FactorSystem, ConstraintSet]:
-    return parse_model(Path(path).read_text())
+    return parse_model(_read_text(path))
 
 
 def suite_to_csv(suite: TestSuite) -> str:
@@ -177,7 +182,7 @@ def write_suite_csv(path, suite: TestSuite) -> None:
 
 
 def read_suite_csv(path, system: FactorSystem) -> TestSuite:
-    return suite_from_csv(Path(path).read_text(), system)
+    return suite_from_csv(_read_text(path), system)
 
 
 def _strip_pict_weight(token: str) -> str:
@@ -216,7 +221,7 @@ def parse_pict(text: str) -> tuple[FactorSystem, ConstraintSet]:
 
 
 def load_pict(path) -> tuple[FactorSystem, ConstraintSet]:
-    return parse_pict(Path(path).read_text())
+    return parse_pict(_read_text(path))
 
 
 def report_to_json(report: dict) -> str:

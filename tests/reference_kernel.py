@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from paircover.core import PaircoverError
-from paircover.milp.model import MilpModel, MilpSolution, SolveStatus, verify_solution
+from paircover.milp import MilpModel, MilpSolution, SolveStatus, verify_solution
 
 NEG_INF = -(2**62)
 

@@ -353,6 +353,31 @@ class TestErrors:
         assert rc == 1
         assert "alpha must be in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--model", "MODEL", "--method", "greedy", "--seed", "-1"],
+            ["bench", "--methods", "greedy", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, model_file, capsys):
+        # numpy's generators reject a negative seed; the parser says so first
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(model_file) if a == "MODEL" else a for a in argv])
+        assert exc.value.code == 1
+        assert "argument --seed: must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--model", "--pict", "--suite"])
+    def test_file_that_is_not_utf8(self, flag, model_file, tmp_path, capsys):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"A: \xff\xfe\x00\x01\nB: b0, b1\n")
+        if flag == "--suite":
+            argv = ["verify", "--model", str(model_file), "--suite", str(binary)]
+        else:
+            argv = ["generate", flag, str(binary)]
+        assert cli.main(argv) == 1
+        assert f"error: {binary} is not UTF-8 text" in capsys.readouterr().err
+
 
 def test_defaults_come_from_the_library():
     parser = cli.build_parser()
@@ -411,7 +436,8 @@ def test_readme_api_names_exist():
 def test_readme_report_names_exist(tmp_path):
     # every snake_case name the "Run reports" section spells in backticks is
     # a report key, a solve status or a package name, so a field that is
-    # renamed or dropped cannot linger in the docs
+    # renamed or dropped cannot linger in the docs, and every report key is
+    # spelled there, so a new field cannot go undocumented
     root = Path(__file__).resolve().parents[1]
     section = (root / "README.md").read_text().split("\n## Run reports\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`([a-z][a-z0-9_]*)`", section))
@@ -434,3 +460,5 @@ def test_readme_report_names_exist(tmp_path):
         collect(json.loads(report.read_text()))
     known = keys | {s.value for s in SolveStatus} | set(dir(paircover))
     assert named and not named - known, sorted(named - known)
+    # and the converse: every key the reports write is documented there
+    assert not keys - named, sorted(keys - named)

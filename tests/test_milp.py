@@ -7,7 +7,6 @@ from paircover.core import PaircoverError, StructureError
 from paircover.milp import (
     MilpModel,
     SolveStatus,
-    objective_value,
     solve_highs,
     verify_solution,
 )
@@ -81,18 +80,12 @@ class TestModelConstruction:
         assert arr["indptr"].tolist() == [0, 2, 3, 5]
         assert arr["rel"].tolist() == [0, 1, 2]
         assert arr["rhs"].tolist() == [1, 1, 0]
-        # cache invalidated on mutation
+        # the arrays follow later additions
         m.add_var()
         assert m.to_arrays()["obj"].tolist() == [2, -1, 0]
 
 
 class TestSolutionChecks:
-    def test_objective_value(self):
-        m = MilpModel()
-        m.add_var(obj=4)
-        m.add_var(obj=-2)
-        assert objective_value(m, np.array([1, 1])) == 2
-
     def test_verify_solution(self):
         m = MilpModel()
         a = m.add_var()
