@@ -219,10 +219,13 @@ class ConstraintSet:
         unassigned; an unassigned factor never matches.  ``levels[factor]``
         itself is not read.
         """
-        return any(
-            all(levels[g] == w for g, w in rest)
-            for rest in self._avoid_index.get((factor, level), ())
-        )
+        for rest in self._avoid_index.get((factor, level), ()):
+            for g, w in rest:
+                if levels[g] != w:
+                    break
+            else:
+                return True
+        return False
 
     @cached_property
     def _neighbour_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -243,9 +246,14 @@ class ConstraintSet:
 def validate_case(
     case: TestCase, system: FactorSystem, constraints: ConstraintSet
 ) -> bool:
-    """True when the case is structurally sound and violates no avoid tuple."""
+    """True when the case is structurally sound and violates no avoid tuple.
+
+    A case holds an avoid tuple exactly when one of its picks completes it,
+    so the check reads only the tuples indexed under the case's own picks.
+    """
     case.validate_against(system)
-    return not any(subsumes(case, a) for a in constraints.avoid)
+    levels = case.levels
+    return not any(constraints.completes_avoid(f, v, levels) for f, v in enumerate(levels))
 
 
 @dataclass

@@ -7,6 +7,11 @@ an avoid tuple are skipped, with chronological backtracking when a factor
 runs out of levels.  Ties rotate deterministically from a seed so different
 seeds give different (still valid) suites.
 
+Scores are kept, not recomputed: each case starts from one table of which
+pairs are still uncovered, and a running score per (factor, level) gains
+that table's row for each placed level and loses it again when the walk
+backs up, so ranking a factor's levels reads a row of small ints.
+
 Must tuples are ignored here: this generator exists as a fast baseline and
 a warm-start source, and the pipeline's must phase takes care of them.
 """
@@ -33,15 +38,9 @@ def greedy_suite(
         universe = InteractionUniverse(system, constraints)
     n = system.n_factors
     card = system.cardinalities
-    every = np.arange(n)
-    # sym[f, a, g, b]: the pair (f, a), (g, b) in either order; the padding
-    # level makes an unassigned factor (level -1) read id -1, no pair
+    # sym[f, a, g, b]: the pair (f, a), (g, b) in either order, -1 for no pair
     pid = universe.pair_id
-    sym = np.pad(
-        np.maximum(pid, pid.transpose(2, 3, 0, 1)),
-        ((0, 0), (0, 0), (0, 0), (0, 1)),
-        constant_values=-1,
-    )
+    sym = np.maximum(pid, pid.transpose(2, 3, 0, 1))
     rng = np.random.default_rng(seed)
     state = CoverageState(universe)
     suite = TestSuite(system)
@@ -54,41 +53,50 @@ def greedy_suite(
         # factor order: most uncovered pairs touched first
         touch = np.bincount(universe.f1[open_], minlength=n)
         touch += np.bincount(universe.f2[open_], minlength=n)
-        unc = np.append(open_, False)  # id -1 reads False
         factor_order = sorted(range(n), key=lambda f: (-int(touch[f]), f))
+        # gain[g, b, f, a] is 1 while the pair (g, b), (f, a) is uncovered (id
+        # -1 reads the appended 0); score[f, a] sums gain[g, assigned[g], f, a]
+        # over the placed factors, kept as levels are placed and taken back
+        gain = np.append(open_, False)[sym].astype(np.int64)
+        potential = gain.sum(axis=(2, 3))
+        score = np.zeros_like(potential)
 
-        assigned = np.full(n, -1, dtype=np.int64)
-        # per position, the levels left to try, ranked at first visit.  A factor
-        # that runs out resets its level; the one being placed may hold a stale
-        # level, which completes_avoid never reads
+        assigned = [-1] * n
+        # per position, the levels left to try, ranked at first visit.  Only
+        # placed factors hold a level; backing up to a position takes its
+        # level back before the next one is tried
         ranked: list = [None] * n
         pos = 0
         backtracks = 0
         while 0 <= pos < n:
             f = factor_order[pos]
             if ranked[pos] is None:
-                scores = unc[sym[f, : card[f], every, assigned]].sum(axis=0)
-                if not scores.any():
+                scores = score[f, : card[f]].tolist()
+                if not any(scores):
                     # nothing assigned connects yet: rank by uncovered potential
-                    scores = unc[sym[f, : card[f]]].sum(axis=(1, 2))
+                    scores = potential[f, : card[f]].tolist()
                 rot = int(rng.integers(card[f]))
                 ranked[pos] = iter(
-                    sorted(range(card[f]), key=lambda v: (-int(scores[v]), (v - rot) % card[f]))
+                    sorted(range(card[f]), key=lambda v: (-scores[v], (v - rot) % card[f]))
                 )
             for v in ranked[pos]:
                 if not constraints.completes_avoid(f, v, assigned):
                     assigned[f] = v
+                    score += gain[f, v]
                     pos += 1
                     break
             else:
                 ranked[pos] = None
-                assigned[f] = -1
                 pos -= 1
+                if pos >= 0:
+                    g = factor_order[pos]
+                    score -= gain[g, assigned[g]]
+                    assigned[g] = -1
                 backtracks += 1
                 if backtracks > MAX_BACKTRACKS_PER_CASE:
                     break
 
-        tc = TestCase(tuple(int(v) for v in assigned)) if pos == n else None
+        tc = TestCase(tuple(assigned)) if pos == n else None
         if tc is None or state.mark_case(tc) == 0:
             # constraints cornered the walk, or its case marked nothing new:
             # fall back to a witness of an uncovered pair

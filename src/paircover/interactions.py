@@ -97,7 +97,9 @@ class InteractionUniverse:
 
     ``witnesses`` are cases the caller already has, such as the suite being
     verified: the avoid-valid ones prove their pairs achievable before any
-    extension search, so they save searches and change nothing else.
+    extension search, so they save searches and change nothing else.  With
+    ``witnesses_checked`` the caller has already dropped the avoid-violating
+    ones (``validate_case``), and they are not checked again.
     """
 
     def __init__(
@@ -106,6 +108,7 @@ class InteractionUniverse:
         constraints: ConstraintSet,
         weighted: bool = True,
         witnesses: Iterable[TestCase] = (),
+        witnesses_checked: bool = False,
     ):
         constraints.validate_against(system)
         self.system = system
@@ -122,6 +125,8 @@ class InteractionUniverse:
         )
         self._tri = np.triu_indices(n, 1)
         if constraints.avoid:
+            if not witnesses_checked:
+                witnesses = [tc for tc in witnesses if validate_case(tc, system, constraints)]
             ok = self._witnessed(ok, witnesses)
 
         i, j, a, b = np.nonzero(ok)
@@ -136,8 +141,8 @@ class InteractionUniverse:
     def _witnessed(self, candidates: np.ndarray, witnesses: Iterable[TestCase]) -> np.ndarray:
         """Which candidate pairs ``[i, j, a, b]`` some valid case holds.
 
-        Every valid case witnesses all of its pairs: first the avoid-valid
-        ``witnesses`` (the others are skipped), then each case an extension
+        Every valid case witnesses all of its pairs: first the
+        ``witnesses``, all avoid-valid, then each case an extension
         search returns, so a pair is searched only while no witness holds
         it.  A single level is searched only while no witness holds it: its
         case witnesses many pairs at once, and a level with no valid case
@@ -170,7 +175,7 @@ class InteractionUniverse:
                 mark(tc.levels)
             return tc is not None
 
-        valid = [tc.levels for tc in witnesses if validate_case(tc, system, constraints)]
+        valid = [tc.levels for tc in witnesses]
         if valid:
             mark(valid)
         dead = [
@@ -257,16 +262,20 @@ def verify_suite(
 
     Returns (ok, problems); problems lists one message per violation.  A
     universe built here is seeded with the suite's avoid-valid rows, so only
-    the pairs the suite leaves uncovered need an extension search.
+    the pairs the suite leaves uncovered need an extension search; each row
+    is checked against the avoids once, for both jobs.
     """
     system = suite.system
     constraints.validate_against(system)
-    if universe is None:
-        universe = InteractionUniverse(system, constraints, witnesses=suite)
     problems: list[str] = []
+    valid = []
     for r, tc in enumerate(suite):
-        if not validate_case(tc, system, constraints):
+        if validate_case(tc, system, constraints):
+            valid.append(tc)
+        else:
             problems.append(f"case {r} violates an avoid tuple: {tc.levels}")
+    if universe is None:
+        universe = InteractionUniverse(system, constraints, witnesses=valid, witnesses_checked=True)
     for m in constraints.must:
         if not any(subsumes(tc, m) for tc in suite):
             problems.append(f"no case contains the must tuple {m.picks}")

@@ -303,9 +303,6 @@ def _bnb_run(
 def _normalized_arrays(model: MilpModel) -> dict:
     """Kernel view of the model: maximize sense, rows as <= or ==."""
     arr = model.to_arrays()
-    cached = getattr(model, "_ref_arrays", None)
-    if cached is not None and cached[0] is arr:
-        return cached[1]
     nv, nc = model.nvars, model.ncons
     obj = arr["obj"].copy() if model.sense == "max" else -arr["obj"]
     indptr = arr["indptr"]
@@ -331,7 +328,7 @@ def _normalized_arrays(model: MilpModel) -> dict:
     vptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(counts, out=vptr[1:])
 
-    pack = {
+    return {
         "obj": obj.astype(np.int64),
         "indptr": indptr.astype(np.int64),
         "vidx": vidx.astype(np.int32),
@@ -348,8 +345,6 @@ def _normalized_arrays(model: MilpModel) -> dict:
         if nc
         else np.zeros(0, dtype=np.int64),
     }
-    model._ref_arrays = (arr, pack)
-    return pack
 
 
 def solve_reference(
@@ -377,7 +372,7 @@ def solve_reference(
     fphase = np.zeros(nv + 2, dtype=np.int8)
     fmark = np.zeros(nv + 2, dtype=np.int32)
     best_val = np.zeros(nv, dtype=np.int8)
-    qbuf = np.zeros(len(model.to_arrays()["vidx"]) + nc + 8, dtype=np.int32)
+    qbuf = np.zeros(len(pack["vidx"]) + nc + 8, dtype=np.int32)
     qflag = np.zeros(max(nc, 1), dtype=np.uint8)
     st = np.zeros(_ST_SIZE, dtype=np.int64)
 

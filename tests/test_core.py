@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -195,3 +196,35 @@ def test_case_always_subsumes_its_projection(base, sub):
     tc = TestCase(tuple(base))
     pa = PartialAssignment(tuple((f, base[f]) for f in sorted(sub)))
     assert subsumes(tc, pa)
+
+
+@st.composite
+def _avoid_system(draw):
+    """Cardinalities, avoid tuples of 1-3 picks, and levels with -1 holes."""
+    cards = draw(st.lists(st.integers(2, 4), min_size=2, max_size=6))
+    pick = st.integers(0, len(cards) - 1).flatmap(
+        lambda f: st.tuples(st.just(f), st.integers(0, cards[f] - 1))
+    )
+    tuples = draw(
+        st.lists(st.lists(pick, min_size=1, max_size=3, unique_by=lambda p: p[0]), max_size=8)
+    )
+    levels = [draw(st.integers(-1, c - 1)) for c in cards]
+    return cards, ConstraintSet(avoid=tuple(PartialAssignment(tuple(t)) for t in tuples)), levels
+
+
+@given(_avoid_system())
+def test_avoid_checks_match_tuple_scan(drawn):
+    # the indexed checks against their definition: scan every avoid tuple
+    cards, cs, levels = drawn
+    sys_ = make_system(cards)
+    for f, c in enumerate(cards):
+        for v in range(c):
+            trial = [*levels[:f], v, *levels[f + 1 :]]
+            expect = any(
+                dict(a.picks).get(f) == v and all(trial[g] == w for g, w in a.picks)
+                for a in cs.avoid
+            )
+            assert cs.completes_avoid(f, v, levels) == expect
+            assert cs.completes_avoid(f, v, np.array(levels)) == expect
+    tc = TestCase(tuple(max(v, 0) for v in levels))
+    assert validate_case(tc, sys_, cs) == (not any(subsumes(tc, a) for a in cs.avoid))

@@ -63,6 +63,16 @@ GREEDY_DIGESTS = [
     "092ec878c3cf92f40e373d1a78c7d9a61ad78a8e1126f935c2b2431280068316",
     "5a249c91b73d1da911aed51e26940ee52c5233dc22b32f614e25c4130a5eaa93",
 ]
+# greedy_suite(*_wide_instance(s), seed=k): tie rotations other than seed
+# 0's, drawn while the walk backtracks and falls back
+WIDE_ROTATION_DIGESTS = {
+    (6, 1): "34045b595cb16d0f4b07726f973aafd16689ea944eb08136301911d31f44bdb4",
+    (8, 1): "1da727bdeecdf6d3567c4c366429e01460c0311f512bd9a196756684dc1d9fc0",
+    (10, 1): "10895042bc69f80a053fc7c023233aba1ce5800378d8ebe68010bc60ed214a92",
+    (6, 2): "9f0b4e51109816b1e57467d1ae1c1e0ef28928c5c65550100f33ec011fd0edff",
+    (8, 2): "8277266351764c76e5b2adb916c95100af6dfe28ed0c19c91905710dceb2b8fa",
+    (10, 2): "20f4561b7aa5ade4b7c40757e12c7d9fa92ac54001bc239bc1747810441fca12",
+}
 # Over classic_instances() plus random_instance seeds 0-24, run_pipeline
 # with its defaults: step nodes summed over report.steps, cover nodes from
 # report.cover.
@@ -122,6 +132,11 @@ def test_greedy_suites(monkeypatch):
         got.append(_digest(greedy_suite(system, cs, seed=0)))
     assert got == GREEDY_DIGESTS
     assert set(range(25, len(instances))) <= set(calls)
+
+
+def test_greedy_rotation_seeds():
+    got = {(s, k): _digest(greedy_suite(*_wide_instance(s), seed=k)) for s, k in WIDE_ROTATION_DIGESTS}
+    assert got == WIDE_ROTATION_DIGESTS
 
 
 def test_pinned_search_effort():

@@ -11,7 +11,7 @@ The files are loaded here unedited.
 import importlib.util
 from pathlib import Path
 
-from paircover import interactions
+from paircover import cli, interactions
 from paircover.bench import make_bbu
 from paircover.pipeline import run_pipeline
 
@@ -60,6 +60,20 @@ def test_traced_universe_build_counts_its_searches():
     m = spans.layer_metrics(tracer)
     assert m["interactions.universe_builds"] == 1
     assert m["interactions.extension_calls"] > 0
+
+
+def test_traced_greedy_workload_counts_its_layers(tmp_path, capsys):
+    # the two commands of one greedy-wide model, as run.py issues them
+    spans = _load("spans")
+    model, out = str(ROOT / "models" / "bbu_5g.model"), str(tmp_path / "suite.csv")
+    with spans.installed(spans.Tracer()) as tracer:
+        assert cli.main(["generate", "--method", "greedy", "--model", model, "--out", out]) == 0
+        assert cli.main(["verify", "--model", model, "--suite", out]) == 0
+    capsys.readouterr()
+    rows = len((tmp_path / "suite.csv").read_text().splitlines()) - 1
+    m = spans.layer_metrics(tracer)
+    assert m["greedy.cases"] == rows > 0 and m["greedy.suite_s"] > 0
+    assert m["interactions.universe_builds"] == 2 and m["interactions.verify_s"] > 0
 
 
 def test_ready_loads_the_model_files():
