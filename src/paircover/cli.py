@@ -7,6 +7,7 @@ unproven or fallback result), 1 any error including bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -170,7 +171,18 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``paircover`` argument parser, built on the first call and reused.
+
+    Reuse is safe: ``parse_args`` fills a fresh namespace and leaves the
+    parser unchanged, every default is immutable, and the error and help
+    paths read ``sys.stdout``/``sys.stderr`` when they run.  ``fn`` holds
+    the ``_cmd_*`` functions of the first build, so rebinding one of those
+    later has no effect; the library names they call (``run_pipeline``,
+    ``minimize_suite``, ...) are looked up at call time, so rebinding those
+    does.  Only a process that calls :func:`main` more than once gains.
+    """
     p = _Parser(prog="paircover", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -153,12 +153,15 @@ class TestCase:
     levels: tuple[int, ...]
 
     def validate_against(self, system: FactorSystem) -> None:
-        if len(self.levels) != system.n_factors:
+        card = system.cardinalities
+        if len(self.levels) != len(card):
             raise StructureError(
-                f"test case has {len(self.levels)} entries, system has {system.n_factors} factors"
+                f"test case has {len(self.levels)} entries, system has {len(card)} factors"
             )
-        for f, v in enumerate(self.levels):
-            system.check_pick(f, v)
+        for v, c in zip(self.levels, card):
+            if not 0 <= v < c:  # check_pick names the first bad pick
+                for f, w in enumerate(self.levels):
+                    system.check_pick(f, w)
 
     def decode(self, system: FactorSystem) -> tuple[str, ...]:
         return tuple(

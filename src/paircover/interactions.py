@@ -57,11 +57,14 @@ def find_extension(
 
     def wipes_out(f: int, v: int) -> bool:
         """Pick (f, v) leaves some unassigned neighbour with no level."""
-        return any(
-            levels[g] < 0
-            and all(constraints.completes_avoid(g, w, levels) for w in range(card[g]))
-            for g in constraints.avoid_neighbours(f, v)
-        )
+        for g in constraints.avoid_neighbours(f, v):
+            if levels[g] < 0:
+                for w in range(card[g]):
+                    if not constraints.completes_avoid(g, w, levels):
+                        break
+                else:
+                    return True
+        return False
 
     if any(wipes_out(f, v) for f, v in assignment.picks):
         return None

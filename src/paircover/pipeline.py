@@ -248,7 +248,9 @@ def run_pipeline(
     ]
     report.must_presatisfied = report.must_total - len(open_musts)
     if open_musts:
+        tp = time.perf_counter()
         partition = partition_musts(system, constraints, open_musts)
+        report.phase_wall_s["partition"] = time.perf_counter() - tp  # a share of "must"
         report.must_groups = partition.n_groups
         for fixed in partition.merged:
             tc, st = generate_single_case(coverage, fixed, cfg.step_time_limit)

@@ -390,21 +390,65 @@ def test_defaults_come_from_the_library():
     assert inspect.signature(minimize_suite).parameters["time_limit"].default == mini.time_limit
 
 
+def _src_env():
+    src = str(Path(paircover.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_parser_reuse_leaks_no_state(model_file, tmp_path, monkeypatch):
+    # main reuses one parser per process: a usage error, then a call with
+    # non-default flags, must leave the next call's defaults untouched
+    builds, seen = [], []
+    init, load = cli._Parser.__init__, cli._load_model
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "paircover":
+            builds.append(self)
+        init(self, *args, **kwargs)
+
+    def load_model(args):
+        seen.append(args)
+        return load(args)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(cli, "_load_model", load_model)
+    cli.build_parser.cache_clear()
+    model = ["--model", str(model_file)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", "--seed", "-1", *model, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 1
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["generate", "--method", "greedy", "--seed", "3", "--no-minimize", *model]
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    argv = ["generate", *model, "--out", str(b)]
+    assert cli.main(argv) == 0
+    assert len(builds) == 1
+    cli.build_parser.cache_clear()  # a fresh parser, not the one main used
+    assert vars(seen[-1]) == vars(cli.build_parser().parse_args(argv))
+    fresh = tmp_path / "fresh.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", "paircover.cli", "generate", *model, "--out", str(fresh)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert b.read_bytes() == fresh.read_bytes()
+
+
 def test_import_does_not_load_scipy():
     # scipy.optimize takes longer to import than a small run needs; only the
     # monolithic method's solver may pull it in, at call time.  The tests'
     # reference kernel, numba and the lane constants perfbench reads run on
     # no command path, so a command loads none of them either.
-    src = str(Path(paircover.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     code = (
         "import sys, paircover.cli\n"
         "banned = {'scipy', 'numba', 'paircover._jit', 'reference_kernel'}\n"
         "loaded = sorted(banned & set(sys.modules))\n"
         "sys.exit(f'loaded: {loaded}' if loaded else 0)"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 

@@ -310,6 +310,15 @@ class TestRunPipeline:
         assert report.must_groups == 1 and len(report.steps) == report.phase2_cases + 1
         assert coverage_curve(suite, InteractionUniverse(sys_, cs))[-1] == 1.0
 
+    def test_partition_is_timed_inside_the_must_phase(self):
+        sys_, cs = make_bbu()
+        _, report = run_pipeline(sys_, cs)
+        wall = report.phase_wall_s
+        assert 0 <= wall["partition"] <= wall["must"]
+        # a run whose must phase partitions nothing writes no partition time
+        _, report = run_pipeline(sys_, ConstraintSet(avoid=cs.avoid))
+        assert "partition" not in report.phase_wall_s and "must" in report.phase_wall_s
+
     def test_unconstrained_small(self):
         sys_ = make_system([3, 3, 3])
         suite, report = run_pipeline(sys_, ConstraintSet())
