@@ -8,6 +8,7 @@ up front so coverage ratios are measured against what is actually coverable.
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -17,11 +18,16 @@ from .core import (
     ConstraintSet,
     FactorSystem,
     PartialAssignment,
+    StructureError,
     TestCase,
     TestSuite,
     subsumes,
     validate_case,
 )
+
+# models with at most this many full cases list them all to build their
+# universe; listing beats the witness search up to here (README, "Universe build")
+_ENUMERATE_CASES = 4096
 
 
 def find_extension(
@@ -98,9 +104,17 @@ class InteractionUniverse:
     when a level is padding or when the pair is not achievable, so coverage
     marking is a single gather per case.
 
+    A model with avoids and at most _ENUMERATE_CASES full cases lists
+    them all and marks the pairs of the valid ones (``_listed``); a larger
+    one searches for a witness per pair (``_witnessed``).  Both mark exactly
+    the pairs some valid case holds.  Raises StructureError when no case is
+    valid: every model has two factors of two levels or more, so that is
+    exactly when the universe would be empty.
+
     ``witnesses`` are cases the caller already has, such as the suite being
-    verified: the avoid-valid ones prove their pairs achievable before any
-    extension search, so they save searches and change nothing else.  With
+    verified: on the search path the avoid-valid ones prove their pairs
+    achievable before any extension search, so they save searches and
+    change nothing else; the listed path needs none.  With
     ``witnesses_checked`` the caller has already dropped the avoid-violating
     ones (``validate_case``), and they are not checked again.
     """
@@ -128,11 +142,16 @@ class InteractionUniverse:
         )
         self._tri = np.triu_indices(n, 1)
         if constraints.avoid:
-            if not witnesses_checked:
-                witnesses = [tc for tc in witnesses if validate_case(tc, system, constraints)]
-            ok = self._witnessed(ok, witnesses)
+            if math.prod(system.cardinalities) <= _ENUMERATE_CASES:
+                ok = self._listed(ok)
+            else:
+                if not witnesses_checked:
+                    witnesses = [tc for tc in witnesses if validate_case(tc, system, constraints)]
+                ok = self._witnessed(ok, witnesses)
 
         i, j, a, b = np.nonzero(ok)
+        if len(i) == 0:
+            raise StructureError("the avoid tuples rule out every test case")
         self.f1 = i.astype(np.int32)
         self.v1 = a.astype(np.int32)
         self.f2 = j.astype(np.int32)
@@ -140,6 +159,20 @@ class InteractionUniverse:
         self.weights = card[i] * card[j] if weighted else np.ones(len(i), dtype=np.int64)
         self.pair_id = np.full((n, top, n, top), -1, dtype=np.int64)
         self.pair_id[i, a, j, b] = np.arange(len(i))
+
+    def _listed(self, candidates: np.ndarray) -> np.ndarray:
+        """Which candidate pairs ``[i, j, a, b]`` some valid case holds,
+        from the list of every full case, the avoid-violating ones dropped."""
+        card = self.system.cardinalities
+        i, j = self._tri
+        cases = np.indices(card).reshape(len(card), -1)
+        bad = np.zeros(cases.shape[1], dtype=bool)
+        for av in self.constraints.avoid:
+            bad |= np.logical_and.reduce([cases[f] == v for f, v in av.picks])
+        valid = cases[:, ~bad]
+        seen = np.zeros_like(candidates)
+        seen[i[:, None], j[:, None], valid[i], valid[j]] = True
+        return seen
 
     def _witnessed(self, candidates: np.ndarray, witnesses: Iterable[TestCase]) -> np.ndarray:
         """Which candidate pairs ``[i, j, a, b]`` some valid case holds.
@@ -227,8 +260,6 @@ class CoverageState:
 
     @property
     def ratio(self) -> float:
-        if len(self.universe) == 0:
-            return 1.0
         return int(self.mask.sum()) / len(self.universe)
 
     @property

@@ -158,10 +158,7 @@ def minimal_suite(
     universe = InteractionUniverse(system, constraints)
     nu = len(universe)
     report: dict = {"universe_size": nu, "attempts": []}
-    if nu == 0 and not constraints.must:
-        return TestSuite(system), report
-
-    lb = max(len(widest_pairs(universe)), 1)
+    lb = len(widest_pairs(universe))
     hi = nu + len(constraints.must) + 1
     t0 = time.perf_counter()
     for m in range(lb, hi + 1):

@@ -202,8 +202,11 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     lexicographically largest optimal case.  The search stops as soon as
     the incumbent reaches the root bound.
 
-    ``nodes`` counts the search's nodes plus one per block scoring.  The
-    deadline is checked each time 1024 more nodes have been counted; on
+    ``nodes`` counts the search's nodes plus one per block scoring, and
+    ``last_improved_node`` is that count when the incumbent last improved
+    (None with no incumbent).  ``root_bound`` is ``tail[0]``, or with no
+    prefix the objective itself, since the one block scoring is exhaustive.
+    The deadline is checked each time 1024 more nodes have been counted; on
     timeout the incumbent comes back as FEASIBLE.  ``values`` is the level
     per factor, which ``StepModel.decode`` turns into the case.
     """
@@ -214,14 +217,14 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     completes_avoid = step.universe.constraints.completes_avoid
     n = len(card)
     levels = [-1] * n  # factors at or past the current depth stay -1
-    best, best_levels = -1, None
+    best, best_levels, improved = -1, None, None
     nodes, check_at = 0, _CHECK_EVERY
     timed_out = False
     gain, tail = (step.gain, step.tail) if s else (None, None)  # no prefix: no bound
 
     def visit(d: int, cur: int, reach: np.ndarray) -> None:
         # reach[j, b]: what level b of factor j adds to the picks on factors < d
-        nonlocal best, best_levels, nodes, check_at, timed_out
+        nonlocal best, best_levels, improved, nodes, check_at, timed_out
         if d == s:
             nodes += 1
             score = block_score + reach.take(cells).sum(axis=0)
@@ -232,6 +235,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
             value = cur + int(score[k])
             if value > best:
                 best, best_levels = value, levels[:s] + cases[:, k].tolist()
+                improved = nodes
                 if s and best >= tail[0]:
                     raise _Stop
             return
@@ -257,7 +261,8 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     except _Stop:
         pass
 
-    stats = {"nodes": nodes}
+    root_bound = tail[0] if s else (None if best_levels is None else best)
+    stats = {"nodes": nodes, "last_improved_node": improved, "root_bound": root_bound}
     if best_levels is None:
         status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.INFEASIBLE
         return MilpSolution(status, None, None, stats)
@@ -287,6 +292,8 @@ def generate_single_case(
         "status": sol.status.value,
         "objective": sol.objective,
         "nodes": sol.stats["nodes"],
+        "last_improved_node": sol.stats.get("last_improved_node"),
+        "root_bound": sol.stats.get("root_bound"),
         "wall_s": time.perf_counter() - t0,
     }
     if sol.status == SolveStatus.INFEASIBLE:

@@ -367,6 +367,27 @@ class TestErrors:
         assert exc.value.code == 1
         assert "argument --seed: must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--method", "sequential"],
+            ["generate", "--method", "greedy"],
+            ["generate", "--method", "monolithic"],
+            ["verify", "--suite", "SUITE"],
+            ["minimize", "--suite", "SUITE"],
+        ],
+    )
+    def test_model_with_no_valid_case(self, argv, tmp_path, capsys):
+        # both levels of a avoided: no case exists, so no suite is "verified"
+        model, suite = tmp_path / "dead.model", tmp_path / "empty.csv"
+        model.write_text("a: x, y\nb: p, q\nAVOID: a=x\nAVOID: a=y\n")
+        suite.write_text("a,b\n")
+        argv = [str(suite) if a == "SUITE" else a for a in argv]
+        assert cli.main(argv + ["--model", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the avoid tuples rule out every test case\n"
+
     @pytest.mark.parametrize("flag", ["--model", "--pict", "--suite"])
     def test_file_that_is_not_utf8(self, flag, model_file, tmp_path, capsys):
         binary = tmp_path / "binary"

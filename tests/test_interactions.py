@@ -16,6 +16,7 @@ from paircover.bench import make_bbu, make_system, random_avoids, random_instanc
 from paircover.core import (
     ConstraintSet,
     PartialAssignment,
+    StructureError,
     TestCase,
     TestSuite,
     subsumes,
@@ -135,7 +136,15 @@ class TestUniverse:
         assert len(uni) == 2 * 3 + 2 * 4 + 3 * 4
 
     def test_matches_enumeration_oracle(self, rng):
-        # every shortcut of the build is taken: a level with no valid case,
+        self.check_enumeration_oracle(rng)
+
+    def test_search_path_matches_enumeration_oracle(self, rng, monkeypatch):
+        monkeypatch.setattr(interactions, "_ENUMERATE_CASES", 0)
+        self.check_enumeration_oracle(rng)
+
+    @staticmethod
+    def check_enumeration_oracle(rng):
+        # every shortcut of the search is taken: a level with no valid case,
         # and a pair that neither pick kills but a third factor does
         dead_levels = third_factor_kills = 0
         for _ in range(200):
@@ -163,6 +172,14 @@ class TestUniverse:
         assert dead_levels > 50 and third_factor_kills > 50
 
     def test_seeded_build_matches_unseeded(self, rng):
+        self.check_seeded_build(rng)
+
+    def test_search_path_seeded_build_matches_unseeded(self, rng, monkeypatch):
+        monkeypatch.setattr(interactions, "_ENUMERATE_CASES", 0)
+        self.check_seeded_build(rng)
+
+    @staticmethod
+    def check_seeded_build(rng):
         # witnesses only save searches: random suites, avoid-violating rows
         # among them, leave every array of the universe as it was
         instances = [planted_instance(rng) for _ in range(200)]
@@ -177,6 +194,43 @@ class TestUniverse:
             for name in ("f1", "v1", "f2", "v2", "weights", "pair_id"):
                 assert np.array_equal(getattr(seeded, name), getattr(plain, name))
         assert violating > 50
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_listing_threshold_boundary(self, n, monkeypatch):
+        # 2^12 has exactly _ENUMERATE_CASES cases and lists them without a
+        # search; 2^13 is just above and searches.  Both match enumeration.
+        calls = []
+        search = interactions.find_extension
+        monkeypatch.setattr(
+            interactions, "find_extension", lambda *args: calls.append(1) or search(*args)
+        )
+        rng = np.random.default_rng(n)
+        sys_ = make_system([2] * n)
+        assert (2**n <= interactions._ENUMERATE_CASES) == (n == 12)
+        for _ in range(3):
+            avoid = random_avoids(sys_, rng, 1, size=1)
+            avoid += random_avoids(sys_, rng, int(rng.integers(1, 5)))
+            avoid += random_avoids(sys_, rng, int(rng.integers(1, 4)), size=3)
+            cs = ConstraintSet(avoid=avoid)
+            valid = enumerate_valid_cases(sys_, cs)
+            before = len(calls)
+            uni = InteractionUniverse(sys_, cs)
+            assert set(universe_pairs(uni)) == achievable_pairs(sys_, valid)
+            assert (len(calls) == before) == (n == 12)
+
+    @pytest.mark.parametrize("cards", [[2, 2], [2] * 13])
+    def test_no_valid_case_is_an_error(self, cards, monkeypatch):
+        # both levels of factor 0 avoided: listed for 2x2, searched for 2^13
+        calls = []
+        search = interactions.find_extension
+        monkeypatch.setattr(
+            interactions, "find_extension", lambda *args: calls.append(1) or search(*args)
+        )
+        sys_ = make_system(cards)
+        cs = ConstraintSet(avoid=(PartialAssignment(((0, 0),)), PartialAssignment(((0, 1),))))
+        with pytest.raises(StructureError, match="the avoid tuples rule out every test case"):
+            InteractionUniverse(sys_, cs)
+        assert (len(calls) > 0) == (len(cards) == 13)
 
     def test_trap_level_dies_without_a_search_per_pair(self, monkeypatch):
         # the greedy-wide trap: level 2 of factor 0 is avoided with both
@@ -372,9 +426,17 @@ def test_every_universe_pair_has_valid_witness(seed):
     cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 5)))]
     sys_ = make_system(cards)
     cs = random_constraints(sys_, rng, n_avoid=int(rng.integers(0, 3)))
-    uni = InteractionUniverse(sys_, cs)
-    for k, it in enumerate(universe_pairs(uni)):
-        tc = find_extension(uni.interaction(k), sys_, cs)
-        assert tc is not None
-        assert validate_case(tc, sys_, cs)
-        assert tc.levels[it.i] == it.a and tc.levels[it.j] == it.b
+    # hypothesis allows no function-scoped fixture, so no monkeypatch: the
+    # listed build, then the search path, then the constant restored
+    listed = interactions._ENUMERATE_CASES
+    try:
+        for limit in (listed, 0):
+            interactions._ENUMERATE_CASES = limit
+            uni = InteractionUniverse(sys_, cs)
+            for k, it in enumerate(universe_pairs(uni)):
+                tc = find_extension(uni.interaction(k), sys_, cs)
+                assert tc is not None
+                assert validate_case(tc, sys_, cs)
+                assert tc.levels[it.i] == it.a and tc.levels[it.j] == it.b
+    finally:
+        interactions._ENUMERATE_CASES = listed

@@ -170,15 +170,14 @@ class TestMinimalSuite:
         assert len(suite) == oracle_min_suite_size(sys_, cs)
         assert all(tc.levels != (0, 0) for tc in suite)
 
-    def test_empty_universe_gives_empty_suite(self):
-        # with every combination avoided nothing is achievable, so the
-        # minimum suite is the empty one
+    def test_no_valid_case_is_an_error(self):
+        # with every combination avoided no case exists, so there is no
+        # suite to minimize: the model is rejected, not given an empty one
         sys_ = make_system([2, 2])
         cs = ConstraintSet(
             avoid=tuple(
                 PartialAssignment(((0, a), (1, b))) for a in range(2) for b in range(2)
             )
         )
-        suite, report = minimal_suite(sys_, cs)
-        assert len(suite) == 0
-        assert report["universe_size"] == 0
+        with pytest.raises(StructureError, match="the avoid tuples rule out every test case"):
+            minimal_suite(sys_, cs)

@@ -12,7 +12,8 @@ import importlib.util
 from pathlib import Path
 
 from paircover import cli, interactions
-from paircover.bench import make_bbu
+from paircover.bench import make_bbu, make_system
+from paircover.core import ConstraintSet, PartialAssignment
 from paircover.pipeline import run_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,13 +54,18 @@ def test_traced_pipeline_run_counts_its_layers():
 
 def test_traced_universe_build_counts_its_searches():
     # the benchmark's extension metric measures the universe layer; a
-    # pipeline run cannot show that, since gcp also calls find_extension
+    # pipeline run cannot show that, since gcp also calls find_extension.
+    # The greedy-wide trap shape is far above the listing threshold, so its
+    # build searches; bbu's 256 cases are listed, with no search.
+    trap = make_system([3] * 8 + [2, 2, 3, 4])
+    avoid = (PartialAssignment(((0, 2), (8, 0))), PartialAssignment(((0, 2), (8, 1))))
     spans = _load("spans")
-    with spans.installed(spans.Tracer()) as tracer:
-        interactions.InteractionUniverse(*make_bbu())
-    m = spans.layer_metrics(tracer)
-    assert m["interactions.universe_builds"] == 1
-    assert m["interactions.extension_calls"] > 0
+    for model, searches in (((trap, ConstraintSet(avoid=avoid)), True), (make_bbu(), False)):
+        with spans.installed(spans.Tracer()) as tracer:
+            interactions.InteractionUniverse(*model)
+        m = spans.layer_metrics(tracer)
+        assert m["interactions.universe_builds"] == 1
+        assert (m["interactions.extension_calls"] > 0) == searches
 
 
 def test_traced_greedy_workload_counts_its_layers(tmp_path, capsys):

@@ -254,6 +254,36 @@ class TestSearchOracle:
             assert ref.objective == sol.objective
 
 
+def test_steps_report_their_root_bound_and_last_improvement():
+    # root_bound is the sum, over factor pairs, of the heaviest uncovered
+    # pair the allowed levels reach, or the objective when the block spans
+    # every factor; the incumbent last improved within the step's nodes
+    prefixed = whole = 0
+    for (sys_, cs), fixed in TestSearchOracle.CORPUS + [((make_system([4] * 4), ConstraintSet()), None)]:
+        for uni, uncovered, fix in pipeline_states(sys_, cs, True, fixed):
+            step = build_step(uni, uncovered, fix)
+            sol = sequential.solve(step)
+            assert 1 <= sol.stats["last_improved_node"] <= sol.stats["nodes"]
+            if step.block.start == 0:
+                assert sol.stats["root_bound"] == sol.objective
+                whole += 1
+                continue
+            allowed = dict(fix.picks) if fix is not None else {}
+            pairs = universe_pairs(uni)
+            heaviest = {}
+            for k in uncovered.tolist():
+                it = pairs[k]
+                if allowed.get(it.i, it.a) == it.a and allowed.get(it.j, it.b) == it.b:
+                    w = int(uni.weights[k])
+                    heaviest[it.i, it.j] = max(heaviest.get((it.i, it.j), 0), w)
+            assert sol.stats["root_bound"] == sum(heaviest.values()) >= sol.objective
+            prefixed += 1
+    assert prefixed > 100 and whole > 5
+    _, cov = fresh_state(*make_bbu())
+    _, stats = generate_single_case(cov)
+    assert stats["root_bound"] >= stats["objective"] and stats["last_improved_node"] >= 1
+
+
 def test_time_limit_overshoot_is_bounded():
     # on 4^20 the first four cases are perfect and proven at once; the fifth
     # search runs far past half a second
