@@ -260,10 +260,12 @@ def run_pipeline(
     report.phase_wall_s["must"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
+    upper = None  # the last phase-2 step's value once proven: no later step beats it
     while True:
-        tc, st = generate_single_case(coverage, time_limit=cfg.step_time_limit)
+        tc, st = generate_single_case(coverage, time_limit=cfg.step_time_limit, upper=upper)
         if tc is None:
             break
+        upper = st["objective"] if st["status"] == SolveStatus.OPTIMAL.value else None
         fresh = coverage.mark_case(tc)
         if fresh == 0:
             raise PipelineStallError(

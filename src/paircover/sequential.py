@@ -35,7 +35,7 @@ from .interactions import CoverageState, InteractionUniverse
 from .milp import MilpSolution, SolveStatus
 
 DEFAULT_STEP_TIME_LIMIT = 60.0
-BLOCK_CASES = 256  # most cases the suffix block scores in one pass
+BLOCK_CASES = 1024  # most cases the suffix block scores in one pass
 _UNREACHABLE = -(2**40)  # gain of a level or case the step does not allow
 _CHECK_EVERY = 1024  # nodes between deadline checks
 
@@ -45,21 +45,22 @@ class StepTimeout(PaircoverError):
 
 
 class _SuffixBlock:
-    """Every case of a universe's last factors ``start..n-1``, as tables.
+    """Every valid case of a universe's last factors ``start..n-1``, as tables.
 
     ``start`` is the lowest factor such that the cardinalities from it on
     multiply to at most BLOCK_CASES, but the block always holds the last
-    factor.  The tables depend only on the universe, so each universe builds
-    them once (``_suffix_block``).  Each has one column per block case, in
-    descending lexicographic order, the order the search tries them in:
+    factor.  A block case is valid when it completes no avoid tuple all of
+    whose picks lie in the block; there is at least one, since a universe
+    with no valid case is never built.  The tables depend only on the
+    universe, so each universe builds them once (``_suffix_block``).  Each
+    has one column per valid block case, in descending lexicographic order,
+    the order the search tries them in:
 
     - ``cases``: (m, K), the level of each block factor;
     - ``cells``: (m, K), the flat index of each pick (start + j, level) into
       an (n, L) table, so one ``take`` reads such a table per case;
     - ``pair_ids``: (m(m-1)/2, K), the universe pair id of each pair inside
       each case, -1 for a pair that is not in the universe;
-    - ``floor``: (K,), 0, or _UNREACHABLE for a case that completes an
-      avoid tuple all of whose picks lie in the block;
     - ``straddling``: (prefix picks, cases) per avoid tuple with picks on
       both sides: once the search has made those prefix picks, those cases
       are invalid.  Tuples with the same prefix picks share one entry.
@@ -77,15 +78,11 @@ class _SuffixBlock:
         self.start = start
         sizes = card[start:]
         m = len(sizes)
-        self.cases = np.array(sizes)[:, None] - 1 - np.indices(sizes).reshape(m, -1)
-        self.cells = (start + np.arange(m))[:, None] * top + self.cases
-        p, q = np.triu_indices(m, 1)
-        at = start + np.arange(m)[:, None]
-        self.pair_ids = universe.pair_id[at[p], self.cases[p], at[q], self.cases[q]]
-        self.floor = np.zeros(self.cases.shape[1], dtype=np.int64)
+        cases = np.array(sizes)[:, None] - 1 - np.indices(sizes).reshape(m, -1)
         straddling: dict[tuple, np.ndarray] = {}
+        invalid = np.zeros(cases.shape[1], dtype=bool)
         for av in universe.constraints.avoid:
-            inner = [self.cases[f - start] == v for f, v in av.picks if f >= start]
+            inner = [cases[f - start] == v for f, v in av.picks if f >= start]
             if not inner:
                 continue
             rows = np.logical_and.reduce(inner)
@@ -93,8 +90,12 @@ class _SuffixBlock:
             if outer:
                 straddling[outer] = straddling.get(outer, False) | rows
             else:
-                self.floor[rows] = _UNREACHABLE
-        self.straddling = list(straddling.items())
+                invalid |= rows
+        self.cases = cases = cases[:, ~invalid]
+        self.cells = cells = (start + np.arange(m))[:, None] * top + cases
+        p, q = np.triu_indices(m, 1)
+        self.pair_ids = universe.pair_id.reshape(n * top, n * top)[cells[p], cells[q]]
+        self.straddling = [(outer, rows[~invalid]) for outer, rows in straddling.items()]
         self.root = np.where(np.arange(top) < np.array(card)[:, None], 0, _UNREACHABLE)
 
 
@@ -127,8 +128,7 @@ class StepModel:
     each such factor pair's largest entry over the allowed levels.
 
     ``block`` holds the universe's suffix block, and ``block_score[k]`` is
-    what the pairs inside its case k add, or _UNREACHABLE when the case
-    completes an avoid tuple inside the block.  ``gain`` and ``tail`` are
+    what the pairs inside its valid case k add.  ``gain`` and ``tail`` are
     built on first read: ``solve`` needs them only when the block does not
     start at factor 0.
     """
@@ -178,15 +178,16 @@ def build_step(
     ids = np.asarray(uncovered_ids, dtype=np.int64)
     w = np.zeros(len(universe) + 1, dtype=np.int64)  # pair_id -1 reads the last 0
     w[ids] = universe.weights[ids]
-    score = w.take(block.pair_ids).sum(axis=0) + block.floor
-    return StepModel(universe, root, block, score, w)
+    return StepModel(universe, root, block, w.take(block.pair_ids).sum(axis=0), w)
 
 
 class _Stop(Exception):
-    """Unwinds the search: the root bound is reached or time ran out."""
+    """Unwinds the search: the incumbent reached its cap or time ran out."""
 
 
-def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
+def solve(
+    step: StepModel, time_limit: float | None = None, upper: int | None = None
+) -> MilpSolution:
     """Best case of ``step``, exact unless ``time_limit`` runs out.
 
     Depth-first over the factors before the suffix block (``step.block``)
@@ -194,38 +195,65 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     while its bound (picks so far, plus each later factor's best level
     against them, plus ``tail``) beats the incumbent; a level ``root``
     excludes starts at _UNREACHABLE, so it never does.  Each leaf, or the
-    root when the block starts at factor 0, scores all the block's cases
-    at once: the picks so far, plus ``block_score``, plus what each block
-    pick adds against the picks so far; cases that complete an avoid tuple
-    are masked.  The first best case, in descending order, replaces the
-    incumbent only when strictly better, so the result is the
-    lexicographically largest optimal case.  The search stops as soon as
-    the incumbent reaches the root bound.
+    root when the block starts at factor 0, scores all the block's valid
+    cases at once: the picks so far, plus ``block_score``, plus what each
+    block pick adds against the picks so far; cases that complete an avoid
+    tuple across the block's start are masked.  The first best case, in
+    descending order, replaces the incumbent only when strictly better, so
+    the result is the lexicographically largest optimal case.  The search
+    stops as soon as the incumbent reaches ``tail[0]``, or ``upper`` when
+    that is lower: the caller's proof that no case of ``step`` is worth
+    more (a proven earlier step's value over the same feasible cases, whose
+    uncovered weights can only have fallen since).  The first case in
+    search order worth the optimum is still the one returned.
 
     ``nodes`` counts the search's nodes plus one per block scoring, and
     ``last_improved_node`` is that count when the incumbent last improved
     (None with no incumbent).  ``root_bound`` is ``tail[0]``, or with no
     prefix the objective itself, since the one block scoring is exhaustive.
-    The deadline is checked each time 1024 more nodes have been counted; on
-    timeout the incumbent comes back as FEASIBLE.  ``values`` is the level
-    per factor, which ``StepModel.decode`` turns into the case.
+    The deadline is checked before counting a node each time 1024 more
+    nodes have been counted, so a step that starts past its deadline counts
+    at most 1024; on timeout the incumbent comes back as FEASIBLE.
+    ``values`` is the level per factor, which ``StepModel.decode`` turns
+    into the case.
     """
-    deadline = None if time_limit is None else time.perf_counter() + float(time_limit)
-    card = step.universe.system.cardinalities
     block, block_score = step.block, step.block_score
     s, cases, cells, straddling = block.start, block.cases, block.cells, block.straddling
+    if not s:  # no prefix, so nothing straddles: one scoring is the whole search
+        score = block_score
+        if step.root is not block.root:  # fixed picks exclude some levels
+            score = score + step.root.take(cells).sum(axis=0)
+        k = int(score.argmax())
+        value = int(score[k])
+        if value < 0:  # every case breaks a fixed pick
+            stats = {"nodes": 1, "last_improved_node": None, "root_bound": None}
+            return MilpSolution(SolveStatus.INFEASIBLE, None, None, stats)
+        stats = {"nodes": 1, "last_improved_node": 1, "root_bound": value}
+        return MilpSolution(SolveStatus.OPTIMAL, value, cases[:, k].tolist(), stats)
+
+    deadline = None if time_limit is None else time.perf_counter() + float(time_limit)
+    card = step.universe.system.cardinalities
     completes_avoid = step.universe.constraints.completes_avoid
-    n = len(card)
-    levels = [-1] * n  # factors at or past the current depth stay -1
+    levels = [-1] * len(card)  # factors at or past the current depth stay -1
     best, best_levels, improved = -1, None, None
-    nodes, check_at = 0, _CHECK_EVERY
+    nodes, check_at = 0, (math.inf if deadline is None else _CHECK_EVERY)
     timed_out = False
-    gain, tail = (step.gain, step.tail) if s else (None, None)  # no prefix: no bound
+    gain, tail = step.gain, step.tail
+    cap = tail[0] if upper is None else min(tail[0], upper)
+
+    def check_deadline() -> None:
+        nonlocal check_at, timed_out
+        check_at = nodes + _CHECK_EVERY
+        if time.perf_counter() >= deadline:
+            timed_out = True
+            raise _Stop
 
     def visit(d: int, cur: int, reach: np.ndarray) -> None:
         # reach[j, b]: what level b of factor j adds to the picks on factors < d
-        nonlocal best, best_levels, improved, nodes, check_at, timed_out
+        nonlocal best, best_levels, improved, nodes
         if d == s:
+            if nodes >= check_at:
+                check_deadline()
             nodes += 1
             score = block_score + reach.take(cells).sum(axis=0)
             for picks, rows in straddling:
@@ -236,7 +264,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
             if value > best:
                 best, best_levels = value, levels[:s] + cases[:, k].tolist()
                 improved = nodes
-                if s and best >= tail[0]:
+                if best >= cap:
                     raise _Stop
             return
         here = reach[d].tolist()
@@ -246,11 +274,8 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
             value = cur + here[a]
             if value + rest[a] <= best or completes_avoid(d, a, levels):
                 continue
-            if nodes >= check_at and deadline is not None:
-                check_at = nodes + _CHECK_EVERY
-                if time.perf_counter() >= deadline:
-                    timed_out = True
-                    raise _Stop
+            if nodes >= check_at:
+                check_deadline()
             nodes += 1
             levels[d] = a
             visit(d + 1, value, child[a])
@@ -261,8 +286,7 @@ def solve(step: StepModel, time_limit: float | None = None) -> MilpSolution:
     except _Stop:
         pass
 
-    root_bound = tail[0] if s else (None if best_levels is None else best)
-    stats = {"nodes": nodes, "last_improved_node": improved, "root_bound": root_bound}
+    stats = {"nodes": nodes, "last_improved_node": improved, "root_bound": tail[0]}
     if best_levels is None:
         status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.INFEASIBLE
         return MilpSolution(status, None, None, stats)
@@ -274,19 +298,22 @@ def generate_single_case(
     coverage: CoverageState,
     fixed: PartialAssignment | None = None,
     time_limit: float | None = DEFAULT_STEP_TIME_LIMIT,
+    upper: int | None = None,
 ) -> tuple[TestCase | None, dict]:
     """Best next case over ``coverage.universe`` and the step's stats, or
     ``(None, {})`` when everything is already covered and no picks are fixed.
 
-    A solve that times out with an incumbent still returns that case, with
-    status ``feasible``; with no incumbent it raises StepTimeout.
+    ``upper``, when given, is a proven bound on the step's value that
+    ``solve`` may stop at (see there).  A solve that times out with an
+    incumbent still returns that case, with status ``feasible``; with no
+    incumbent it raises StepTimeout.
     """
     uncovered = coverage.uncovered_indices()
     if len(uncovered) == 0 and fixed is None:
         return None, {}
     t0 = time.perf_counter()
     step = build_step(coverage.universe, uncovered, fixed)
-    sol = solve(step, time_limit=time_limit)
+    sol = solve(step, time_limit, upper)
     stats = {
         "uncovered_before": int(len(uncovered)),
         "status": sol.status.value,

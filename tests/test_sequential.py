@@ -16,6 +16,7 @@ from paircover.core import (
 )
 from paircover.interactions import CoverageState, InteractionUniverse
 from paircover.milp import MilpSolution, SolveStatus, solve_highs
+from paircover.pipeline import run_pipeline
 from paircover.sequential import StepTimeout, build_step, generate_single_case
 
 from conftest import brute_force_step, enumerate_valid_cases, step_milp, universe_pairs
@@ -150,7 +151,7 @@ class TestGenerateSingleCase:
         assert cov.is_full
 
     def test_no_incumbent_raises_step_timeout(self, monkeypatch):
-        def starved(step, time_limit=None):
+        def starved(step, time_limit=None, upper=None):
             return MilpSolution(SolveStatus.TIMED_OUT, None, None, {"nodes": 0})
 
         monkeypatch.setattr(sequential, "solve", starved)
@@ -284,6 +285,32 @@ def test_steps_report_their_root_bound_and_last_improvement():
     assert stats["root_bound"] >= stats["objective"] and stats["last_improved_node"] >= 1
 
 
+@pytest.mark.parametrize("avoid", [0, 10], ids=["3^13", "3^13+10 avoids"])
+def test_proven_step_value_caps_the_next_step(avoid):
+    # uncovered weights only fall, so a proven phase-2 step's value bounds
+    # the next step; stopping there must return the same case, and
+    # run_pipeline must pass that cap and no other
+    sys_ = make_system([3] * 13)
+    cs = ConstraintSet(avoid=random_avoids(sys_, np.random.default_rng(0), avoid))
+    uni, cov = fresh_state(sys_, cs)
+    upper, free_nodes, capped_nodes = None, [], []
+    while len(uncovered := cov.uncovered_indices()):
+        step = build_step(uni, uncovered)
+        assert step.block.start > 0
+        free = sequential.solve(step)
+        capped = sequential.solve(step, upper=upper)
+        assert free.status is capped.status is SolveStatus.OPTIMAL
+        assert (capped.objective, capped.values) == (free.objective, free.values)
+        assert capped.stats["nodes"] <= free.stats["nodes"]
+        free_nodes.append(free.stats["nodes"])
+        capped_nodes.append(capped.stats["nodes"])
+        upper = free.objective
+        assert cov.mark_case(step.decode(free.values)) > 0
+    assert sum(capped_nodes) < sum(free_nodes)
+    _, report = run_pipeline(sys_, cs)
+    assert [st["nodes"] for st in report.steps] == capped_nodes
+
+
 def test_time_limit_overshoot_is_bounded():
     # on 4^20 the first four cases are perfect and proven at once; the fifth
     # search runs far past half a second
@@ -307,9 +334,11 @@ class TestSuffixBlock:
     def avoids(*tuples):
         return tuple(PartialAssignment(t) for t in tuples)
 
-    # (cardinalities, avoid tuples, fixed picks of the first step): the
-    # block starts at factor 3 of 2^11 and factor 1 of 3^6, and takes all
-    # of 4^4.  Each model has three-pick avoids across the block's start,
+    # (cardinalities, avoid tuples, fixed picks of the first step).  At 256
+    # block cases the block starts at factor 3 of 2^11 and factor 1 of 3^6,
+    # and takes all of 4^4; at 1,024 it starts at factor 1 of 2^11 and
+    # factor 3 of 2^13, and takes all of 3^6 and 4^4.  Each model has
+    # three-pick avoids across the block's start at the size it runs at,
     # and fixes a pick before the block and one inside it.
     MODELS = [
         (
@@ -334,11 +363,26 @@ class TestSuffixBlock:
         ),
         ([4] * 4, avoids(((0, 3), (1, 3), (3, 0)), ((1, 2), (2, 1))), ((0, 1), (2, 3))),
     ]
+    WIDE = (
+        [2] * 13,
+        avoids(
+            ((0, 1), (3, 1), (12, 0)),
+            ((1, 1), (2, 1), (4, 0)),
+            ((2, 0), (5, 1)),
+            ((0, 0), (1, 1)),
+            ((6, 1), (7, 1), (8, 0)),
+            ((9, 0), (10, 0)),
+        ),
+        ((1, 1), (7, 1)),
+    )
 
-    def test_matches_enumeration(self, rng):
+    @staticmethod
+    def check(rng, models):
+        """Block starts seen over the models' states; every state's search
+        must match enumeration."""
         starts = set()
         checked = 0
-        for cards, avoid, picks in self.MODELS:
+        for cards, avoid, picks in models:
             sys_, cs = make_system(cards), ConstraintSet(avoid=avoid)
             cases = np.array([tc.levels for tc in enumerate_valid_cases(sys_, cs)])
             states = []
@@ -356,7 +400,15 @@ class TestSuffixBlock:
                 tc = step.decode(sol.values)
                 assert (sol.objective, tc) == brute_force_step(cases, uni, uncovered, fixed)
                 checked += 1
-        assert starts == {0, 1, 3} and checked > 100
+        assert checked > 100
+        return starts
+
+    def test_matches_enumeration(self, rng):
+        assert self.check(rng, self.MODELS + [self.WIDE]) == {0, 1, 3}
+
+    def test_matches_enumeration_at_256_cases(self, rng, monkeypatch):
+        monkeypatch.setattr(sequential, "BLOCK_CASES", 256)
+        assert self.check(rng, self.MODELS) == {0, 1, 3}
 
 
 @pytest.mark.parametrize("cards", [[2] * 30, [4] * 20])
