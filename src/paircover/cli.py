@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 
@@ -32,15 +33,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
-    return seed
+def _in_range(cast, low, high, what: str):
+    """An argparse type: the text read by ``cast``, from ``low`` to ``high``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not low <= value <= high:  # also false for NaN
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+# numpy's generators take only non-negative seeds; a negative count runs nothing
+_non_negative_int = _in_range(int, 0, math.inf, "non-negative")
+# a NaN deadline never fires, and HiGHS ignores a negative one
+_seconds = _in_range(float, 0.0, math.inf, "seconds >= 0")
+# the profile's taus run from 1 to --max-tau: below 1 there are none, and
+# an infinite one has no last tau
+_tau = _in_range(float, 1.0, sys.float_info.max, "finite and at least 1")
 
 
 def _load_model(args):
@@ -204,10 +218,18 @@ def build_parser() -> _Parser:
     g.add_argument("--unweighted", action="store_true")
     g.add_argument("--no-minimize", action="store_true")
     g.add_argument("--warm-start", help="suite CSV to warm-start from")
-    g.add_argument("--seed", type=_seed, default=0, help="greedy tie rotation seed")
-    g.add_argument("--step-time-limit", type=float, default=DEFAULT_STEP_TIME_LIMIT)
+    g.add_argument("--seed", type=_non_negative_int, default=0, help="greedy tie rotation seed")
     g.add_argument(
-        "--time-limit", type=float, default=DEFAULT_TIME_LIMIT, help="monolithic per-m budget"
+        "--step-time-limit",
+        type=_seconds,
+        default=DEFAULT_STEP_TIME_LIMIT,
+        help="per-case step budget (seconds, ≥ 0)",
+    )
+    g.add_argument(
+        "--time-limit",
+        type=_seconds,
+        default=DEFAULT_TIME_LIMIT,
+        help="monolithic per-m budget (seconds, ≥ 0)",
     )
     g.set_defaults(fn=_cmd_generate)
 
@@ -220,17 +242,22 @@ def build_parser() -> _Parser:
     add_model_args(m)
     m.add_argument("--suite", required=True)
     m.add_argument("--out", help="write the reduced suite here (default: stdout)")
-    m.add_argument("--time-limit", type=float, default=DEFAULT_MINIMIZE_TIME_LIMIT)
+    m.add_argument(
+        "--time-limit",
+        type=_seconds,
+        default=DEFAULT_MINIMIZE_TIME_LIMIT,
+        help="set-cover budget (seconds, ≥ 0)",
+    )
     m.set_defaults(fn=_cmd_minimize)
 
     b = sub.add_parser("bench", help="run the benchmark matrix")
     b.add_argument("--family", choices=("classic", "random"), default="classic")
     b.add_argument("--methods", default="sequential,greedy")
-    b.add_argument("--count", type=int, default=10, help="random instances")
-    b.add_argument("--seed", type=_seed, default=0)
+    b.add_argument("--count", type=_non_negative_int, default=10, help="random instances")
+    b.add_argument("--seed", type=_non_negative_int, default=0)
     b.add_argument("--out", help="records CSV (default: stdout)")
     b.add_argument("--profile", help="performance profile CSV")
-    b.add_argument("--max-tau", type=float, default=2.0)
+    b.add_argument("--max-tau", type=_tau, default=2.0)
     b.set_defaults(fn=_cmd_bench)
     return p
 

@@ -49,6 +49,15 @@ def incompatibility_edges(
     return edges
 
 
+def _check_musts(system: FactorSystem, constraints: ConstraintSet, musts) -> None:
+    """Raise StructureError for a must tuple with no valid extension at
+    all, since no suite could ever satisfy it."""
+    for mu in musts:
+        mu.validate_against(system)
+        if find_extension(mu, system, constraints) is None:
+            raise StructureError(f"must tuple {mu.picks} has no constraint-valid extension")
+
+
 def partition_musts(
     system: FactorSystem,
     constraints: ConstraintSet,
@@ -58,14 +67,9 @@ def partition_musts(
 
     The pipeline passes the must tuples of ``constraints`` that a warm
     start left unsatisfied.  Raises StructureError for a must tuple with no
-    valid extension at all, since no suite could ever satisfy it.
+    valid extension at all (``_check_musts``).
     """
-    for mu in musts:
-        mu.validate_against(system)
-        if find_extension(mu, system, constraints) is None:
-            raise StructureError(
-                f"must tuple {mu.picks} has no constraint-valid extension"
-            )
+    _check_musts(system, constraints, musts)
     if not musts:
         return Partition([], [])
 

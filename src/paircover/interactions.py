@@ -94,6 +94,19 @@ def find_extension(
     return TestCase(tuple(levels)) if search(0) else None
 
 
+def valid_cases(system: FactorSystem, constraints: ConstraintSet, start: int = 0) -> np.ndarray:
+    """Every assignment of factors ``start..n-1`` that completes no avoid
+    tuple lying wholly among them, as an (n - start, K) level array, one
+    column per case, in descending lexicographic order."""
+    sizes = system.cardinalities[start:]
+    cases = np.array(sizes)[:, None] - 1 - np.indices(sizes).reshape(len(sizes), -1)
+    bad = np.zeros(cases.shape[1], dtype=bool)
+    for av in constraints.avoid:
+        if av.picks[0][0] >= start:  # picks are sorted by factor
+            bad |= np.logical_and.reduce([cases[f - start] == v for f, v in av.picks])
+    return cases[:, ~bad]
+
+
 class InteractionUniverse:
     """All achievable interactions of a system, in a fixed canonical order.
 
@@ -104,12 +117,12 @@ class InteractionUniverse:
     when a level is padding or when the pair is not achievable, so coverage
     marking is a single gather per case.
 
-    A model with avoids and at most _ENUMERATE_CASES full cases lists
-    them all and marks the pairs of the valid ones (``_listed``); a larger
-    one searches for a witness per pair (``_witnessed``).  Both mark exactly
-    the pairs some valid case holds.  Raises StructureError when no case is
-    valid: every model has two factors of two levels or more, so that is
-    exactly when the universe would be empty.
+    A model with avoids and at most _ENUMERATE_CASES full cases marks the
+    pairs of its ``valid_cases``; a larger one searches for a witness per
+    pair (``_witnessed``).  Both mark exactly the pairs some valid case
+    holds.  Raises StructureError when no case is valid: every model has
+    two factors of two levels or more, so that is exactly when the
+    universe would be empty.
 
     ``witnesses`` are cases the caller already has, such as the suite being
     verified: on the search path the avoid-valid ones prove their pairs
@@ -143,7 +156,10 @@ class InteractionUniverse:
         self._tri = np.triu_indices(n, 1)
         if constraints.avoid:
             if math.prod(system.cardinalities) <= _ENUMERATE_CASES:
-                ok = self._listed(ok)
+                i, j = self._tri
+                cases = valid_cases(system, constraints)
+                ok = np.zeros_like(ok)
+                ok[i[:, None], j[:, None], cases[i], cases[j]] = True
             else:
                 if not witnesses_checked:
                     witnesses = [tc for tc in witnesses if validate_case(tc, system, constraints)]
@@ -159,20 +175,6 @@ class InteractionUniverse:
         self.weights = card[i] * card[j] if weighted else np.ones(len(i), dtype=np.int64)
         self.pair_id = np.full((n, top, n, top), -1, dtype=np.int64)
         self.pair_id[i, a, j, b] = np.arange(len(i))
-
-    def _listed(self, candidates: np.ndarray) -> np.ndarray:
-        """Which candidate pairs ``[i, j, a, b]`` some valid case holds,
-        from the list of every full case, the avoid-violating ones dropped."""
-        card = self.system.cardinalities
-        i, j = self._tri
-        cases = np.indices(card).reshape(len(card), -1)
-        bad = np.zeros(cases.shape[1], dtype=bool)
-        for av in self.constraints.avoid:
-            bad |= np.logical_and.reduce([cases[f] == v for f, v in av.picks])
-        valid = cases[:, ~bad]
-        seen = np.zeros_like(candidates)
-        seen[i[:, None], j[:, None], valid[i], valid[j]] = True
-        return seen
 
     def _witnessed(self, candidates: np.ndarray, witnesses: Iterable[TestCase]) -> np.ndarray:
         """Which candidate pairs ``[i, j, a, b]`` some valid case holds.

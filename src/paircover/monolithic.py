@@ -32,6 +32,7 @@ from .core import (
     TestSuite,
     validate_case,
 )
+from .gcp import _check_musts
 from .interactions import InteractionUniverse, verify_suite
 from .milp import MilpModel, SolveStatus, solve_highs
 
@@ -153,9 +154,12 @@ def minimal_suite(
     ``time_limit`` is the budget per fixed-m solve.  Raises
     :class:`MonolithicTimeout` when a solve cannot decide coverage within
     its budget, since continuing would forfeit the minimality claim.
+    Raises StructureError before any solve for a must tuple no valid case
+    holds: no slot count could cover it.
     """
     constraints.validate_against(system)
     universe = InteractionUniverse(system, constraints)
+    _check_musts(system, constraints, constraints.must)
     nu = len(universe)
     report: dict = {"universe_size": nu, "attempts": []}
     lb = len(widest_pairs(universe))
@@ -190,4 +194,5 @@ def minimal_suite(
         report["m"] = m
         report["wall_s"] = time.perf_counter() - t0
         return suite, report
+    # a guard: with every must extendable, m = hi gives each pair and must a slot
     raise PaircoverError(f"no covering suite found with m <= {hi}")

@@ -31,7 +31,7 @@ from .core import (
     TestCase,
     validate_case,
 )
-from .interactions import CoverageState, InteractionUniverse
+from .interactions import CoverageState, InteractionUniverse, valid_cases
 from .milp import MilpSolution, SolveStatus
 
 DEFAULT_STEP_TIME_LIMIT = 60.0
@@ -49,12 +49,12 @@ class _SuffixBlock:
 
     ``start`` is the lowest factor such that the cardinalities from it on
     multiply to at most BLOCK_CASES, but the block always holds the last
-    factor.  A block case is valid when it completes no avoid tuple all of
-    whose picks lie in the block; there is at least one, since a universe
-    with no valid case is never built.  The tables depend only on the
-    universe, so each universe builds them once (``_suffix_block``).  Each
-    has one column per valid block case, in descending lexicographic order,
-    the order the search tries them in:
+    factor.  Its cases are ``valid_cases`` from ``start``: those completing
+    no avoid tuple all of whose picks lie in the block; there is at least
+    one, since a universe with no valid case is never built.  The tables
+    depend only on the universe, so each universe builds them once
+    (``_suffix_block``).  Each has one column per valid block case, in
+    descending lexicographic order, the order the search tries them in:
 
     - ``cases``: (m, K), the level of each block factor;
     - ``cells``: (m, K), the flat index of each pick (start + j, level) into
@@ -76,26 +76,18 @@ class _SuffixBlock:
         while start > 0 and math.prod(card[start - 1 :]) <= BLOCK_CASES:
             start -= 1
         self.start = start
-        sizes = card[start:]
-        m = len(sizes)
-        cases = np.array(sizes)[:, None] - 1 - np.indices(sizes).reshape(m, -1)
+        self.cases = cases = valid_cases(universe.system, universe.constraints, start)
+        m = len(cases)
         straddling: dict[tuple, np.ndarray] = {}
-        invalid = np.zeros(cases.shape[1], dtype=bool)
         for av in universe.constraints.avoid:
-            inner = [cases[f - start] == v for f, v in av.picks if f >= start]
-            if not inner:
-                continue
-            rows = np.logical_and.reduce(inner)
             outer = tuple((f, v) for f, v in av.picks if f < start)
-            if outer:
-                straddling[outer] = straddling.get(outer, False) | rows
-            else:
-                invalid |= rows
-        self.cases = cases = cases[:, ~invalid]
+            inner = [cases[f - start] == v for f, v in av.picks if f >= start]
+            if outer and inner:
+                straddling[outer] = straddling.get(outer, False) | np.logical_and.reduce(inner)
         self.cells = cells = (start + np.arange(m))[:, None] * top + cases
         p, q = np.triu_indices(m, 1)
         self.pair_ids = universe.pair_id.reshape(n * top, n * top)[cells[p], cells[q]]
-        self.straddling = [(outer, rows[~invalid]) for outer, rows in straddling.items()]
+        self.straddling = list(straddling.items())
         self.root = np.where(np.arange(top) < np.array(card)[:, None], 0, _UNREACHABLE)
 
 

@@ -368,6 +368,51 @@ class TestErrors:
         assert "argument --seed: must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--model", "MODEL", "--step-time-limit", "-1"], "must be seconds >= 0"),
+            (["generate", "--model", "MODEL", "--step-time-limit", "nan"], "must be seconds >= 0"),
+            (
+                ["generate", "--model", "MODEL", "--method", "monolithic", "--time-limit", "-1"],
+                "must be seconds >= 0",
+            ),
+            (
+                ["minimize", "--model", "MODEL", "--suite", "x.csv", "--time-limit", "nan"],
+                "must be seconds >= 0",
+            ),
+            (["bench", "--methods", "greedy", "--count", "-3"], "must be non-negative"),
+            (["bench", "--methods", "greedy", "--max-tau", "0.5"], "must be finite and at least 1"),
+            (["bench", "--methods", "greedy", "--max-tau", "inf"], "must be finite and at least 1"),
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, argv, message, model_file, capsys):
+        # a negative or NaN time limit would never fire, or HiGHS would drop
+        # it; a negative count or a max tau below 1 would write empty CSVs
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(model_file) if a == "MODEL" else a for a in argv])
+        assert exc.value.code == 1
+        assert f"argument {argv[-2]}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["0", "inf"])
+    def test_zero_and_infinite_time_limits_are_accepted(self, limit, model_file, tmp_path):
+        # the model's 18 cases form one suffix block, scored once per step
+        # with no deadline check, so even a 0 s limit proves every step
+        out = tmp_path / "s.csv"
+        argv = ["generate", "--model", str(model_file), "--step-time-limit", limit]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+
+    def test_monolithic_must_with_no_valid_case(self, tmp_path, capsys):
+        # a0 goes with no level of B, so the must never fits: no solve runs
+        model = tmp_path / "dead_must.model"
+        model.write_text(
+            "A: a0, a1\nB: b0, b1\nC: c0, c1\n"
+            "AVOID: A=a0, B=b0\nAVOID: A=a0, B=b1\nMUST: A=a0, C=c0\n"
+        )
+        assert cli.main(["generate", "--method", "monolithic", "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: must tuple ((0, 0), (2, 0)) has no constraint-valid extension\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["generate", "--method", "sequential"],

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from paircover.interactions import (
     InteractionUniverse,
     coverage_curve,
     find_extension,
+    valid_cases,
     verify_suite,
 )
 
@@ -127,6 +129,40 @@ def planted_instance(rng):
                 for w in range(cards[k])
             ]
     return sys_, ConstraintSet(avoid=tuple(avoid))
+
+
+def test_valid_cases_match_enumeration(rng):
+    """Every start's valid cases against itertools.product: the avoids lying
+    wholly in factors start.. filter, those with a pick before start do not."""
+    straddling = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 7))
+        cards = [int(rng.integers(2, 5)) for _ in range(n)]
+        sys_ = make_system(cards)
+        avoid = []
+        for _ in range(int(rng.integers(1, 5))):
+            fs = sorted(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False))
+            picks = tuple((int(f), int(rng.integers(cards[f]))) for f in fs)
+            avoid.append(PartialAssignment(picks))
+        cs = ConstraintSet(avoid=tuple(avoid))
+        for start in range(n):
+            # picks are sorted by factor
+            inside = [av for av in avoid if av.picks[0][0] >= start]
+            straddling += sum(av.picks[0][0] < start <= av.picks[-1][0] for av in avoid)
+            want = [
+                levels
+                for levels in itertools.product(*(range(c) for c in cards[start:]))
+                if not any(all(levels[f - start] == v for f, v in av.picks) for av in inside)
+            ]
+            got = valid_cases(sys_, cs, start)
+            assert got.shape == (n - start, len(want))
+            cols = [tuple(c) for c in got.T.tolist()]
+            # product lists each assignment once, ascending: reversed, it is
+            # strictly descending with no duplicates
+            assert cols == want[::-1]
+            if start == 0:
+                assert sorted(cols) == [tc.levels for tc in enumerate_valid_cases(sys_, cs)]
+    assert straddling > 50
 
 
 class TestUniverse:

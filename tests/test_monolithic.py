@@ -1,5 +1,6 @@
 import pytest
 
+from paircover import monolithic
 from paircover.bench import make_bbu, make_system
 from paircover.core import ConstraintSet, PartialAssignment, StructureError, TestCase
 from paircover.interactions import InteractionUniverse, verify_suite
@@ -180,4 +181,21 @@ class TestMinimalSuite:
             )
         )
         with pytest.raises(StructureError, match="the avoid tuples rule out every test case"):
+            minimal_suite(sys_, cs)
+
+    def test_must_with_no_valid_case_fails_before_any_solve(self, monkeypatch):
+        # a0 is avoided with every level of B, so no case holds the must
+        sys_ = make_system([2, 2, 2])
+        cs = ConstraintSet(
+            avoid=(PartialAssignment(((0, 0), (1, 0))), PartialAssignment(((0, 0), (1, 1)))),
+            must=(PartialAssignment(((0, 0), (2, 0))),),
+        )
+
+        def no_solve(*args):
+            raise AssertionError("solve_highs ran")
+
+        monkeypatch.setattr(monolithic, "solve_highs", no_solve)
+        with pytest.raises(
+            StructureError, match=r"must tuple \(\(0, 0\), \(2, 0\)\) has no constraint-valid"
+        ):
             minimal_suite(sys_, cs)
