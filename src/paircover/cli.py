@@ -14,7 +14,7 @@ import time
 
 from . import bench as bench_mod
 from . import io as pio
-from .core import PaircoverError, TestSuite
+from .core import PaircoverError, TestSuite, validate_case
 from .greedy import greedy_suite
 from .interactions import InteractionUniverse, coverage_curve, verify_suite
 from .milp import SolveStatus
@@ -140,6 +140,10 @@ def _cmd_verify(args) -> int:
 def _cmd_minimize(args) -> int:
     system, cs = _load_model(args)
     suite = pio.read_suite_csv(args.suite, system)
+    if cs.avoid:  # the cover would keep a bad row for the pairs it carries
+        for r, tc in enumerate(suite):
+            if not validate_case(tc, system, cs):
+                raise PaircoverError(f"case {r} violates an avoid tuple: {tc.levels}")
     out, stats = minimize_suite(suite, cs, time_limit=args.time_limit)
     _emit_suite(args, out)
     note = {
@@ -160,6 +164,8 @@ def _cmd_bench(args) -> int:
             name = f"rand-{args.seed + k}"
             instances[name] = bench_mod.random_instance(args.seed + k)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise PaircoverError("--methods names no method")
     for m in methods:
         if m not in bench_mod.METHODS:
             raise PaircoverError(

@@ -10,15 +10,18 @@ arithmetic.  scipy is imported inside ``solve_highs``, since
 
 ``MilpSolution`` and ``SolveStatus`` are also the result types of the step
 search (``sequential.solve``) and the set cover search
-(``pipeline.solve``).  A solution's ``values`` is the int8 0/1 variable
-vector of a ``MilpModel`` from HiGHS, the level per factor from the step
-search, and the int8 0/1 keep vector over the suite rows from the cover
-search; only ``MonolithicModel.decode`` reads a 0/1 variable block.
+(``pipeline.solve``), which both stop, and build their result, through a
+``Budget``.  A solution's ``values`` is the int8 0/1 variable vector of a
+``MilpModel`` from HiGHS, the level per factor from the step search, and
+the int8 0/1 keep vector over the suite rows from the cover search; only
+``MonolithicModel.decode`` reads a 0/1 variable block.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -148,6 +151,41 @@ class MilpSolution:
         return self.values is not None
 
 
+class Budget:
+    """How both searches stop: nodes counted against a deadline
+    ``time_limit`` seconds on (``math.inf`` for none)."""
+
+    _NODES_PER_CHECK = 1024
+
+    def __init__(self, time_limit: float = math.inf):
+        self.deadline = time.perf_counter() + time_limit
+        self.nodes = 0
+        self.timed_out = False
+        self._check_at = self._NODES_PER_CHECK
+
+    def spend(self) -> bool:
+        """Count one node, or return True, counting none, once the deadline
+        has passed.  The clock is read only after each _NODES_PER_CHECK more
+        counts, so a search starting past its deadline counts that many."""
+        if self.nodes >= self._check_at:
+            if time.perf_counter() >= self.deadline:
+                self.timed_out = True
+                return True
+            self._check_at = self.nodes + self._NODES_PER_CHECK
+        self.nodes += 1
+        return False
+
+    def solution(self, objective: int | None, values, **stats) -> MilpSolution:
+        """The result: with an incumbent (``values`` not None) OPTIMAL, or
+        FEASIBLE if time ran out; with none INFEASIBLE, or TIMED_OUT."""
+        if values is None:
+            status = SolveStatus.TIMED_OUT if self.timed_out else SolveStatus.INFEASIBLE
+            objective = None
+        else:
+            status = SolveStatus.FEASIBLE if self.timed_out else SolveStatus.OPTIMAL
+        return MilpSolution(status, objective, values, {"nodes": self.nodes, **stats})
+
+
 def verify_solution(model: MilpModel, values: np.ndarray) -> bool:
     """Check a value vector: binary entries, every row satisfied.
 
@@ -179,7 +217,7 @@ def verify_solution(model: MilpModel, values: np.ndarray) -> bool:
     return True
 
 
-def solve_highs(model: MilpModel, time_limit: float | None = None) -> MilpSolution:
+def solve_highs(model: MilpModel, time_limit: float = math.inf) -> MilpSolution:
     """Solve with scipy.optimize.milp (HiGHS branch and cut), gap 0."""
     if model.nvars == 0:  # scipy rejects it; its one point is the empty vector
         return MilpSolution(SolveStatus.OPTIMAL, 0, np.zeros(0, dtype=np.int8))
@@ -206,15 +244,12 @@ def solve_highs(model: MilpModel, time_limit: float | None = None) -> MilpSoluti
     lb[rel == 2] = rhs[rel == 2]
     ub[rel == 2] = rhs[rel == 2]
 
-    options: dict = {"mip_rel_gap": 0.0}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     res = sci_milp(
         c=c,
         constraints=SciLinearConstraint(a_mat, lb, ub),
         integrality=np.ones(nv),
         bounds=Bounds(0, 1),
-        options=options,
+        options={"mip_rel_gap": 0.0, "time_limit": float(time_limit)},
     )
 
     stats = {"scipy_status": int(res.status)}

@@ -147,7 +147,7 @@ def widest_pairs(universe: InteractionUniverse) -> list[int]:
 def minimal_suite(
     system: FactorSystem,
     constraints: ConstraintSet,
-    time_limit: float | None = DEFAULT_TIME_LIMIT,
+    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> tuple[TestSuite, dict]:
     """Exact minimum-size suite via the m-search.
 

@@ -26,7 +26,7 @@ from .core import (
 )
 from .gcp import partition_musts
 from .interactions import CoverageState, InteractionUniverse, verify_suite
-from .milp import MilpSolution, SolveStatus
+from .milp import Budget, MilpSolution, SolveStatus
 from .sequential import DEFAULT_STEP_TIME_LIMIT, generate_single_case
 
 
@@ -41,7 +41,7 @@ class PipelineStallError(PaircoverError):
 class PipelineConfig:
     weighted: bool = True
     alpha: float = 0.9
-    step_time_limit: float | None = DEFAULT_STEP_TIME_LIMIT
+    step_time_limit: float = DEFAULT_STEP_TIME_LIMIT
     minimize: bool = True
 
 
@@ -76,7 +76,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def solve(cover: list[int], time_limit: float | None = None) -> MilpSolution:
+def solve(cover: list[int], time_limit: float = math.inf) -> MilpSolution:
     """Fewest rows of ``cover`` whose union is the union of all rows.
 
     ``cover[r]`` is the bitmask of the elements row r covers.  Depth-first
@@ -88,11 +88,11 @@ def solve(cover: list[int], time_limit: float | None = None) -> MilpSolution:
     is the lexicographically smallest minimum keep vector.  The bound packs
     uncovered elements, fewest remaining carriers first, whose remaining
     carrier sets are pairwise disjoint: each needs a row of its own.  The
-    search stops once the incumbent reaches the root bound, and it checks
-    the deadline every 1024 nodes; on timeout the incumbent comes back as
-    FEASIBLE.  ``values`` is the 0/1 keep vector, ``objective`` its size.
+    search stops once the incumbent reaches the root bound, or a ``Budget``
+    stops it on timeout.  ``values`` is the 0/1 keep vector, ``objective``
+    its size.
     """
-    deadline = None if time_limit is None else time.perf_counter() + float(time_limit)
+    budget = Budget(time_limit)
     m = len(cover)
     everything = 0
     for mask in cover:
@@ -116,15 +116,9 @@ def solve(cover: list[int], time_limit: float | None = None) -> MilpSolution:
 
     root = bound(0, everything)
     best, best_keep = m + 1, None
-    nodes = 0
-    timed_out = False
     stack = [(0, everything, 0, 0)]  # row, uncovered elements, keep mask, rows kept
-    while stack:
+    while stack and not budget.spend():
         r, uncovered, keep, kept = stack.pop()
-        nodes += 1
-        if nodes % 1024 == 0 and deadline is not None and time.perf_counter() >= deadline:
-            timed_out = True
-            break
         if not uncovered:  # every later row is dropped
             if kept < best:
                 best, best_keep = kept, keep
@@ -139,19 +133,17 @@ def solve(cover: list[int], time_limit: float | None = None) -> MilpSolution:
         if not uncovered & last[r]:
             stack.append((r + 1, uncovered, keep, kept))
 
-    stats = {"nodes": nodes, "root_bound": root}
-    if best_keep is None:
-        return MilpSolution(SolveStatus.TIMED_OUT, None, None, stats)
-    values = np.array([best_keep >> r & 1 for r in range(m)], dtype=np.int8)
-    status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
-    return MilpSolution(status, best, values, stats)
+    values = None
+    if best_keep is not None:
+        values = np.array([best_keep >> r & 1 for r in range(m)], dtype=np.int8)
+    return budget.solution(best, values, root_bound=root)
 
 
 def minimize_suite(
     suite: TestSuite,
     constraints: ConstraintSet,
     universe: InteractionUniverse | None = None,
-    time_limit: float | None = DEFAULT_MINIMIZE_TIME_LIMIT,
+    time_limit: float = DEFAULT_MINIMIZE_TIME_LIMIT,
 ) -> tuple[TestSuite, dict]:
     """Smallest sub-suite keeping all covered pairs and all musts carried.
 
@@ -194,8 +186,7 @@ def minimize_suite(
         "status": sol.status.value,
         "rows": m,
         "elements": everything.bit_count(),
-        "nodes": sol.stats.get("nodes"),
-        "root_bound": sol.stats.get("root_bound"),
+        **sol.stats,  # nodes, root_bound
         "wall_s": time.perf_counter() - t0,
         "removed": m - len(out),
     }

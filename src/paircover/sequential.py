@@ -32,12 +32,11 @@ from .core import (
     validate_case,
 )
 from .interactions import CoverageState, InteractionUniverse, valid_cases
-from .milp import MilpSolution, SolveStatus
+from .milp import Budget, MilpSolution, SolveStatus
 
 DEFAULT_STEP_TIME_LIMIT = 60.0
 BLOCK_CASES = 1024  # most cases the suffix block scores in one pass
 _UNREACHABLE = -(2**40)  # gain of a level or case the step does not allow
-_CHECK_EVERY = 1024  # nodes between deadline checks
 
 
 class StepTimeout(PaircoverError):
@@ -178,7 +177,7 @@ class _Stop(Exception):
 
 
 def solve(
-    step: StepModel, time_limit: float | None = None, upper: int | None = None
+    step: StepModel, time_limit: float = math.inf, upper: int | None = None
 ) -> MilpSolution:
     """Best case of ``step``, exact unless ``time_limit`` runs out.
 
@@ -203,50 +202,37 @@ def solve(
     ``last_improved_node`` is that count when the incumbent last improved
     (None with no incumbent).  ``root_bound`` is ``tail[0]``, or with no
     prefix the objective itself, since the one block scoring is exhaustive.
-    The deadline is checked before counting a node each time 1024 more
-    nodes have been counted, so a step that starts past its deadline counts
-    at most 1024; on timeout the incumbent comes back as FEASIBLE.
+    A ``Budget`` counts the nodes and stops the search on timeout.
     ``values`` is the level per factor, which ``StepModel.decode`` turns
     into the case.
     """
+    budget = Budget(time_limit)
     block, block_score = step.block, step.block_score
     s, cases, cells, straddling = block.start, block.cases, block.cells, block.straddling
     if not s:  # no prefix, so nothing straddles: one scoring is the whole search
+        budget.spend()
         score = block_score
         if step.root is not block.root:  # fixed picks exclude some levels
             score = score + step.root.take(cells).sum(axis=0)
         k = int(score.argmax())
         value = int(score[k])
         if value < 0:  # every case breaks a fixed pick
-            stats = {"nodes": 1, "last_improved_node": None, "root_bound": None}
-            return MilpSolution(SolveStatus.INFEASIBLE, None, None, stats)
-        stats = {"nodes": 1, "last_improved_node": 1, "root_bound": value}
-        return MilpSolution(SolveStatus.OPTIMAL, value, cases[:, k].tolist(), stats)
+            return budget.solution(None, None, last_improved_node=None, root_bound=None)
+        return budget.solution(value, cases[:, k].tolist(), last_improved_node=1, root_bound=value)
 
-    deadline = None if time_limit is None else time.perf_counter() + float(time_limit)
     card = step.universe.system.cardinalities
     completes_avoid = step.universe.constraints.completes_avoid
     levels = [-1] * len(card)  # factors at or past the current depth stay -1
     best, best_levels, improved = -1, None, None
-    nodes, check_at = 0, (math.inf if deadline is None else _CHECK_EVERY)
-    timed_out = False
     gain, tail = step.gain, step.tail
     cap = tail[0] if upper is None else min(tail[0], upper)
 
-    def check_deadline() -> None:
-        nonlocal check_at, timed_out
-        check_at = nodes + _CHECK_EVERY
-        if time.perf_counter() >= deadline:
-            timed_out = True
-            raise _Stop
-
     def visit(d: int, cur: int, reach: np.ndarray) -> None:
         # reach[j, b]: what level b of factor j adds to the picks on factors < d
-        nonlocal best, best_levels, improved, nodes
+        nonlocal best, best_levels, improved
         if d == s:
-            if nodes >= check_at:
-                check_deadline()
-            nodes += 1
+            if budget.spend():
+                raise _Stop
             score = block_score + reach.take(cells).sum(axis=0)
             for picks, rows in straddling:
                 if all(levels[g] == v for g, v in picks):
@@ -255,7 +241,7 @@ def solve(
             value = cur + int(score[k])
             if value > best:
                 best, best_levels = value, levels[:s] + cases[:, k].tolist()
-                improved = nodes
+                improved = budget.nodes
                 if best >= cap:
                     raise _Stop
             return
@@ -266,9 +252,8 @@ def solve(
             value = cur + here[a]
             if value + rest[a] <= best or completes_avoid(d, a, levels):
                 continue
-            if nodes >= check_at:
-                check_deadline()
-            nodes += 1
+            if budget.spend():
+                raise _Stop
             levels[d] = a
             visit(d + 1, value, child[a])
         levels[d] = -1
@@ -278,18 +263,13 @@ def solve(
     except _Stop:
         pass
 
-    stats = {"nodes": nodes, "last_improved_node": improved, "root_bound": tail[0]}
-    if best_levels is None:
-        status = SolveStatus.TIMED_OUT if timed_out else SolveStatus.INFEASIBLE
-        return MilpSolution(status, None, None, stats)
-    status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
-    return MilpSolution(status, best, best_levels, stats)
+    return budget.solution(best, best_levels, last_improved_node=improved, root_bound=tail[0])
 
 
 def generate_single_case(
     coverage: CoverageState,
     fixed: PartialAssignment | None = None,
-    time_limit: float | None = DEFAULT_STEP_TIME_LIMIT,
+    time_limit: float = DEFAULT_STEP_TIME_LIMIT,
     upper: int | None = None,
 ) -> tuple[TestCase | None, dict]:
     """Best next case over ``coverage.universe`` and the step's stats, or
@@ -310,9 +290,7 @@ def generate_single_case(
         "uncovered_before": int(len(uncovered)),
         "status": sol.status.value,
         "objective": sol.objective,
-        "nodes": sol.stats["nodes"],
-        "last_improved_node": sol.stats.get("last_improved_node"),
-        "root_bound": sol.stats.get("root_bound"),
+        **sol.stats,  # nodes, last_improved_node, root_bound
         "wall_s": time.perf_counter() - t0,
     }
     if sol.status == SolveStatus.INFEASIBLE:

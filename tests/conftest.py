@@ -21,20 +21,15 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from paircover.bench import random_avoids
 from paircover.core import ConstraintSet, PartialAssignment, TestCase
 from paircover.milp import MilpModel
 
 
 def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):
-    """Random avoid pairs plus musts that do not contain any avoid."""
-    avoid = []
-    for _ in range(n_avoid):
-        fs = sorted(rng.choice(system.n_factors, size=2, replace=False))
-        avoid.append(
-            PartialAssignment(
-                tuple((int(f), int(rng.integers(system.cardinalities[int(f)]))) for f in fs)
-            )
-        )
+    """Random avoid pairs (``bench.random_avoids``) plus musts that do not
+    contain any avoid."""
+    avoid = random_avoids(system, rng, n_avoid)
     musts = []
     tries = 0
     while len(musts) < n_must and tries < max_tries:
@@ -47,7 +42,7 @@ def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):
         if any(mu.extends(av) for av in avoid):
             continue
         musts.append(mu)
-    return ConstraintSet(avoid=tuple(avoid), must=tuple(musts))
+    return ConstraintSet(avoid=avoid, must=tuple(musts))
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -249,6 +250,18 @@ class TestMinimize:
         captured = capsys.readouterr()
         assert captured.out == "A,B,C\n" and captured.err == "0 -> 0 cases\n"
 
+    def test_avoid_violating_row_is_an_error(self, tmp_path, capsys):
+        # the six valid rows cover every pair; the cover used to keep row 0
+        model, suite = tmp_path / "m.model", tmp_path / "bad.csv"
+        model.write_text("A: a0, a1\nB: b0, b1\nC: c0, c1\nAVOID: A=a0, B=b0\n")
+        rows = ["a0,b0,c0", "a0,b1,c1", "a1,b0,c1", "a1,b1,c0", "a0,b1,c0", "a1,b0,c0", "a1,b1,c1"]
+        suite.write_text("\n".join(["A,B,C", *rows]) + "\n")
+        rc = cli.main(["minimize", "--model", str(model), "--suite", str(suite)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: case 0 violates an avoid tuple: (0, 0, 0)\n"
+
     def test_unproven_cover_exits_degraded(self, tmp_path, capsys):
         # the 73-row cover of test_pipeline's overshoot test: not proven in 0.5 s
         system, cs = make_system([4] * 6), ConstraintSet()
@@ -270,7 +283,7 @@ class TestMinimize:
         import paircover.pipeline as pl
         from paircover.milp import MilpSolution, SolveStatus
 
-        def starved(model, time_limit=None):
+        def starved(model, time_limit=math.inf):
             return MilpSolution(SolveStatus.TIMED_OUT, None, None, {})
 
         out = tmp_path / "suite.csv"
@@ -322,6 +335,13 @@ class TestBench:
         rc = cli.main(["bench", "--family", "random", "--count", "1", "--methods", "nope"])
         assert rc == 1
         assert "unknown method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", [",", "", " , "])
+    def test_empty_method_list(self, methods, capsys):
+        rc = cli.main(["bench", "--family", "random", "--count", "1", "--methods", methods])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --methods names no method" in captured.err
 
 
 class TestErrors:

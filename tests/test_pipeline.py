@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -13,7 +14,8 @@ from paircover.core import (
 )
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, coverage_curve, verify_suite
-from paircover.milp import MilpSolution, SolveStatus
+from paircover.milp import MilpSolution, SolveStatus, solve_highs
+from paircover.monolithic import build_monolithic, minimal_suite
 from paircover.pipeline import (
     PipelineConfig,
     minimize_suite,
@@ -134,7 +136,7 @@ class TestMinimizeSuite:
         import paircover.pipeline as pl
         from paircover.milp import MilpSolution, SolveStatus
 
-        def starved(model, time_limit=None):
+        def starved(model, time_limit=math.inf):
             return MilpSolution(SolveStatus.TIMED_OUT, None, None, {})
 
         monkeypatch.setattr(pl, "solve", starved)
@@ -192,7 +194,7 @@ class TestCoverSearch:
 
         seen = []
 
-        def recording(cover, time_limit=None):
+        def recording(cover, time_limit=math.inf):
             seen.append(cover)
             return cover_search(cover, time_limit=time_limit)
 
@@ -290,7 +292,7 @@ class TestRunPipeline:
         assert report.cover["status"] == "optimal" and not report.degraded
         assert report.cover["rows"] == report.raw_size
 
-        def unproven(cover, time_limit=None):
+        def unproven(cover, time_limit=math.inf):
             sol = cover_search(cover, time_limit=time_limit)
             return MilpSolution(SolveStatus.FEASIBLE, sol.objective, sol.values, sol.stats)
 
@@ -410,3 +412,22 @@ class TestRunPipeline:
             want = oracle_min_suite_size(sys_, cs)
             suite, _ = run_pipeline(sys_, cs)
             assert len(suite) <= want + 1
+
+
+def test_infinite_time_limits_match_the_defaults():
+    # math.inf means no limit everywhere a time limit is taken
+    sys_, cs = make_bbu()
+    suite, report = run_pipeline(sys_, cs)
+    unlimited, _ = run_pipeline(sys_, cs, config=PipelineConfig(step_time_limit=math.inf))
+    assert unlimited.cases == suite.cases and not report.degraded
+
+    raw = TestSuite(sys_, [tc for s in range(2) for tc in greedy_suite(sys_, cs, seed=s)])
+    kept, stats = minimize_suite(raw, cs)
+    assert minimize_suite(raw, cs, time_limit=math.inf)[0].cases == kept.cases
+    assert stats["status"] == "optimal"
+
+    exact, report = minimal_suite(sys_, cs)
+    assert minimal_suite(sys_, cs, time_limit=math.inf)[0].cases == exact.cases
+    mono = build_monolithic(sys_, cs, report["m"], InteractionUniverse(sys_, cs))
+    sol = solve_highs(mono.milp, math.inf)
+    assert sol.status == SolveStatus.OPTIMAL and mono.decode(sol.values).cases == exact.cases

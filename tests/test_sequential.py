@@ -1,4 +1,5 @@
 import gc
+import math
 import time
 import weakref
 
@@ -12,11 +13,13 @@ from paircover.core import (
     PartialAssignment,
     StructureError,
     TestCase,
+    TestSuite,
     validate_case,
 )
-from paircover.interactions import CoverageState, InteractionUniverse
+from paircover.greedy import greedy_suite
+from paircover.interactions import CoverageState, InteractionUniverse, verify_suite
 from paircover.milp import MilpSolution, SolveStatus, solve_highs
-from paircover.pipeline import run_pipeline
+from paircover.pipeline import minimize_suite, run_pipeline
 from paircover.sequential import StepTimeout, build_step, generate_single_case
 
 from conftest import brute_force_step, enumerate_valid_cases, step_milp, universe_pairs
@@ -151,7 +154,7 @@ class TestGenerateSingleCase:
         assert cov.is_full
 
     def test_no_incumbent_raises_step_timeout(self, monkeypatch):
-        def starved(step, time_limit=None, upper=None):
+        def starved(step, time_limit=math.inf, upper=None):
             return MilpSolution(SolveStatus.TIMED_OUT, None, None, {"nodes": 0})
 
         monkeypatch.setattr(sequential, "solve", starved)
@@ -419,8 +422,19 @@ def test_deadline_is_checked_within_1024_nodes(cards):
         tc, _ = generate_single_case(cov, time_limit=0.0)
         cov.mark_case(tc)
     tc, st = generate_single_case(cov, time_limit=0.0)
-    assert st["status"] == "feasible" and st["nodes"] <= 1024
+    assert st["status"] == "feasible" and st["nodes"] == 1024
     assert cov.mark_case(tc) > 0
+
+
+def test_cover_deadline_is_checked_within_1024_nodes():
+    # the step's rule, from the same Budget: a cover search that starts
+    # past its deadline counts 1024 nodes and keeps its incumbent
+    sys_, cs = make_system([4] * 6), ConstraintSet()
+    suite = TestSuite(sys_, [tc for s in range(3) for tc in greedy_suite(sys_, cs, seed=s)])
+    assert len(suite) == 73
+    out, st = minimize_suite(suite, cs, time_limit=0)
+    assert st["status"] == "feasible" and st["nodes"] == 1024
+    assert len(out) < 73 and verify_suite(out, cs)[0]
 
 
 def test_block_tables_are_freed_with_their_universe():
