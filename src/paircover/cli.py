@@ -174,7 +174,7 @@ def _cmd_bench(args) -> int:
     records = bench_mod.run_methods(instances, methods, seed=args.seed)
     csv_text = bench_mod.records_to_csv(records)
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
@@ -183,7 +183,7 @@ def _cmd_bench(args) -> int:
     taus = [1.0 + 0.05 * k for k in range(int((args.max_tau - 1.0) / 0.05 + 1e-9) + 1)]
     profile = bench_mod.performance_profile(records, taus)
     if args.profile:
-        with open(args.profile, "w") as fh:
+        with open(args.profile, "w", encoding="utf-8") as fh:
             fh.write(bench_mod.profile_to_csv(profile, taus))
     ranks = bench_mod.competition_ranks(records)
     for m in sorted(ranks):

@@ -49,15 +49,15 @@ def greedy_suite(
     while not state.is_full:
         if len(suite) >= limit:
             raise PaircoverError(f"greedy did not converge within {limit} cases")
-        open_ = ~state.mask
+        open_ = state.weights != 0  # per pair id; id -1 reads the last, False
         # factor order: most uncovered pairs touched first
-        touch = np.bincount(universe.f1[open_], minlength=n)
-        touch += np.bincount(universe.f2[open_], minlength=n)
+        touch = np.bincount(universe.f1[open_[:-1]], minlength=n)
+        touch += np.bincount(universe.f2[open_[:-1]], minlength=n)
         factor_order = sorted(range(n), key=lambda f: (-int(touch[f]), f))
-        # gain[g, b, f, a] is 1 while the pair (g, b), (f, a) is uncovered (id
-        # -1 reads the appended 0); score[f, a] sums gain[g, assigned[g], f, a]
-        # over the placed factors, kept as levels are placed and taken back
-        gain = np.append(open_, False)[sym].astype(np.int64)
+        # gain[g, b, f, a] is 1 while the pair (g, b), (f, a) is uncovered;
+        # score[f, a] sums gain[g, assigned[g], f, a] over the placed
+        # factors, kept as levels are placed and taken back
+        gain = open_[sym].astype(np.int64)
         potential = gain.sum(axis=(2, 3))
         score = np.zeros_like(potential)
 

@@ -254,28 +254,30 @@ class InteractionUniverse:
 
 
 class CoverageState:
-    """Mutable covered/uncovered bookkeeping over one universe."""
+    """Mutable coverage bookkeeping over one universe: ``weights[u]`` is pair
+    u's weight (at least 1) while u is uncovered and 0 once a marked case
+    holds it; one last entry, always 0, is what pair id -1 reads."""
 
     def __init__(self, universe: InteractionUniverse):
         self.universe = universe
-        self.mask = np.zeros(len(universe), dtype=bool)
+        self.weights = np.append(universe.weights, 0)
 
     @property
     def ratio(self) -> float:
-        return int(self.mask.sum()) / len(self.universe)
+        return int((self.weights[:-1] == 0).sum()) / len(self.universe)
 
     @property
     def is_full(self) -> bool:
-        return bool(self.mask.all())
+        return not self.weights.any()
 
     def uncovered_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.mask)
+        return np.flatnonzero(self.weights)
 
     def mark_case(self, case: TestCase) -> int:
         """Mark the case's pairs covered; returns how many were new."""
         ids = self.universe.case_pair_ids(case.levels)
-        fresh = int((~self.mask[ids]).sum())
-        self.mask[ids] = True
+        fresh = int(np.count_nonzero(self.weights[ids]))
+        self.weights[ids] = 0
         return fresh
 
 

@@ -132,7 +132,8 @@ def parse_model(text: str) -> tuple[FactorSystem, ConstraintSet]:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # drop a byte-order mark after decoding, so error offsets count from byte 0
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8 text (byte {e.start})") from None
 
@@ -178,7 +179,7 @@ def suite_from_csv(text: str, system: FactorSystem) -> TestSuite:
 
 
 def write_suite_csv(path, suite: TestSuite) -> None:
-    Path(path).write_text(suite_to_csv(suite))
+    Path(path).write_text(suite_to_csv(suite), encoding="utf-8")
 
 
 def read_suite_csv(path, system: FactorSystem) -> TestSuite:
@@ -229,4 +230,4 @@ def report_to_json(report: dict) -> str:
 
 
 def write_report(path, report) -> None:
-    Path(path).write_text(report_to_json(report))
+    Path(path).write_text(report_to_json(report), encoding="utf-8")

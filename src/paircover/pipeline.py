@@ -252,10 +252,8 @@ def run_pipeline(
 
     t2 = time.perf_counter()
     upper = None  # the last phase-2 step's value once proven: no later step beats it
-    while True:
+    while not coverage.is_full:
         tc, st = generate_single_case(coverage, time_limit=cfg.step_time_limit, upper=upper)
-        if tc is None:
-            break
         upper = st["objective"] if st["status"] == SolveStatus.OPTIMAL.value else None
         fresh = coverage.mark_case(tc)
         if fresh == 0:

@@ -111,9 +111,10 @@ class StepModel:
     ``sum(gain[i, a_i, j, a_j] for i < j)`` over the levels ``root``
     allows.  ``gain[i, a, j, b]`` is the weight of the pair (i, a), (j, b)
     while it is uncovered and 0 otherwise (also for i >= j and for padding
-    levels): the universe's ``pair_id`` table read through the uncovered
-    weights ``weights`` (one entry per pair id, plus a trailing 0 that id
-    -1 reads).  ``root[i, a]`` is 0 when level a of factor i is allowed and
+    levels): the universe's ``pair_id`` table read through ``weights``, the
+    coverage state's uncovered weights copied when the step was built
+    (``CoverageState.weights``), so marking a case later leaves the step
+    as it was.  ``root[i, a]`` is 0 when level a of factor i is allowed and
     _UNREACHABLE when it is padding or a fixed pick excludes it.
     ``tail[d]`` bounds what the pairs among factors d.. can add: the sum of
     each such factor pair's largest entry over the allowed levels.
@@ -151,12 +152,10 @@ class StepModel:
         return tc
 
 
-def build_step(
-    universe: InteractionUniverse,
-    uncovered_ids,
-    fixed: PartialAssignment | None = None,
-) -> StepModel:
-    """Assemble the one-case maximization over the given uncovered pairs."""
+def build_step(coverage: CoverageState, fixed: PartialAssignment | None = None) -> StepModel:
+    """Assemble the one-case maximization over the pairs ``coverage`` has
+    left uncovered, with the ``fixed`` picks."""
+    universe = coverage.universe
     block = _suffix_block(universe)
     root = block.root
     if fixed is not None:
@@ -166,9 +165,7 @@ def build_step(
             root[f] = _UNREACHABLE
             root[f, v] = 0
 
-    ids = np.asarray(uncovered_ids, dtype=np.int64)
-    w = np.zeros(len(universe) + 1, dtype=np.int64)  # pair_id -1 reads the last 0
-    w[ids] = universe.weights[ids]
+    w = coverage.weights.copy()
     return StepModel(universe, root, block, w.take(block.pair_ids).sum(axis=0), w)
 
 
@@ -271,23 +268,20 @@ def generate_single_case(
     fixed: PartialAssignment | None = None,
     time_limit: float = DEFAULT_STEP_TIME_LIMIT,
     upper: int | None = None,
-) -> tuple[TestCase | None, dict]:
-    """Best next case over ``coverage.universe`` and the step's stats, or
-    ``(None, {})`` when everything is already covered and no picks are fixed.
+) -> tuple[TestCase, dict]:
+    """Best next case over ``coverage.universe`` and the step's stats.
 
-    ``upper``, when given, is a proven bound on the step's value that
-    ``solve`` may stop at (see there).  A solve that times out with an
-    incumbent still returns that case, with status ``feasible``; with no
-    incumbent it raises StepTimeout.
+    The step is formulated even when every pair is covered, as a must
+    group still needs its case.  ``upper``, when given, is a proven bound
+    on the step's value that ``solve`` may stop at (see there).  A solve
+    that times out with an incumbent still returns that case, with status
+    ``feasible``; with no incumbent it raises StepTimeout.
     """
-    uncovered = coverage.uncovered_indices()
-    if len(uncovered) == 0 and fixed is None:
-        return None, {}
     t0 = time.perf_counter()
-    step = build_step(coverage.universe, uncovered, fixed)
+    step = build_step(coverage, fixed)
     sol = solve(step, time_limit, upper)
     stats = {
-        "uncovered_before": int(len(uncovered)),
+        "uncovered_before": int(np.count_nonzero(step.weights)),
         "status": sol.status.value,
         "objective": sol.objective,
         **sol.stats,  # nodes, last_improved_node, root_bound

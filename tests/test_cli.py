@@ -523,6 +523,24 @@ def test_parser_reuse_leaks_no_state(model_file, tmp_path, monkeypatch):
     assert b.read_bytes() == fresh.read_bytes()
 
 
+def test_suite_file_is_utf8_under_an_ascii_locale(tmp_path):
+    # the POSIX locale, with UTF-8 mode and locale coercion off, makes the
+    # locale encoding ASCII; a level outside it must still reach the file
+    model = tmp_path / "arrow.model"
+    model.write_text("A: a→b, c\nB: d, e\n", encoding="utf-8")
+    out = tmp_path / "suite.csv"
+    env = {**_src_env(), "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    run = subprocess.run(
+        [sys.executable, "-m", "paircover.cli", "generate", "--model", str(model), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "A,B" and any(r.startswith("a→b,") for r in rows[1:])
+
+
 def test_import_does_not_load_scipy():
     # scipy.optimize takes longer to import than a small run needs; only the
     # monolithic method's solver may pull it in, at call time.  The tests'

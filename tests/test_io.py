@@ -1,7 +1,11 @@
+import ast
+import codecs
 import json
+from pathlib import Path
 
 import pytest
 
+import paircover
 from paircover.bench import make_bbu, make_system
 from paircover.core import ConstraintSet, ParseError, PartialAssignment, TestCase, TestSuite
 from paircover.io import (
@@ -184,3 +188,82 @@ class TestReportJson:
 
     def test_plain_dict(self):
         assert json.loads(report_to_json({"a": 1})) == {"a": 1}
+
+
+class TestUtf8Files:
+    """Text files are read and written as UTF-8; a leading byte-order mark,
+    as some editors write one, is read past."""
+
+    def test_model_with_a_byte_order_mark(self, tmp_path):
+        text = "A: a0, a1\nB: b0, b1\nAVOID: A=a0, B=b0\n"
+        path = tmp_path / "m.model"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert load_model(path) == parse_model(text)
+
+    def test_suite_with_a_byte_order_mark(self, tmp_path):
+        sys_ = make_system([2, 3])
+        suite = TestSuite(sys_, [TestCase((1, 2)), TestCase((0, 0))])
+        path = tmp_path / "suite.csv"
+        path.write_bytes(codecs.BOM_UTF8 + suite_to_csv(suite).encode("utf-8"))
+        assert read_suite_csv(path, sys_).cases == suite.cases
+
+    def test_byte_offset_of_a_bad_byte_counts_the_mark(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_bytes(codecs.BOM_UTF8 + b"A: a0, a1\n\xff\n")
+        with pytest.raises(ParseError, match="byte 13"):
+            load_model(path)
+
+
+def _text_io_calls_without_encoding(tree):
+    """``function:line`` of each read_text, write_text or text-mode open call
+    in ``tree`` that names no encoding."""
+    owner = {}  # call -> innermost enclosing function; ast.walk goes outer first
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name not in ("read_text", "write_text", "open"):
+            continue
+        if any(k.arg == "encoding" for k in node.keywords):
+            continue
+        if name == "open":
+            # open(file, mode) or path.open(mode); the default mode is text
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            modes += node.args[1:2] if isinstance(f, ast.Name) else node.args[:1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if isinstance(mode, ast.Constant) and "b" in str(mode.value):
+                continue
+        found.append(f"{owner.get(node, '<module>')}:{node.lineno}")
+    return found
+
+
+def test_every_text_file_call_names_its_encoding():
+    # without an encoding, Python reads and writes in the locale's encoding,
+    # so the same model or suite would read or write differently by machine
+    src = Path(paircover.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.stem}.{where}" for where in _text_io_calls_without_encoding(tree)]
+    assert not found, found
+
+
+def test_the_encoding_guard_sees_each_form():
+    code = """
+def f(p):
+    open(p)
+    open(p, "w")
+    open(p, "rb")
+    open(p, mode="w", encoding="utf-8")
+    p.open("w")
+    p.open("wb")
+    p.read_text()
+    p.write_text("x", encoding="utf-8")
+"""
+    assert _text_io_calls_without_encoding(ast.parse(code)) == ["f:3", "f:4", "f:7", "f:9"]

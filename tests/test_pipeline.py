@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,11 +26,13 @@ from paircover.pipeline import (
 from paircover.pipeline import solve as cover_search
 
 from conftest import (
+    Pair,
     cover_milp,
     covered_by_some,
     oracle_min_suite_size,
     random_constraints,
     satisfied_musts,
+    universe_pairs,
 )
 from reference_kernel import solve_reference
 
@@ -431,3 +435,30 @@ def test_infinite_time_limits_match_the_defaults():
     mono = build_monolithic(sys_, cs, report["m"], InteractionUniverse(sys_, cs))
     sol = solve_highs(mono.milp, math.inf)
     assert sol.status == SolveStatus.OPTIMAL and mono.decode(sol.values).cases == exact.cases
+
+
+@pytest.mark.parametrize(
+    "name", [*classic_instances(), *(f"rand-{seed}" for seed in range(25))]
+)
+def test_coverage_bookkeeping_matches_a_recount(name):
+    # each step's uncovered_before and fresh, and the coverage curve,
+    # against a plain recount of the universe pairs the rows placed so far hold
+    sys_, cs = classic_instances().get(name) or random_instance(int(name[5:]))
+    suite, report = run_pipeline(sys_, cs, config=PipelineConfig(minimize=False))
+    uni = InteractionUniverse(sys_, cs)
+    pairs = set(universe_pairs(uni))
+    covered, curve = set(), []
+    assert len(report.steps) == len(suite)
+    for st, tc in zip(report.steps, suite):
+        lv = tc.levels
+        held = {Pair(i, lv[i], j, lv[j]) for i, j in combinations(range(len(lv)), 2)} & pairs
+        assert type(st["uncovered_before"]) is int
+        assert st["uncovered_before"] == len(pairs) - len(covered)
+        if st["phase"] == 2:
+            assert type(st["fresh"]) is int and st["fresh"] == len(held - covered)
+        covered |= held
+        curve.append(len(covered) / len(pairs))
+    assert covered == pairs
+    got = coverage_curve(suite, uni)
+    assert all(type(r) is float for r in got) and got == curve
+    json.dumps(report.to_dict())

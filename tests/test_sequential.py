@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import time
@@ -37,11 +38,13 @@ class TestBuildStep:
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
         uni, cov = fresh_state(sys_, cs)
         cov.mark_case(TestCase((1, 2)))
-        step = build_step(uni, cov.uncovered_indices())
+        step = build_step(cov)
+        open_weight = 0
         for k, it in enumerate(universe_pairs(uni)):
-            want = 0 if cov.mask[k] else int(uni.weights[k])
+            want = 0 if (it.a, it.b) == (1, 2) else int(uni.weights[k])
             assert step.gain[it.i, it.a, it.j, it.b] == want
-        assert step.gain.sum() == uni.weights[~cov.mask].sum()
+            open_weight += want
+        assert step.gain.sum() == open_weight
         assert step.gain[0, 0, 1, 0] == 0  # avoided, so not in the universe
         assert step.universe.constraints.completes_avoid(1, 0, [0, -1])
         assert not step.universe.constraints.completes_avoid(1, 0, [1, -1])
@@ -52,9 +55,9 @@ class TestBuildStep:
 
     def test_fixed_pick_narrows_factor(self):
         sys_ = make_system([2, 3])
-        uni, cov = fresh_state(sys_, ConstraintSet())
+        _, cov = fresh_state(sys_, ConstraintSet())
         fixed = PartialAssignment(((1, 2),))
-        step = build_step(uni, cov.uncovered_indices(), fixed)
+        step = build_step(cov, fixed)
         no = sequential._UNREACHABLE
         assert step.root.tolist() == [[0, 0, no], [no, no, 0]]
         tc, _ = generate_single_case(cov, fixed=fixed)
@@ -62,15 +65,15 @@ class TestBuildStep:
 
     def test_out_of_range_fix_rejected(self):
         sys_ = make_system([2, 3])
-        uni, cov = fresh_state(sys_, ConstraintSet())
+        _, cov = fresh_state(sys_, ConstraintSet())
         fixed = PartialAssignment(((0, 2),))  # factor 0 has levels 0 and 1
         with pytest.raises(StructureError):
-            build_step(uni, cov.uncovered_indices(), fixed)
+            build_step(cov, fixed)
 
     def test_objective_uses_weights(self):
         sys_ = make_system([2, 4])
-        uni, cov = fresh_state(sys_, ConstraintSet(), weighted=True)
-        step = build_step(uni, cov.uncovered_indices())
+        _, cov = fresh_state(sys_, ConstraintSet(), weighted=True)
+        step = build_step(cov)
         assert set(step.gain[0, :2, 1, :4].ravel().tolist()) == {8}  # 2 * 4
         assert step.gain.sum() == 8 * 8
 
@@ -78,16 +81,16 @@ class TestBuildStep:
 class TestStepDecode:
     def test_levels_become_the_case(self):
         sys_, cs = make_bbu()
-        uni, cov = fresh_state(sys_, cs)
-        step = build_step(uni, cov.uncovered_indices())
+        _, cov = fresh_state(sys_, cs)
+        step = build_step(cov)
         sol = sequential.solve(step)
         assert sol.values == list(step.decode(sol.values).levels)
         assert step.decode([1, 1, 1, 1]) == TestCase((1, 1, 1, 1))
 
     def test_avoid_violation_raises(self):
         sys_, cs = make_bbu()  # avoids F0=0 with F1=3
-        uni, cov = fresh_state(sys_, cs)
-        step = build_step(uni, cov.uncovered_indices())
+        _, cov = fresh_state(sys_, cs)
+        step = build_step(cov)
         with pytest.raises(StructureError, match="avoid"):
             step.decode([0, 3, 0, 0])
 
@@ -100,15 +103,6 @@ class TestGenerateSingleCase:
         assert tc is not None
         assert stats["objective"] == 3 * 9  # 3 pairs, weight 9 each
         assert stats["status"] == "optimal"
-
-    def test_none_when_complete(self):
-        sys_ = make_system([2, 2])
-        _, cov = fresh_state(sys_, ConstraintSet())
-        for a in range(2):
-            for b in range(2):
-                cov.mark_case(TestCase((a, b)))
-        tc, stats = generate_single_case(cov)
-        assert tc is None and stats == {}
 
     def test_respects_avoids(self):
         sys_, cs = make_bbu()
@@ -143,10 +137,8 @@ class TestGenerateSingleCase:
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (2, 0))),))
         uni, cov = fresh_state(sys_, cs)
         steps = 0
-        while True:
+        while not cov.is_full:
             tc, _ = generate_single_case(cov)
-            if tc is None:
-                break
             fresh = cov.mark_case(tc)
             assert fresh > 0
             steps += 1
@@ -164,14 +156,19 @@ class TestGenerateSingleCase:
             generate_single_case(cov)
 
 
+def snapshot(cov):
+    """A coverage state of the same universe with a copy of ``cov``'s weights."""
+    out = copy.copy(cov)
+    out.weights = cov.weights.copy()
+    return out
+
+
 def pipeline_states(system, constraints, weighted, fixed=None):
-    """(universe, uncovered ids, fixed picks) before each step of a pipeline run."""
-    uni, cov = fresh_state(system, constraints, weighted)
-    while True:
-        uncovered = cov.uncovered_indices()
-        if len(uncovered) == 0 and fixed is None:
-            return
-        yield uni, uncovered, fixed
+    """(coverage, fixed picks) before each step of a pipeline run; each
+    coverage is a snapshot, so the states may be collected first."""
+    _, cov = fresh_state(system, constraints, weighted)
+    while fixed is not None or not cov.is_full:
+        yield snapshot(cov), fixed
         tc, _ = generate_single_case(cov, fixed=fixed)
         cov.mark_case(tc)
         fixed = None
@@ -182,8 +179,8 @@ def one_hot(system, tc):
     return [int(a == v) for card, v in zip(system.cardinalities, tc.levels) for a in range(card)]
 
 
-def search(uni, uncovered, fixed):
-    step = build_step(uni, uncovered, fixed)
+def search(cov, fixed):
+    step = build_step(cov, fixed)
     sol = sequential.solve(step)
     return sol, (step.decode(sol.values) if sol.has_solution else None)
 
@@ -205,8 +202,9 @@ class TestSearchOracle:
         for (sys_, cs), fixed in self.CORPUS:
             cases = np.array([tc.levels for tc in enumerate_valid_cases(sys_, cs)])
             for weighted in (True, False):
-                for uni, uncovered, fix in pipeline_states(sys_, cs, weighted, fixed):
-                    sol, tc = search(uni, uncovered, fix)
+                for cov, fix in pipeline_states(sys_, cs, weighted, fixed):
+                    uni, uncovered = cov.universe, cov.uncovered_indices()
+                    sol, tc = search(cov, fix)
                     assert sol.status is SolveStatus.OPTIMAL
                     assert (sol.objective, tc) == brute_force_step(cases, uni, uncovered, fix)
                     checked += 1
@@ -224,9 +222,9 @@ class TestSearchOracle:
     def test_bbu_matches_scipy_objective(self):
         sys_, cs = make_bbu()
         for weighted in (True, False):
-            for uni, uncovered, fix in pipeline_states(sys_, cs, weighted, cs.must[0]):
-                sol, _ = search(uni, uncovered, fix)
-                ref = solve_highs(step_milp(sys_, cs, uni, uncovered, fix))
+            for cov, fix in pipeline_states(sys_, cs, weighted, cs.must[0]):
+                sol, _ = search(cov, fix)
+                ref = solve_highs(step_milp(sys_, cs, cov.universe, cov.uncovered_indices(), fix))
                 assert ref.status is SolveStatus.OPTIMAL
                 assert ref.objective == sol.objective
 
@@ -242,13 +240,13 @@ class TestSearchOracle:
             if len(cases) == 0:
                 continue
             uni, cov = fresh_state(sys_, cs, weighted=bool(rng.integers(2)))
-            cov.mask[:] = rng.random(len(uni)) < 0.4
+            cov.weights[:-1][rng.random(len(uni)) < 0.4] = 0
             fixed = None
             if rng.integers(2):
                 f = int(rng.integers(len(cards)))
                 fixed = PartialAssignment(((f, int(rng.integers(cards[f]))),))
             want = brute_force_step(cases, uni, cov.uncovered_indices(), fixed)
-            sol, tc = search(uni, cov.uncovered_indices(), fixed)
+            sol, tc = search(cov, fixed)
             if want == (None, None):
                 assert sol.status is SolveStatus.INFEASIBLE
                 continue
@@ -264,8 +262,8 @@ def test_steps_report_their_root_bound_and_last_improvement():
     # every factor; the incumbent last improved within the step's nodes
     prefixed = whole = 0
     for (sys_, cs), fixed in TestSearchOracle.CORPUS + [((make_system([4] * 4), ConstraintSet()), None)]:
-        for uni, uncovered, fix in pipeline_states(sys_, cs, True, fixed):
-            step = build_step(uni, uncovered, fix)
+        for cov, fix in pipeline_states(sys_, cs, True, fixed):
+            step = build_step(cov, fix)
             sol = sequential.solve(step)
             assert 1 <= sol.stats["last_improved_node"] <= sol.stats["nodes"]
             if step.block.start == 0:
@@ -273,9 +271,10 @@ def test_steps_report_their_root_bound_and_last_improvement():
                 whole += 1
                 continue
             allowed = dict(fix.picks) if fix is not None else {}
+            uni = cov.universe
             pairs = universe_pairs(uni)
             heaviest = {}
-            for k in uncovered.tolist():
+            for k in cov.uncovered_indices().tolist():
                 it = pairs[k]
                 if allowed.get(it.i, it.a) == it.a and allowed.get(it.j, it.b) == it.b:
                     w = int(uni.weights[k])
@@ -295,10 +294,10 @@ def test_proven_step_value_caps_the_next_step(avoid):
     # run_pipeline must pass that cap and no other
     sys_ = make_system([3] * 13)
     cs = ConstraintSet(avoid=random_avoids(sys_, np.random.default_rng(0), avoid))
-    uni, cov = fresh_state(sys_, cs)
+    _, cov = fresh_state(sys_, cs)
     upper, free_nodes, capped_nodes = None, [], []
-    while len(uncovered := cov.uncovered_indices()):
-        step = build_step(uni, uncovered)
+    while not cov.is_full:
+        step = build_step(cov)
         assert step.block.start > 0
         free = sequential.solve(step)
         capped = sequential.solve(step, upper=upper)
@@ -391,17 +390,19 @@ class TestSuffixBlock:
             states = []
             for weighted in (True, False):
                 states += pipeline_states(sys_, cs, weighted, PartialAssignment(picks))
-                uni, cov = fresh_state(sys_, cs, weighted)
+                uni = InteractionUniverse(sys_, cs, weighted=weighted)
                 for _ in range(8):  # random coverage, with and without fixed picks
-                    uncovered = np.flatnonzero(rng.random(len(uni)) < 0.5)
-                    states += [(uni, uncovered, None), (uni, uncovered, PartialAssignment(picks))]
-            for uni, uncovered, fixed in states:
-                step = build_step(uni, uncovered, fixed)
+                    cov = CoverageState(uni)
+                    cov.weights[:-1][rng.random(len(uni)) >= 0.5] = 0
+                    states += [(cov, None), (cov, PartialAssignment(picks))]
+            for cov, fixed in states:
+                step = build_step(cov, fixed)
                 starts.add(step.block.start)
                 sol = sequential.solve(step)
                 assert sol.status is SolveStatus.OPTIMAL
                 tc = step.decode(sol.values)
-                assert (sol.objective, tc) == brute_force_step(cases, uni, uncovered, fixed)
+                want = brute_force_step(cases, cov.universe, cov.uncovered_indices(), fixed)
+                assert (sol.objective, tc) == want
                 checked += 1
         assert checked > 100
         return starts
@@ -435,6 +436,22 @@ def test_cover_deadline_is_checked_within_1024_nodes():
     out, st = minimize_suite(suite, cs, time_limit=0)
     assert st["status"] == "feasible" and st["nodes"] == 1024
     assert len(out) < 73 and verify_suite(out, cs)[0]
+
+
+@pytest.mark.parametrize("cards", [[3] * 4, [3] * 13], ids=["no prefix", "prefix"])
+def test_a_step_is_a_snapshot_of_its_coverage(cards):
+    # marking a case after the step is built leaves the step, its block
+    # scores and its solution as they were; ``step`` is first solved (and
+    # its lazy gain table built) only after the mark
+    _, cov = fresh_state(make_system(cards), ConstraintSet())
+    step = build_step(cov)
+    weights, block_score = step.weights.copy(), step.block_score.copy()
+    sol = sequential.solve(build_step(cov))
+    assert cov.mark_case(step.decode(sol.values)) > 0
+    assert (step.weights == weights).all() and (step.block_score == block_score).all()
+    again = sequential.solve(step)
+    assert (again.objective, again.values, again.stats) == (sol.objective, sol.values, sol.stats)
+    assert (build_step(cov).weights != weights).any()
 
 
 def test_block_tables_are_freed_with_their_universe():
