@@ -64,9 +64,15 @@ def _load_model(args):
 
 
 def _emit_suite(args, suite: TestSuite) -> None:
+    """Write the suite to ``--out`` or to stdout, UTF-8 either way: a level
+    name the locale cannot encode still reaches stdout, byte for byte as
+    the file would hold it."""
     if args.out:
         pio.write_suite_csv(args.out, suite)
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(pio.suite_to_csv(suite).encode("utf-8"))
+    else:  # a text-only stream, such as io.StringIO
         sys.stdout.write(pio.suite_to_csv(suite))
 
 

@@ -4,8 +4,16 @@ Cases are built factor by factor: factors ordered by how many uncovered
 pairs they still touch, each factor assigned the level that closes the most
 uncovered pairs against the picks made so far.  Levels that would complete
 an avoid tuple are skipped, with chronological backtracking when a factor
-runs out of levels.  Ties rotate deterministically from a seed so different
-seeds give different (still valid) suites.
+runs out of levels.  Ties rotate from one draw per factor at the start of
+each case, so different seeds give different (still valid) suites.
+
+The walk never enters a subtree that holds no valid case: it never tries a
+level that no universe pair holds (no valid case holds it), and after each
+pick it runs the forward check ``find_extension`` uses
+(``interactions.wipes_out``).  Such a subtree, walked to its end, would
+hand back the same picks and scores it was entered with, and the rotations
+do not depend on how far the walk went, so skipping it changes no case: a
+suite depends on the ranking rule and the seed alone.
 
 Scores are kept, not recomputed: each case starts from one table of which
 pairs are still uncovered, and a running score per (factor, level) gains
@@ -21,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ConstraintSet, FactorSystem, PaircoverError, TestCase, TestSuite
-from .interactions import CoverageState, InteractionUniverse, find_extension
+from .interactions import CoverageState, InteractionUniverse, find_extension, wipes_out
 
 MAX_BACKTRACKS_PER_CASE = 10_000
 
@@ -41,6 +49,7 @@ def greedy_suite(
     # sym[f, a, g, b]: the pair (f, a), (g, b) in either order, -1 for no pair
     pid = universe.pair_id
     sym = np.maximum(pid, pid.transpose(2, 3, 0, 1))
+    live = _live_levels(sym, card)
     rng = np.random.default_rng(seed)
     state = CoverageState(universe)
     suite = TestSuite(system)
@@ -53,7 +62,8 @@ def greedy_suite(
         # factor order: most uncovered pairs touched first
         touch = np.bincount(universe.f1[open_[:-1]], minlength=n)
         touch += np.bincount(universe.f2[open_[:-1]], minlength=n)
-        factor_order = sorted(range(n), key=lambda f: (-int(touch[f]), f))
+        factor_order = np.argsort(-touch, kind="stable").tolist()
+        rots = rng.integers(0, card).tolist()  # tie rotation per factor
         # gain[g, b, f, a] is 1 while the pair (g, b), (f, a) is uncovered;
         # score[f, a] sums gain[g, assigned[g], f, a] over the placed
         # factors, kept as levels are placed and taken back
@@ -75,13 +85,14 @@ def greedy_suite(
                 if not any(scores):
                     # nothing assigned connects yet: rank by uncovered potential
                     scores = potential[f, : card[f]].tolist()
-                rot = int(rng.integers(card[f]))
-                ranked[pos] = iter(
-                    sorted(range(card[f]), key=lambda v: (-scores[v], (v - rot) % card[f]))
-                )
+                rot, c = rots[f], card[f]
+                ranked[pos] = iter(sorted(live[f], key=lambda v: (-scores[v], (v - rot) % c)))
             for v in ranked[pos]:
                 if not constraints.completes_avoid(f, v, assigned):
                     assigned[f] = v
+                    if wipes_out(constraints, card, f, v, assigned):
+                        assigned[f] = -1
+                        continue
                     score += gain[f, v]
                     pos += 1
                     break
@@ -104,6 +115,12 @@ def greedy_suite(
             state.mark_case(tc)
         suite.append(tc)
     return suite
+
+
+def _live_levels(sym: np.ndarray, card) -> list[list[int]]:
+    """Per factor, the levels some universe pair holds, in index order."""
+    held = (sym >= 0).any(axis=(2, 3))
+    return [np.flatnonzero(held[f, :c]).tolist() for f, c in enumerate(card)]
 
 
 def _progress_case(state: CoverageState) -> TestCase:

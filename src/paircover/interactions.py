@@ -30,6 +30,23 @@ from .core import (
 _ENUMERATE_CASES = 4096
 
 
+def wipes_out(
+    constraints: ConstraintSet, cardinalities: Sequence[int], factor: int, level: int, levels
+) -> bool:
+    """Forward check: the pick (factor, level), already written into
+    ``levels``, leaves some unassigned factor of its avoid tuples with no
+    level that completes no avoid tuple (``levels[g]`` is -1 while factor g
+    is unassigned).  Then no valid case extends ``levels``."""
+    for g in constraints.avoid_neighbours(factor, level):
+        if levels[g] < 0:
+            for w in range(cardinalities[g]):
+                if not constraints.completes_avoid(g, w, levels):
+                    break
+            else:
+                return True
+    return False
+
+
 def find_extension(
     assignment: PartialAssignment,
     system: FactorSystem,
@@ -46,12 +63,13 @@ def find_extension(
     valid extension.  Returns None when no valid extension exists,
     including when the fixed picks already complete an avoid tuple.
 
-    Forward checking: after the fixed picks and after each pick, every
-    unassigned factor sharing an avoid tuple with a new pick must keep a
-    level that is not blocked, or the subtree is abandoned.  Blocks only
-    grow as picks are added, so such a subtree holds no valid leaf and the
-    result is unchanged; the search just learns of a dead end at a late
-    factor without walking every partial case before it.
+    Forward checking (:func:`wipes_out`, the rule greedy's walk shares):
+    after the fixed picks and after each pick, every unassigned factor
+    sharing an avoid tuple with a new pick must keep a level that is not
+    blocked, or the subtree is abandoned.  Blocks only grow as picks are
+    added, so such a subtree holds no valid leaf and the result is
+    unchanged; the search just learns of a dead end at a late factor
+    without walking every partial case before it.
     """
     assignment.validate_against(system)
     card = system.cardinalities
@@ -61,18 +79,7 @@ def find_extension(
     if any(constraints.completes_avoid(f, v, levels) for f, v in assignment.picks):
         return None
 
-    def wipes_out(f: int, v: int) -> bool:
-        """Pick (f, v) leaves some unassigned neighbour with no level."""
-        for g in constraints.avoid_neighbours(f, v):
-            if levels[g] < 0:
-                for w in range(card[g]):
-                    if not constraints.completes_avoid(g, w, levels):
-                        break
-                else:
-                    return True
-        return False
-
-    if any(wipes_out(f, v) for f, v in assignment.picks):
+    if any(wipes_out(constraints, card, f, v, levels) for f, v in assignment.picks):
         return None
     free = [f for f in range(system.n_factors) if levels[f] < 0]
     if start is None:
@@ -86,7 +93,7 @@ def find_extension(
         for v in order[k]:
             if not constraints.completes_avoid(f, v, levels):
                 levels[f] = v
-                if not wipes_out(f, v) and search(k + 1):
+                if not wipes_out(constraints, card, f, v, levels) and search(k + 1):
                     return True
         levels[f] = -1
         return False

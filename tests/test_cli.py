@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import math
 import os
@@ -538,6 +539,41 @@ def test_suite_file_is_utf8_under_an_ascii_locale(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "A,B" and any(r.startswith("a→b,") for r in rows[1:])
+
+
+def _arrow_model(tmp_path):
+    model = tmp_path / "arrow.model"
+    model.write_text("A: a→b, c\nB: d, e\n", encoding="utf-8")
+    return model
+
+
+@pytest.mark.parametrize("command", ["generate", "minimize"])
+def test_stdout_suite_is_utf8_on_an_ascii_stream(command, tmp_path, monkeypatch):
+    model = _arrow_model(tmp_path)
+    argv = [command, "--model", str(model)]
+    if command == "minimize":
+        suite = tmp_path / "suite.csv"
+        assert cli.main(["generate", "--model", str(model), "--out", str(suite)]) == 0
+        argv += ["--suite", str(suite)]
+    ascii_out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", ascii_out)
+    assert cli.main(argv) == 0
+    ascii_out.flush()
+    rows = ascii_out.buffer.getvalue().decode("utf-8").splitlines()
+    assert rows[0] == "A,B" and any(r.startswith("a→b,") for r in rows[1:])
+
+
+def test_stdout_suite_is_utf8_under_an_ascii_locale(tmp_path):
+    model = _arrow_model(tmp_path)
+    env = {**_src_env(), "LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    run = subprocess.run(
+        [sys.executable, "-m", "paircover.cli", "generate", "--model", str(model)],
+        env=env,
+        capture_output=True,
+    )
+    assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
+    rows = run.stdout.decode("utf-8").splitlines()
     assert rows[0] == "A,B" and any(r.startswith("a→b,") for r in rows[1:])
 
 

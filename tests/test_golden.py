@@ -15,6 +15,7 @@ import pytest
 from paircover import bench, greedy, io
 from paircover.core import ConstraintSet, PartialAssignment
 from paircover.greedy import greedy_suite
+from paircover.interactions import InteractionUniverse
 from paircover.pipeline import PipelineConfig, run_pipeline
 
 PIPELINE_DIGESTS = {
@@ -33,55 +34,59 @@ PIPELINE_DIGESTS = {
 }
 
 GREEDY_DIGESTS = [
-    "84e2e3a583817fbe4f83c95b97eb79089f31ca8d1aea1d6fc92dcd85e29627b3",
-    "02c7adf608f59c483b7588d9eb19947c5bd3387a36f9d90cf387dd22dc6c879e",
-    "74cceb16480057b701dcf4224e0422ca86f03acbfed12068c261c34e8c789884",
-    "df6298d53a4db9560b2e8a20e2157d5d0b5a4f42252983c59a117de145becbee",
-    "9ec181dc1794d80fedfaeda0dc36429a2e8f315d2da3e7576cdbf3cc32909b32",
-    "9ce86c53fde7c6d8c2fcafcb670db53b8016b4a69073585011e814a8ec2f3181",
-    "b749fa3568e077f621c758fa58ba08ff753e022d7bc8b38841acb376e35d8874",
-    "289dd0ad5ec18ab88224e79ad0d312608b8a33fe4822e0e69ae83d36ae0a1d91",
-    "3ca7a520eff5120766ab6d1424724cfa903d133013d1cf5638fafca54074e344",
-    "3fe77c8fdbfda5b6d269e4914ed27ec53d5b375ceea3baf9e3c7a604d4036e75",
-    "c78fc00c269d6573f3812fb9ded95d98492de11944d599248e8471c40255b65d",
-    "96d950de5cd5b453d63e0ed25586e3021b7e95acd04161416bcce8307a68d84f",
-    "1f90af6cf3f5cc4e21694d56c9111303505bf93f4ce0b33b4d4a31ad73dad58d",
-    "42ccb9749adad2268d106860653d1aa5fcbaa20eeb929b6daecff78391a4b6e0",
-    "379a45f90a737882aac9eaa0372ac902a2e676f767e293b447a02438d0cade88",
-    "81ef2e437d34c41e19fbb2c9b7796b75304dc6cef246a24dde64a0dfdeaffcdc",
-    "c528129a467c2f3a60bf83d3d8cc8551bddfa75cb8cda210cacc2a2c2e3da94d",
-    "0904745cf1b51ab8ed972cd14f51b12b6fbfd251c28a638e2bb9760ee47676de",
-    "5ffa9c5e629738567e2e7e5e7cf373900a3aebfd1de31855114af36574f5f36c",
-    "169c969e237d9886c0fe28d136ce9ab0f02b8fae5adc1494c08488e274bb8e74",
-    "4bf6c164e7a523d46b797b401f2c4e74ab4bf6f80bb3c2e948a5d1e054948332",
-    "6ec7d98afc715ea74fcf0ad52606477bd72c3003fcb82c9cc8a064c633c52950",
-    "c35f43d2661c46e7834ba9e908f93ed8dc759293b5cc2bd406ee4638007b00b7",
-    "925fe850db62c28680fbd9e2606ed5d2f15ac760d6d27e11176d91b811785d31",
-    "3229b4f0d9b32fbb4390372e1ac15600cdd0ada4e8ae2b26d594fd41d3885c31",
+    "9602eb284735ab31ca42479d0d2baf2ed3f63f54076266c84f03854a424751fd",
+    "5ed750fa08aa5beed47474d71bd42954f3e1b2eaf4c24ad309ef83e642efff7c",
+    "992c932e57c21f13392781ded79bbe77e76b9c8ba323489fb8ee3948ab631cf2",
+    "0a642477a51a0b8636603eecade676dfc8e2ffbdb65f389302dd930d9f3ec271",
+    "25b4d0b5d33cd3be1c733ff09f981b60661f2042e824ed5a80fed95f1dcaa7a9",
+    "192bbf80c08c345b9b923460708e4597292c83d5b0cbc80019dc7bc3263aca43",
+    "5d4be9b5ad56f2a9298d9b33503a0dd003656cb24ed80ee4ba9d55054940f909",
+    "bd6a2d217acf92cc4aaf62b8c190128e2a7938b9cad3aa33bcdf7fd74dde4634",
+    "126b913e13ebcc2edee056e580c5841846596d488f6d3efad9c2b55bcb73d778",
+    "239825f150650093c0cd66d7c27e594dd997b5bfcd7c7c05f9dee037bd711538",
+    "bdbf4d461bb2997d2ec7a4bad870b6c77f6dd4023ac81a77c2368e0b36bba865",
+    "a881bee53cd6a97145f4bd66cf220d19faf7e2b89323cfa961420cd41de880c9",
+    "a21b55c3592a8806e893d7bcbcf368234ca68d6ffb47c12358a0b0ccde064655",
+    "1330004a95340ff93f430212d65b42423402fdfd71e7b28954a171e95689a9a6",
+    "3f8f33cc444f1705fee7f2e15d2f839ef8ea14e4b66bdd3f2b96c8c9527c4da3",
+    "bfc0c56e0b21676e1e5bcf024e1efd1d2ce17d053df3a1d2c85d18cf8d4717fb",
+    "403ed939ce0e85b21b0b0fe6a56ce6bae6c5df493757c42211ae8f8a58b01799",
+    "5a13feb33a34ceb6f9de04138dd0f9d67c039d7dd9bdebc6ba8aa83ddb33bf4e",
+    "aa3cefd29416830ac817ceeb5f682c36bc51ae890e804a1bbc72beede653c9bc",
+    "3cdeb75230e0548a7800ea9a6261415e1787ce706e67686430e07618fa43d611",
+    "baddef80a5695f72e9079c739022a086427e0dfd10acb39c01e5861ee3aa252e",
+    "b1b1b9649ee619d0d8beeb5ad4d07e44a505901b1698d21f225cdde4a26e4fc7",
+    "762427929cbbbc1c01cebfe01818292f77315e29d683ed11b6062a28fa325f75",
+    "74bf2f2f147703de1011488dbc8645328d8d991642c6eaccb72ab834a5f0486a",
+    "9037b79a0caa0e3fd2d4f9149d23bafbc18a2af151fefe4b945b4c91741c90e6",
     # _wide_instance(s) for s in WIDE_SEEDS
-    "dc7dfc83a8f9b0f4a76b8b53cd3ae0b5aae661fb9fcf2f0b983d7182846cbb19",
-    "092ec878c3cf92f40e373d1a78c7d9a61ad78a8e1126f935c2b2431280068316",
-    "5a249c91b73d1da911aed51e26940ee52c5233dc22b32f614e25c4130a5eaa93",
+    "50360761e7fa4c4a63e1c3e9ef01211237f638b11bb2475dfb3445f6482c7c8b",
+    "f3b96113b9a53aa80af4fabb37b725b87b487cdeee8a036cd6ac30abf1f6e1b9",
+    "f87c4a099ee6cc3ca878a18751ff467b57c91fedd9f2daa443327a262995b1ad",
 ]
-# greedy_suite(*_wide_instance(s), seed=k): tie rotations other than seed
-# 0's, drawn while the walk backtracks and falls back
+# greedy_suite(*_wide_instance(s), seed=k): tie rotations other than seed 0's
 WIDE_ROTATION_DIGESTS = {
-    (6, 1): "34045b595cb16d0f4b07726f973aafd16689ea944eb08136301911d31f44bdb4",
-    (8, 1): "1da727bdeecdf6d3567c4c366429e01460c0311f512bd9a196756684dc1d9fc0",
-    (10, 1): "10895042bc69f80a053fc7c023233aba1ce5800378d8ebe68010bc60ed214a92",
-    (6, 2): "9f0b4e51109816b1e57467d1ae1c1e0ef28928c5c65550100f33ec011fd0edff",
-    (8, 2): "8277266351764c76e5b2adb916c95100af6dfe28ed0c19c91905710dceb2b8fa",
-    (10, 2): "20f4561b7aa5ade4b7c40757e12c7d9fa92ac54001bc239bc1747810441fca12",
+    (4, 1): "a88072f7b68cabd2b217d8ac2a78c08da541ce692b27773aae67f2769bb5b456",
+    (10, 1): "d5acca2a627229211259171222b9e0788d50e74f36f2ef71440312f935e2e9ef",
+    (13, 1): "1de8580ccd85bd6f404df7688cad22a19198962a956e7787a529cd4769b77b30",
+    (4, 2): "2ed35e132080b581a3ea4e652e18a1e67075dc3eb973b28c5f1faafb6f496671",
+    (10, 2): "41053374f51f333864d2fdc47fef22833f276a91d20796a557a6f9542110aa2f",
+    (13, 2): "29cabe06110cedb61ec58b75e3f7ff0a52d13a34586424926a94f3fec0009309",
 }
 # Over classic_instances() plus random_instance seeds 0-24, run_pipeline
 # with its defaults: step nodes summed over report.steps, cover nodes from
 # report.cover.
 PINNED_STEP_NODES = 73_003
 PINNED_COVER_NODES = 821
+# Over classic_instances(), random_instance seeds 0-24 and WIDE_SEEDS,
+# greedy_suite at seed 0 on a prebuilt universe: ConstraintSet.completes_avoid
+# calls, the forward checks' included (78,284 before the walk skipped dead
+# subtrees).
+PINNED_GREEDY_AVOID_CHECKS = 29_720
 
 # Wide models on which the greedy walk falls back to ``_progress_case``,
 # which no random_instance seed reaches.
-WIDE_SEEDS = (6, 8, 10)
+WIDE_SEEDS = (4, 10, 13)
 
 
 def _digest(suite):
@@ -148,3 +153,38 @@ def test_pinned_search_effort():
         step += sum(st["nodes"] for st in report.steps)
         cover += report.cover["nodes"]
     assert (step, cover) == (PINNED_STEP_NODES, PINNED_COVER_NODES)
+
+
+def _avoid_checks(monkeypatch, system, cs, seed=0):
+    """How many avoid checks ``greedy_suite`` makes, its universe prebuilt."""
+    universe = InteractionUniverse(system, cs)
+    check = ConstraintSet.completes_avoid
+    calls = []
+
+    def counted(self, *args):
+        calls.append(None)
+        return check(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(ConstraintSet, "completes_avoid", counted)
+        greedy_suite(system, cs, universe=universe, seed=seed)
+    return len(calls)
+
+
+def test_pinned_greedy_effort(monkeypatch):
+    instances = list(bench.classic_instances().values())
+    instances += [bench.random_instance(s) for s in range(25)]
+    instances += [_wide_instance(s) for s in WIDE_SEEDS]
+    total = sum(_avoid_checks(monkeypatch, *model) for model in instances)
+    assert total == PINNED_GREEDY_AVOID_CHECKS
+
+
+def test_greedy_walk_skips_a_dead_level(monkeypatch):
+    # greedy-wide's trap shape: F0=v2 is avoided with both levels of F8,
+    # seven three-level factors later.  A walk that enters F0=v2 and backs
+    # out only at F8 makes 2,779-2,791 avoid checks at seeds 0 and 4; one
+    # that never tries the dead level makes 216-245 at each seed 0-4
+    system = bench.make_system([3] * 8 + [2, 2, 3, 4])
+    trap = (PartialAssignment(((0, 2), (8, 0))), PartialAssignment(((0, 2), (8, 1))))
+    for seed in range(5):
+        assert _avoid_checks(monkeypatch, system, ConstraintSet(avoid=trap), seed) <= 300

@@ -1,9 +1,11 @@
-from paircover.bench import make_bbu, make_system
-from paircover.core import ConstraintSet, validate_case
+from paircover import bench, greedy, io
+from paircover.bench import make_bbu, make_system, random_avoids
+from paircover.core import ConstraintSet, StructureError, validate_case
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, verify_suite
 
 from conftest import random_constraints
+from test_golden import WIDE_SEEDS, _wide_instance
 
 
 def full_and_valid(suite, system, constraints):
@@ -64,3 +66,48 @@ class TestGreedySuite:
         suite = greedy_suite(sys_, ConstraintSet())
         ok, problems = verify_suite(suite, ConstraintSet())
         assert ok, problems
+
+
+def _dense_models(rng, count):
+    """``count`` models of 5-9 factors with n to 3n two-pick and up to n
+    three-pick avoids, each with at least one valid case."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(5, 10))
+        system = make_system([int(c) for c in rng.integers(2, 5, size=n)])
+        avoid = random_avoids(system, rng, int(rng.integers(n, 3 * n)))
+        avoid += random_avoids(system, rng, int(rng.integers(0, n)), size=3)
+        cs = ConstraintSet(avoid=avoid)
+        try:
+            InteractionUniverse(system, cs)
+        except StructureError:
+            continue
+        out.append((system, cs))
+    return out
+
+
+def test_skipping_dead_subtrees_changes_no_suite(monkeypatch, rng):
+    # the oracle is the plain walk: every level tried, no forward check and
+    # no backtrack cap.  A skipped subtree would have handed back the picks
+    # and scores it was entered with, so every suite is the same
+    models = list(bench.classic_instances().values())
+    models += [bench.random_instance(s) for s in range(25)]
+    models += [_wide_instance(s) for s in WIDE_SEEDS]
+    models += _dense_models(rng, 200)
+    check = greedy.wipes_out
+    cuts = []
+
+    def counted(*args):
+        cut = check(*args)
+        cuts.append(cut)
+        return cut
+
+    with monkeypatch.context() as m:
+        m.setattr(greedy, "wipes_out", counted)
+        pruned = [io.suite_to_csv(greedy_suite(*model, seed=k)) for k, model in enumerate(models)]
+    monkeypatch.setattr(greedy, "wipes_out", lambda *args: False)
+    monkeypatch.setattr(greedy, "_live_levels", lambda sym, card: [list(range(c)) for c in card])
+    monkeypatch.setattr(greedy, "MAX_BACKTRACKS_PER_CASE", float("inf"))
+    plain = [io.suite_to_csv(greedy_suite(*model, seed=k)) for k, model in enumerate(models)]
+    assert sum(cuts) > 1000  # the forward check cut subtrees
+    assert [k for k in range(len(models)) if pruned[k] != plain[k]] == []

@@ -69,9 +69,10 @@ def test_traced_universe_build_counts_its_searches():
 
 
 def test_traced_greedy_workload_counts_its_layers(tmp_path, capsys):
-    # the two commands of one greedy-wide model, as run.py issues them
+    # the two commands of one greedy-wide model, as run.py issues them, on a
+    # model with no MUST: greedy ignores MUSTs, so verify may reject its suite
     spans = _load("spans")
-    model, out = str(ROOT / "models" / "bbu_5g.model"), str(tmp_path / "suite.csv")
+    model, out = str(ROOT / "models" / "ca_3x4.model"), str(tmp_path / "suite.csv")
     with spans.installed(spans.Tracer()) as tracer:
         assert cli.main(["generate", "--method", "greedy", "--model", model, "--out", out]) == 0
         assert cli.main(["verify", "--model", model, "--suite", out]) == 0

@@ -176,12 +176,12 @@ class TestMinimizeSuite:
         suite = TestSuite(
             sys_, [tc for s in range(3) for tc in greedy_suite(sys_, cs, seed=s)]
         )
-        assert len(suite) == 73
+        assert len(suite) == 72
         t0 = time.perf_counter()
         out, stats = minimize_suite(suite, cs, time_limit=0.5)
         assert time.perf_counter() - t0 < 3.0
         assert stats["status"] != "optimal"
-        assert len(out) <= 73 and verify_suite(out, cs)[0]
+        assert len(out) <= 72 and verify_suite(out, cs)[0]
 
 
 class TestCoverSearch:

@@ -432,10 +432,10 @@ def test_cover_deadline_is_checked_within_1024_nodes():
     # past its deadline counts 1024 nodes and keeps its incumbent
     sys_, cs = make_system([4] * 6), ConstraintSet()
     suite = TestSuite(sys_, [tc for s in range(3) for tc in greedy_suite(sys_, cs, seed=s)])
-    assert len(suite) == 73
+    assert len(suite) == 72
     out, st = minimize_suite(suite, cs, time_limit=0)
     assert st["status"] == "feasible" and st["nodes"] == 1024
-    assert len(out) < 73 and verify_suite(out, cs)[0]
+    assert len(out) < 72 and verify_suite(out, cs)[0]
 
 
 @pytest.mark.parametrize("cards", [[3] * 4, [3] * 13], ids=["no prefix", "prefix"])
