@@ -22,7 +22,7 @@ import numpy as np
 from .core import ConstraintSet, Factor, FactorSystem, PartialAssignment
 from .greedy import greedy_suite
 from .interactions import InteractionUniverse, coverage_curve
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import run_pipeline
 
 
 def make_system(cards) -> FactorSystem:
@@ -103,20 +103,20 @@ class BenchRecord:
     tail: float | None = None
 
 
-def _method_sequential(system, cs, seed, weighted=True):
-    cfg = PipelineConfig(weighted=weighted)
-    suite, report = run_pipeline(system, cs, config=cfg)
+def _method_sequential(universe, seed):
+    suite, report = run_pipeline(universe)
     return suite, report.degraded
 
 
-def _method_greedy(system, cs, seed):
-    return greedy_suite(system, cs, seed=seed), False
+def _method_greedy(universe, seed):
+    return greedy_suite(universe, seed=seed), False
 
 
+# name -> (method, whether its universe is weighted)
 METHODS = {
-    "sequential": _method_sequential,
-    "sequential-nw": lambda sy, cs, seed: _method_sequential(sy, cs, seed, False),
-    "greedy": _method_greedy,
+    "sequential": (_method_sequential, True),
+    "sequential-nw": (_method_sequential, False),
+    "greedy": (_method_greedy, True),
 }
 
 
@@ -125,13 +125,23 @@ def run_methods(
     methods: list[str],
     seed: int = 0,
 ) -> list[BenchRecord]:
+    """One record per instance and method.  The methods of an instance share
+    one universe per weighting, built when a method first needs it; a
+    record's ``wall_s`` counts the build of the universe it ran on."""
     records = []
     for name, (system, cs) in instances.items():
-        universe = InteractionUniverse(system, cs)
+        built = {}  # weighted -> (universe, build seconds)
         for method in methods:
+            run, weighted = METHODS[method]
+            if weighted not in built:
+                t0 = time.perf_counter()
+                universe = InteractionUniverse(system, cs, weighted=weighted)
+                built[weighted] = universe, time.perf_counter() - t0
+            universe, build_s = built[weighted]
             t0 = time.perf_counter()
-            suite, degraded = METHODS[method](system, cs, seed)
-            wall = time.perf_counter() - t0
+            suite, degraded = run(universe, seed)
+            wall = build_s + time.perf_counter() - t0
+            # the curve counts pairs, whatever their weights
             curve = coverage_curve(suite, universe)
             records.append(
                 BenchRecord(

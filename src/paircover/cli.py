@@ -52,6 +52,9 @@ def _in_range(cast, low, high, what: str):
 _non_negative_int = _in_range(int, 0, math.inf, "non-negative")
 # a NaN deadline never fires, and HiGHS ignores a negative one
 _seconds = _in_range(float, 0.0, math.inf, "seconds >= 0")
+# the share of the warm-start suite kept; checked here so a bad value stops
+# the run before the universe is built
+_alpha = _in_range(float, 0.0, 1.0, "in [0, 1]")
 # the profile's taus run from 1 to --max-tau: below 1 there are none, and
 # an infinite one has no last tau
 _tau = _in_range(float, 1.0, sys.float_info.max, "finite and at least 1")
@@ -82,43 +85,39 @@ def _cmd_generate(args) -> int:
     if args.warm_start:
         warm = pio.read_suite_csv(args.warm_start, system)
 
-    universe, degraded = None, False
+    t0 = time.perf_counter()
+    universe = InteractionUniverse(system, cs, weighted=not args.unweighted)
+    universe_s = time.perf_counter() - t0
+    degraded = False
     if args.method == "greedy":
-        t0 = time.perf_counter()
-        universe = InteractionUniverse(system, cs)
-        universe_s = time.perf_counter() - t0
-        suite = greedy_suite(system, cs, universe=universe, seed=args.seed)
-        info = {
-            "seed": args.seed,
-            "universe_size": len(universe),
-            "wall_s": time.perf_counter() - t0,
-            "universe_s": universe_s,
-        }
+        suite = greedy_suite(universe, seed=args.seed)
+        info = {"seed": args.seed, "wall_s": time.perf_counter() - t0}
         if cs.must:
             print(
                 "note: greedy ignores MUST combinations; use the sequential method",
                 file=sys.stderr,
             )
     elif args.method == "monolithic":
-        suite, info = minimal_suite(system, cs, time_limit=args.time_limit)
+        suite, info = minimal_suite(universe, time_limit=args.time_limit)
     else:
         cfg = PipelineConfig(
-            weighted=not args.unweighted,
             alpha=args.alpha,
             step_time_limit=args.step_time_limit,
             minimize=not args.no_minimize,
         )
-        suite, info = run_pipeline(system, cs, warm_start=warm, config=cfg)
+        suite, info = run_pipeline(universe, warm_start=warm, config=cfg)
         degraded = info.degraded
 
     _emit_suite(args, suite)
     if args.report:  # built only when asked for: the curve and the deep copy cost time
-        if universe is None:  # the run's pair set, found from the suite's own cases
-            universe = InteractionUniverse(system, cs, witnesses=suite)
+        if args.method == "sequential":
+            info = {"weighted": not args.unweighted, **info.to_dict()}
         report = {
             "method": args.method,
             "final_size": len(suite),
-            **(info.to_dict() if args.method == "sequential" else info),
+            "universe_size": len(universe),
+            "universe_s": universe_s,
+            **info,
             "coverage_curve": coverage_curve(suite, universe),
         }
         pio.write_report(args.report, report)
@@ -226,7 +225,7 @@ def build_parser() -> _Parser:
         choices=("sequential", "greedy", "monolithic"),
         default="sequential",
     )
-    g.add_argument("--alpha", type=float, default=PipelineConfig.alpha, help="warm-start retention")
+    g.add_argument("--alpha", type=_alpha, default=PipelineConfig.alpha, help="warm-start retention")
     g.add_argument("--unweighted", action="store_true")
     g.add_argument("--no-minimize", action="store_true")
     g.add_argument("--warm-start", help="suite CSV to warm-start from")

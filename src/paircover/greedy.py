@@ -28,22 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConstraintSet, FactorSystem, PaircoverError, TestCase, TestSuite
+from .core import PaircoverError, TestCase, TestSuite
 from .interactions import CoverageState, InteractionUniverse, find_extension, wipes_out
 
 MAX_BACKTRACKS_PER_CASE = 10_000
 
 
-def greedy_suite(
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    universe: InteractionUniverse | None = None,
-    seed: int = 0,
-) -> TestSuite:
-    """Cover every achievable pair with one greedy case after another."""
-    constraints.validate_against(system)
-    if universe is None:
-        universe = InteractionUniverse(system, constraints)
+def greedy_suite(universe: InteractionUniverse, seed: int = 0) -> TestSuite:
+    """Cover every pair of ``universe`` with one greedy case after another."""
+    system, constraints = universe.system, universe.constraints
     n = system.n_factors
     card = system.cardinalities
     # sym[f, a, g, b]: the pair (f, a), (g, b) in either order, -1 for no pair

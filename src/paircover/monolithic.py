@@ -84,16 +84,11 @@ class MonolithicModel:
         return suite
 
 
-def build_monolithic(
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    m: int,
-    universe: InteractionUniverse,
-) -> MonolithicModel:
+def build_monolithic(universe: InteractionUniverse, m: int) -> MonolithicModel:
     """Assemble the m-slot program covering the pairs of ``universe``."""
     if m < 1:
         raise StructureError(f"need at least one slot, got m={m}")
-    constraints.validate_against(system)
+    system, constraints = universe.system, universe.constraints
     n = system.n_factors
     card = system.cardinalities
     nx = sum(card)
@@ -145,11 +140,10 @@ def widest_pairs(universe: InteractionUniverse) -> list[int]:
 
 
 def minimal_suite(
-    system: FactorSystem,
-    constraints: ConstraintSet,
-    time_limit: float = DEFAULT_TIME_LIMIT,
+    universe: InteractionUniverse, time_limit: float = DEFAULT_TIME_LIMIT
 ) -> tuple[TestSuite, dict]:
-    """Exact minimum-size suite via the m-search.
+    """Exact minimum-size suite covering the pairs of ``universe``, via the
+    m-search.
 
     ``time_limit`` is the budget per fixed-m solve.  Raises
     :class:`MonolithicTimeout` when a solve cannot decide coverage within
@@ -157,16 +151,14 @@ def minimal_suite(
     Raises StructureError before any solve for a must tuple no valid case
     holds: no slot count could cover it.
     """
-    constraints.validate_against(system)
-    universe = InteractionUniverse(system, constraints)
+    system, constraints = universe.system, universe.constraints
     _check_musts(system, constraints, constraints.must)
-    nu = len(universe)
-    report: dict = {"universe_size": nu, "attempts": []}
+    report: dict = {"attempts": []}
     lb = len(widest_pairs(universe))
-    hi = nu + len(constraints.must) + 1
+    hi = len(universe) + len(constraints.must) + 1
     t0 = time.perf_counter()
     for m in range(lb, hi + 1):
-        mono = build_monolithic(system, constraints, m, universe)
+        mono = build_monolithic(universe, m)
         # HiGHS: a branch and bound without an LP relaxation stalls on slot
         # models past toy sizes
         sol = solve_highs(mono.milp, time_limit)

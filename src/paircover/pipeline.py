@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     ConstraintSet,
-    FactorSystem,
     PaircoverError,
     TestSuite,
     subsumes,
@@ -39,7 +38,6 @@ class PipelineStallError(PaircoverError):
 
 @dataclass
 class PipelineConfig:
-    weighted: bool = True
     alpha: float = 0.9
     step_time_limit: float = DEFAULT_STEP_TIME_LIMIT
     minimize: bool = True
@@ -47,9 +45,7 @@ class PipelineConfig:
 
 @dataclass
 class RunReport:
-    weighted: bool
     alpha: float
-    universe_size: int
     warm_given: int = 0
     warm_valid: int = 0
     warm_retained: int = 0
@@ -194,27 +190,18 @@ def minimize_suite(
 
 
 def run_pipeline(
-    system: FactorSystem,
-    constraints: ConstraintSet,
+    universe: InteractionUniverse,
     warm_start: TestSuite | None = None,
     config: PipelineConfig | None = None,
 ) -> tuple[TestSuite, RunReport]:
-    """Warm start, must groups, per-case generation, set-cover pruning."""
+    """Warm start, must groups, per-case generation, set-cover pruning, all
+    over the pairs and weights of ``universe``."""
     cfg = config or PipelineConfig()
     if not 0.0 <= cfg.alpha <= 1.0:
         raise PaircoverError(f"alpha must be in [0, 1], got {cfg.alpha}")
-    constraints.validate_against(system)
-    t = time.perf_counter()
-    universe = InteractionUniverse(system, constraints, weighted=cfg.weighted)
-    universe_s = time.perf_counter() - t
+    system, constraints = universe.system, universe.constraints
     coverage = CoverageState(universe)
-    report = RunReport(
-        weighted=cfg.weighted,
-        alpha=cfg.alpha,
-        universe_size=len(universe),
-        must_total=len(constraints.must),
-        phase_wall_s={"universe": universe_s},
-    )
+    report = RunReport(alpha=cfg.alpha, must_total=len(constraints.must))
     suite = TestSuite(system)
 
     t0 = time.perf_counter()

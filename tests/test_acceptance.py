@@ -87,7 +87,7 @@ def test_criterion_2_desk_scale_sizes():
         ("3^3", [3] * 3, 10),
         ("5.3^8.2^2", [5] + [3] * 8 + [2] * 2, 21),
     ):
-        suite, report = run_pipeline(make_system(cards), ConstraintSet())
+        suite, report = run_pipeline(InteractionUniverse(make_system(cards), ConstraintSet()))
         sizes[name] = (len(suite), gate)
         if report.degraded:
             degraded.append(name)
@@ -109,7 +109,7 @@ def test_criterion_3_weight_ablation():
             avoid=random_avoids(system, np.random.default_rng(1000 + k), 2)
         )
         for flag, bucket in ((True, weighted_sizes), (False, unweighted_sizes)):
-            suite, _ = run_pipeline(system, cs, config=PipelineConfig(weighted=flag))
+            suite, _ = run_pipeline(InteractionUniverse(system, cs, weighted=flag))
             bucket.append(len(suite))
     mean_w = sum(weighted_sizes) / len(weighted_sizes)
     mean_u = sum(unweighted_sizes) / len(unweighted_sizes)
@@ -146,11 +146,11 @@ def test_criterion_4_oracle_equivalence():
     checked = 0
     for seed in range(20):
         system, cs, want = _tiny_instance(seed)
-        exact, _ = minimal_suite(system, cs)
+        exact, _ = minimal_suite(InteractionUniverse(system, cs))
         assert len(exact) == want, (
             f"seed {seed}: minimal_suite={len(exact)} oracle={want}"
         )
-        final, _ = run_pipeline(system, cs)
+        final, _ = run_pipeline(InteractionUniverse(system, cs))
         assert want <= len(final) <= want + 1, (
             f"seed {seed}: pipeline={len(final)} oracle={want}"
         )
@@ -225,8 +225,9 @@ def test_criterion_6_soundness_suite():
                 )
         for weighted in (True, False):
             for do_min in (True, False):
-                cfg = PipelineConfig(weighted=weighted, minimize=do_min)
-                suite, report = run_pipeline(system, cs, config=cfg)
+                cfg = PipelineConfig(minimize=do_min)
+                universe = InteractionUniverse(system, cs, weighted=weighted)
+                suite, report = run_pipeline(universe, config=cfg)
                 ok, problems = verify_suite(suite, cs)
                 assert ok, f"{name} {cfg}: {problems[:2]}"
                 assert report.final_size <= report.raw_size, f"{name} {cfg}"
@@ -252,12 +253,12 @@ def test_criterion_7_warm_start_contract():
         cs = ConstraintSet(
             avoid=random_avoids(system, rng, int(rng.integers(0, 3)))
         )
-        warm = greedy_suite(system, cs, seed=500 + k)
+        warm = greedy_suite(InteractionUniverse(system, cs), seed=500 + k)
         _, hot = run_pipeline(
-            system, cs, warm_start=warm, config=PipelineConfig(alpha=0.9)
+            InteractionUniverse(system, cs), warm_start=warm, config=PipelineConfig(alpha=0.9)
         )
         _, cold = run_pipeline(
-            system, cs, warm_start=warm, config=PipelineConfig(alpha=0.0)
+            InteractionUniverse(system, cs), warm_start=warm, config=PipelineConfig(alpha=0.0)
         )
         held.append(
             hot.phase2_cases <= cold.phase2_cases and hot.final_size <= len(warm)
@@ -278,7 +279,7 @@ def test_criterion_8_coverage_tail():
         cards = [int(c) for c in rng.permutation(np.arange(2, 11))]
         system = make_system(cards)
         cs = ConstraintSet()
-        suite = greedy_suite(system, cs, seed=900 + k)
+        suite = greedy_suite(InteractionUniverse(system, cs), seed=900 + k)
         universe = InteractionUniverse(system, cs)
         tails.append(tail_fraction(coverage_curve(suite, universe)))
     fat = sum(1 for t in tails if t > 0.10)

@@ -15,6 +15,7 @@ from paircover.bench import (
     tail_fraction,
     profile_to_csv,
 )
+from paircover import interactions
 from paircover.core import ConstraintSet
 from paircover.interactions import InteractionUniverse
 from paircover.io import load_model
@@ -107,6 +108,23 @@ class TestInstances:
             assert 4 <= system.n_factors <= 8
             assert all(2 <= c <= 5 for c in system.cardinalities)
             assert len(cs.avoid) <= 3
+
+
+def test_run_methods_builds_one_universe_per_instance(monkeypatch):
+    # the weighted universe serves every method and curve of an instance;
+    # only sequential-nw builds one more, with every pair weighing 1
+    builds = []
+    init = interactions.InteractionUniverse.__init__
+
+    def counting_init(self, *args, weighted=True, **kwargs):
+        builds.append(weighted)
+        init(self, *args, weighted=weighted, **kwargs)
+
+    monkeypatch.setattr(interactions.InteractionUniverse, "__init__", counting_init)
+    instances = {"tiny": (make_system([2, 2, 2]), ConstraintSet()), "bbu": make_bbu()}
+    records = run_methods(instances, ["sequential", "sequential-nw", "greedy"])
+    assert len(records) == 6
+    assert builds == [True, False] * len(instances)
 
 
 def test_run_methods_records():

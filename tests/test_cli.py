@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import paircover
 import paircover.milp
 from paircover import cli, interactions, monolithic
-from paircover.bench import make_system
+from paircover.bench import classic_instances, make_system
 from paircover.core import ConstraintSet, TestSuite
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse
@@ -117,7 +118,10 @@ class TestGenerate:
             assert cli.main(["generate", "--model", str(model_file), "--method", method]) == 0
             assert re.fullmatch(line, capsys.readouterr().err.splitlines()[-1])
 
-    def test_greedy_builds_universe_once(self, model_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("method", ["sequential", "greedy", "monolithic"])
+    def test_report_builds_one_universe(self, method, model_file, tmp_path, monkeypatch):
+        # the method and the report's curve run on the one universe the
+        # command built from the model
         builds = []
         init = InteractionUniverse.__init__
 
@@ -127,11 +131,19 @@ class TestGenerate:
 
         monkeypatch.setattr(InteractionUniverse, "__init__", counting_init)
         report = tmp_path / "report.json"
-        argv = ["generate", "--model", str(model_file), "--method", "greedy"]
+        argv = ["generate", "--model", str(model_file), "--method", method]
         argv += ["--out", str(tmp_path / "suite.csv"), "--report", str(report)]
         assert cli.main(argv) == 0
         assert len(builds) == 1
         assert json.loads(report.read_text())["coverage_curve"][-1] == 1.0
+
+    def test_suite_to_a_text_only_stdout(self, model_file, tmp_path):
+        out = tmp_path / "suite.csv"
+        assert cli.main(["generate", "--model", str(model_file), "--out", str(out)]) == 0
+        text = io.StringIO()  # no .buffer: the suite is written as text
+        with redirect_stdout(text):
+            assert cli.main(["generate", "--model", str(model_file)]) == 0
+        assert text.getvalue() == out.read_text(encoding="utf-8")
 
     def test_reports_time_the_universe_build(self, model_file, tmp_path):
         report = tmp_path / "report.json"
@@ -143,7 +155,7 @@ class TestGenerate:
             if method == "greedy":
                 assert 0 <= data["universe_s"] <= data["wall_s"]
             else:
-                assert data["phase_wall_s"]["universe"] >= 0
+                assert data["universe_s"] >= 0
                 assert data["phase_wall_s"]["verify"] >= 0
 
     def test_monolithic_small(self, tmp_path):
@@ -267,7 +279,8 @@ class TestMinimize:
         # the 73-row cover of test_pipeline's overshoot test: not proven in 0.5 s
         system, cs = make_system([4] * 6), ConstraintSet()
         joined = TestSuite(
-            system, [tc for s in range(3) for tc in greedy_suite(system, cs, seed=s)]
+            system,
+            [tc for s in range(3) for tc in greedy_suite(InteractionUniverse(system, cs), seed=s)],
         )
         model, suite = tmp_path / "m.model", tmp_path / "joined.csv"
         model.write_text("".join(f"F{f}: v0, v1, v2, v3\n" for f in range(6)))
@@ -332,6 +345,14 @@ class TestBench:
         assert cli.main(argv + ["--max-tau", max_tau]) == 0
         assert profile.read_text().splitlines()[-1].split(",")[0] == last
 
+    def test_classic_family_to_stdout(self, capsys):
+        assert cli.main(["bench", "--family", "classic", "--methods", "greedy"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "instance,method,size,wall_s,degraded,tail"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [name, "greedy"] for name in classic_instances()
+        ]
+
     def test_unknown_method(self, capsys):
         rc = cli.main(["bench", "--family", "random", "--count", "1", "--methods", "nope"])
         assert rc == 1
@@ -370,9 +391,10 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_alpha_out_of_range(self, model_file, capsys):
-        rc = cli.main(["generate", "--model", str(model_file), "--alpha", "5"])
-        assert rc == 1
-        assert "alpha must be in [0, 1]" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--model", str(model_file), "--alpha", "5"])
+        assert exc.value.code == 1
+        assert "argument --alpha: must be in [0, 1], got 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -404,6 +426,9 @@ class TestErrors:
             (["bench", "--methods", "greedy", "--count", "-3"], "must be non-negative"),
             (["bench", "--methods", "greedy", "--max-tau", "0.5"], "must be finite and at least 1"),
             (["bench", "--methods", "greedy", "--max-tau", "inf"], "must be finite and at least 1"),
+            (["generate", "--model", "MODEL", "--alpha", "1.5"], "must be in [0, 1]"),
+            (["generate", "--model", "MODEL", "--alpha", "nan"], "must be in [0, 1]"),
+            (["generate", "--model", "MODEL", "--seed", "abc"], "invalid int value: 'abc'"),
         ],
     )
     def test_bad_number_is_a_usage_error(self, argv, message, model_file, capsys):
@@ -421,6 +446,18 @@ class TestErrors:
         out = tmp_path / "s.csv"
         argv = ["generate", "--model", str(model_file), "--step-time-limit", limit]
         assert cli.main(argv + ["--out", str(out)]) == 0
+
+    def test_monolithic_timeout_is_an_error(self, tmp_path, capsys):
+        # mca-5.3^8.2^2: its first slot count, 15, is not decided in 0.5 s
+        model = tmp_path / "mca.model"
+        cards = [5] + [3] * 8 + [2] * 2
+        levels = (", ".join(f"v{a}" for a in range(c)) for c in cards)
+        model.write_text("".join(f"F{f}: {names}\n" for f, names in enumerate(levels)))
+        argv = ["generate", "--method", "monolithic", "--model", str(model), "--time-limit", "0.5"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: could not decide coverage at m=15 within 0.5s\n"
 
     def test_monolithic_must_with_no_valid_case(self, tmp_path, capsys):
         # a0 goes with no level of B, so the must never fits: no solve runs

@@ -15,7 +15,7 @@ import pytest
 from paircover import bench, greedy, io
 from paircover.core import ConstraintSet, PartialAssignment
 from paircover.greedy import greedy_suite
-from paircover.interactions import InteractionUniverse
+from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.pipeline import PipelineConfig, run_pipeline
 
 PIPELINE_DIGESTS = {
@@ -25,6 +25,31 @@ PIPELINE_DIGESTS = {
     ("rand-11", True): "5e800a3cf5de58aaea5fa78d890cfd0f61bac6eb9081c37ce1d8626011faf0a6",
     ("rand-14", True): "fbddd516574f2346bb2556be0de5e5e1da2e30b05df26e91fcab4d9052a502b5",
     ("rand-23", True): "c6a787163cb995696c0103676e6eacacaba47839f7a7bd3eabcb54e21642bb4a",
+    ("mca-5.3^8.2^2", True): "76b8192e48c1d394d3c315867d6496161a648e9eabe180ed3d6fb34212ac3ebe",
+    ("mca-6.4^2.3^3.2^2", True): "9b6d80128eeb246fdcb72ec478d446e2e98cfb5b6ccb9ff0f4a2d91bbeaed356",
+    ("mca-10..2", True): "db9226599688c7dd03546809b00ab52fff4cc263db377965279457f91cd08fe7",
+    ("rand-0", True): "7d23e43714db507bb1bc7c4ed80993d2278d447afbf6c467658d09cd34d3665f",
+    ("rand-1", True): "ddd14abe7650e2ee5ce5272efb8680af5caead3b77c607c3e33dcffb050f4a8e",
+    ("rand-2", True): "eb426c738d105032d65a2fcb558d809199858d164df4e7e66a8a6c13a07df622",
+    ("rand-3", True): "6a2465990a81e582e51b9e9fb8db708ed02da079ccef4bcd2b03bbc0f3e1af9d",
+    ("rand-4", True): "a5e440a63fb6658e79310dc473a9ecd23d13130aed37def29453bc9c1f991883",
+    ("rand-5", True): "77776aa681140c6cab261d3ea2e8b0a76944dd7ea13a19b6f0146ef0134c6e46",
+    ("rand-6", True): "567a0f033844ce0cba2ddaf3c3e9c479066dc91f49512b4bca3c20926fd9edfc",
+    ("rand-7", True): "fd035e55c49df05d9ec4a0c547c249a74cca4aa7a77e4ea3e642fba898d01bde",
+    ("rand-8", True): "31bf79870b7f391f677999f5a2e73223c15d266146e8c11ba33bb681130dfdc2",
+    ("rand-9", True): "984c8810165c6ce6ba2236801f6f4b7b18f902de474c578ec9393955c14e520b",
+    ("rand-10", True): "311d910448f59738df73df8ad2d0390a73ce450ff10c0280a23a8f49b44379f4",
+    ("rand-12", True): "8b70a2342222e622fa8979c4c5a0bdb2ece8fcab05767ef8c5edd1111e2840bf",
+    ("rand-13", True): "feac638889cbebe5e1c666ee87bc489419d04dda234d79c887a11d326ad93054",
+    ("rand-15", True): "f745d6199849c4f4d4fee0b723668565c53dae4a924512e30a6556f46adc19c9",
+    ("rand-16", True): "1f9a9549e2547592f5653ee0b82183e6962865680731c0ddee00d4a2e04bc9d5",
+    ("rand-17", True): "58de7e84b33cba21b8c74e6eaf14589d81b4711e9afd806266e28b9bc26f4f16",
+    ("rand-18", True): "7b915faee5dd05ff8f9f1b0a0009b03860f49c2432e4853be960789c993ea2fb",
+    ("rand-19", True): "589905a49c51278963c476d8627c1204dcd8d38fede51eda1d72c1d4f0f63e88",
+    ("rand-20", True): "e6264e7e5b5e0952a2c5466e845712e978a8ca0d6f2384dda1e7ac5ba245c966",
+    ("rand-21", True): "922df22bb26361a0ac83f19cb57d52e81eb104548b62e9901fa64e1bfe38b3e3",
+    ("rand-22", True): "ebbfaa71082fd1f52ae78af7d2323647ecbbfc4b1aa0efd935230453ea0043e3",
+    ("rand-24", True): "9a65016be9e1d10ae06fc9e56118ac53cf0af2d19b35651826691ce9c1e4f114",
     ("bbu-5g", False): "1a2708cd10e3a572f08177f00a2dcdf4f8391639d5667407e10d718e5d946960",
     ("ca-3^3", False): "350f8ad58f093800326a7ceee80612f24a51704894e0e90c272df3a1564a8a73",
     ("ca-3^4", False): "518e4b6d1617a767edb3f898dd9dd86d12e1503f9b29ba3937f6d51de9a41ff3",
@@ -64,7 +89,7 @@ GREEDY_DIGESTS = [
     "f3b96113b9a53aa80af4fabb37b725b87b487cdeee8a036cd6ac30abf1f6e1b9",
     "f87c4a099ee6cc3ca878a18751ff467b57c91fedd9f2daa443327a262995b1ad",
 ]
-# greedy_suite(*_wide_instance(s), seed=k): tie rotations other than seed 0's
+# greedy_suite(InteractionUniverse(*_wide_instance(s)), seed=k): tie rotations other than seed 0's
 WIDE_ROTATION_DIGESTS = {
     (4, 1): "a88072f7b68cabd2b217d8ac2a78c08da541ce692b27773aae67f2769bb5b456",
     (10, 1): "d5acca2a627229211259171222b9e0788d50e74f36f2ef71440312f935e2e9ef",
@@ -116,7 +141,7 @@ def test_pipeline_suites(weighted):
     for (name, w) in PIPELINE_DIGESTS:
         if w == weighted:
             system, cs = _instance(name)
-            suite, _ = run_pipeline(system, cs, config=PipelineConfig(weighted=weighted))
+            suite, _ = run_pipeline(InteractionUniverse(system, cs, weighted=weighted))
             got[(name, w)] = _digest(suite)
     assert got == {k: v for k, v in PIPELINE_DIGESTS.items() if k[1] == weighted}
 
@@ -134,13 +159,39 @@ def test_greedy_suites(monkeypatch):
     monkeypatch.setattr(greedy, "_progress_case", counted)
     got = []
     for system, cs in instances:
-        got.append(_digest(greedy_suite(system, cs, seed=0)))
+        got.append(_digest(greedy_suite(InteractionUniverse(system, cs), seed=0)))
     assert got == GREEDY_DIGESTS
     assert set(range(25, len(instances))) <= set(calls)
 
 
+def test_greedy_backtrack_cap_falls_back(monkeypatch):
+    # _wide_instance(13)'s walk backtracks thousands of times in some cases;
+    # capped at 50, more cases end in the _progress_case fallback, and the
+    # suite still covers every pair
+    progress = greedy._progress_case
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return progress(*args)
+
+    monkeypatch.setattr(greedy, "_progress_case", counted)
+    universe = InteractionUniverse(*_wide_instance(13))
+    greedy_suite(universe, seed=0)
+    uncapped = len(calls)
+    calls.clear()
+    monkeypatch.setattr(greedy, "MAX_BACKTRACKS_PER_CASE", 50)
+    suite = greedy_suite(universe, seed=0)
+    assert len(calls) > uncapped
+    ok, problems = verify_suite(suite, universe.constraints, universe)
+    assert ok, problems
+
+
 def test_greedy_rotation_seeds():
-    got = {(s, k): _digest(greedy_suite(*_wide_instance(s), seed=k)) for s, k in WIDE_ROTATION_DIGESTS}
+    got = {
+        (s, k): _digest(greedy_suite(InteractionUniverse(*_wide_instance(s)), seed=k))
+        for s, k in WIDE_ROTATION_DIGESTS
+    }
     assert got == WIDE_ROTATION_DIGESTS
 
 
@@ -149,7 +200,7 @@ def test_pinned_search_effort():
     instances += [bench.random_instance(s) for s in range(25)]
     step = cover = 0
     for system, cs in instances:
-        _, report = run_pipeline(system, cs)
+        _, report = run_pipeline(InteractionUniverse(system, cs))
         step += sum(st["nodes"] for st in report.steps)
         cover += report.cover["nodes"]
     assert (step, cover) == (PINNED_STEP_NODES, PINNED_COVER_NODES)
@@ -167,7 +218,7 @@ def _avoid_checks(monkeypatch, system, cs, seed=0):
 
     with monkeypatch.context() as m:
         m.setattr(ConstraintSet, "completes_avoid", counted)
-        greedy_suite(system, cs, universe=universe, seed=seed)
+        greedy_suite(universe, seed=seed)
     return len(calls)
 
 

@@ -19,14 +19,14 @@ def full_and_valid(suite, system, constraints):
 class TestGreedySuite:
     def test_unconstrained_full_coverage(self):
         sys_ = make_system([3, 3, 3])
-        suite = greedy_suite(sys_, ConstraintSet())
+        suite = greedy_suite(InteractionUniverse(sys_, ConstraintSet()))
         ok, problems = full_and_valid(suite, sys_, ConstraintSet())
         assert ok, problems
         assert 9 <= len(suite) <= 15
 
     def test_respects_avoids(self):
         sys_, cs = make_bbu()
-        suite = greedy_suite(sys_, cs)
+        suite = greedy_suite(InteractionUniverse(sys_, cs))
         for tc in suite:
             assert validate_case(tc, sys_, cs)
         ok, problems = full_and_valid(suite, sys_, cs)
@@ -34,18 +34,19 @@ class TestGreedySuite:
 
     def test_deterministic_per_seed(self):
         sys_, cs = make_bbu()
-        a = greedy_suite(sys_, cs, seed=7)
-        b = greedy_suite(sys_, cs, seed=7)
+        a = greedy_suite(InteractionUniverse(sys_, cs), seed=7)
+        b = greedy_suite(InteractionUniverse(sys_, cs), seed=7)
         assert a.cases == b.cases
 
     def test_seeds_vary_output(self):
         sys_ = make_system([4, 4, 4, 4])
-        suites = {tuple(greedy_suite(sys_, ConstraintSet(), seed=s).cases) for s in range(6)}
+        universe = InteractionUniverse(sys_, ConstraintSet())
+        suites = {tuple(greedy_suite(universe, seed=s).cases) for s in range(6)}
         assert len(suites) > 1
 
     def test_mixed_cardinalities(self):
         sys_ = make_system([5, 3, 3, 2, 2])
-        suite = greedy_suite(sys_, ConstraintSet())
+        suite = greedy_suite(InteractionUniverse(sys_, ConstraintSet()))
         ok, problems = full_and_valid(suite, sys_, ConstraintSet())
         assert ok, problems
         assert len(suite) >= 15  # no fewer than the largest slot
@@ -55,7 +56,7 @@ class TestGreedySuite:
             cards = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(3, 6)))]
             sys_ = make_system(cards)
             cs = random_constraints(sys_, rng, n_avoid=int(rng.integers(0, 4)))
-            suite = greedy_suite(sys_, cs, seed=int(rng.integers(1000)))
+            suite = greedy_suite(InteractionUniverse(sys_, cs), seed=int(rng.integers(1000)))
             ok, problems = full_and_valid(suite, sys_, cs)
             assert ok, problems
 
@@ -63,7 +64,7 @@ class TestGreedySuite:
         # a thousand factors: a walk that recursed once per factor would
         # overflow Python's default recursion limit
         sys_ = make_system([2] * 1000)
-        suite = greedy_suite(sys_, ConstraintSet())
+        suite = greedy_suite(InteractionUniverse(sys_, ConstraintSet()))
         ok, problems = verify_suite(suite, ConstraintSet())
         assert ok, problems
 
@@ -104,10 +105,16 @@ def test_skipping_dead_subtrees_changes_no_suite(monkeypatch, rng):
 
     with monkeypatch.context() as m:
         m.setattr(greedy, "wipes_out", counted)
-        pruned = [io.suite_to_csv(greedy_suite(*model, seed=k)) for k, model in enumerate(models)]
+        pruned = [
+            io.suite_to_csv(greedy_suite(InteractionUniverse(*model), seed=k))
+            for k, model in enumerate(models)
+        ]
     monkeypatch.setattr(greedy, "wipes_out", lambda *args: False)
     monkeypatch.setattr(greedy, "_live_levels", lambda sym, card: [list(range(c)) for c in card])
     monkeypatch.setattr(greedy, "MAX_BACKTRACKS_PER_CASE", float("inf"))
-    plain = [io.suite_to_csv(greedy_suite(*model, seed=k)) for k, model in enumerate(models)]
+    plain = [
+        io.suite_to_csv(greedy_suite(InteractionUniverse(*model), seed=k))
+        for k, model in enumerate(models)
+    ]
     assert sum(cuts) > 1000  # the forward check cut subtrees
     assert [k for k in range(len(models)) if pruned[k] != plain[k]] == []

@@ -432,7 +432,7 @@ class TestVerifySuite:
                 )
             )
         cs = ConstraintSet(avoid=tuple(avoid))
-        suite = greedy_suite(sys_, cs)
+        suite = greedy_suite(InteractionUniverse(sys_, cs))
         calls = []
         search = interactions.find_extension
         monkeypatch.setattr(

@@ -1,6 +1,7 @@
 import ast
 import codecs
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,22 @@ class TestParseModel:
         with pytest.raises(ParseError) as exc:
             parse_model(bad)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("A: x, y\nB: p, q\nAVOID: A=x,\n", 3, "empty pick"),
+            ("A: x, y\nB: p, q\nAVOID: A=x, B\n", 3, "pick 'B' is not Factor=Level"),
+            ("A: x, y\nB: p, q\nMUST: A=x, A=y\n", 3, "picks the same factor twice"),
+            ("A: x, y\nMUST : p, q\n", 2, "factor name 'MUST' is reserved"),
+            ("A: x, , y\nB: p, q\n", 1, "empty level name"),
+        ],
+        ids=["empty-pick", "no-equals", "factor-twice", "reserved-name", "empty-level"],
+    )
+    def test_bad_line_is_located(self, text, line, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_model(text)
+        assert exc.value.line == line
 
     def test_duplicate_factor(self):
         with pytest.raises(ParseError) as exc:
@@ -167,6 +184,10 @@ class TestPict:
         assert exc.value.line == 3
         assert "AVOID" in str(exc.value)
 
+    def test_one_parameter_rejected(self):
+        with pytest.raises(ParseError, match="PICT file defines 1 factors, need at least 2"):
+            parse_pict("# one\nA: x, y\n")
+
     def test_submodel_rejected(self):
         with pytest.raises(ParseError):
             parse_pict("A: x, y\nB: p, q\n{ A, B } @ 2\n")
@@ -174,14 +195,14 @@ class TestPict:
 
 class TestReportJson:
     def test_dataclass_report(self, tmp_path):
+        from paircover.interactions import InteractionUniverse
         from paircover.pipeline import run_pipeline
 
         sys_ = make_system([2, 2])
-        suite, report = run_pipeline(sys_, ConstraintSet())
+        suite, report = run_pipeline(InteractionUniverse(sys_, ConstraintSet()))
         text = report_to_json(report.to_dict())
         data = json.loads(text)
         assert data["final_size"] == len(suite)
-        assert data["universe_size"] == 4
         path = tmp_path / "report.json"
         write_report(path, report.to_dict())
         assert json.loads(path.read_text()) == data

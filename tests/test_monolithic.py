@@ -1,11 +1,12 @@
 import pytest
 
 from paircover import monolithic
-from paircover.bench import make_bbu, make_system
+from paircover.bench import classic_instances, make_bbu, make_system
 from paircover.core import ConstraintSet, PartialAssignment, StructureError, TestCase
 from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.monolithic import (
     ModelSizeError,
+    MonolithicTimeout,
     build_monolithic,
     minimal_suite,
     widest_pairs,
@@ -20,15 +21,15 @@ class TestBuildMonolithic:
         # indicators and 1 must indicator
         sys_ = make_system([2, 3])
         cs = ConstraintSet(must=(PartialAssignment(((0, 1), (1, 2))),))
-        mono = build_monolithic(sys_, cs, m=4, universe=InteractionUniverse(sys_, cs))
+        mono = build_monolithic(InteractionUniverse(sys_, cs), m=4)
         nx, nu, n_must = 5, 6, 1
         assert mono.milp.nvars == 4 * (nx + nu + n_must)
 
     def test_must_adds_indicators(self):
         sys_ = make_system([2, 2])
         cs = ConstraintSet(must=(PartialAssignment(((0, 1),)),))
-        plain = build_monolithic(sys_, ConstraintSet(), m=3, universe=InteractionUniverse(sys_, ConstraintSet())).milp
-        milp = build_monolithic(sys_, cs, m=3, universe=InteractionUniverse(sys_, cs)).milp
+        plain = build_monolithic(InteractionUniverse(sys_, ConstraintSet()), m=3).milp
+        milp = build_monolithic(InteractionUniverse(sys_, cs), m=3).milp
         # one indicator per slot, appended last
         assert milp.nvars == plain.nvars + 3
         # per slot one z <= x row for the must's one pick; then one "some slot" row
@@ -41,20 +42,20 @@ class TestBuildMonolithic:
     def test_rejects_zero_slots(self):
         sys_ = make_system([2, 2])
         with pytest.raises(StructureError):
-            build_monolithic(sys_, ConstraintSet(), m=0, universe=InteractionUniverse(sys_, ConstraintSet()))
+            build_monolithic(InteractionUniverse(sys_, ConstraintSet()), m=0)
 
     def test_size_cap(self):
         sys_ = make_system([4, 4, 4, 4])
         with pytest.raises(ModelSizeError):
             # 16 x and 96 pair indicators per slot: 224,000 variables at m=2000
-            build_monolithic(sys_, ConstraintSet(), m=2000, universe=InteractionUniverse(sys_, ConstraintSet()))
+            build_monolithic(InteractionUniverse(sys_, ConstraintSet()), m=2000)
 
     def test_slot_k_holds_widest_pair_k(self):
         # 2x3x2: the widest pair is (F0, F1) with 6 pairs; slots 0-5 are
         # fixed to them and slot 6 is free
         sys_ = make_system([2, 3, 2])
         uni = InteractionUniverse(sys_, ConstraintSet())
-        mono = build_monolithic(sys_, ConstraintSet(), m=7, universe=uni)
+        mono = build_monolithic(uni, m=7)
         arr = mono.milp.to_arrays()
         fixed = set()
         for r in range(mono.milp.ncons):
@@ -80,7 +81,7 @@ class TestDecode:
         # 2x3 with F0=0, F1=0 avoided; two slots of 5 x variables each
         sys_ = make_system([2, 3])
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
-        return build_monolithic(sys_, cs, m=2, universe=InteractionUniverse(sys_, cs))
+        return build_monolithic(InteractionUniverse(sys_, cs), m=2)
 
     @staticmethod
     def _values(mono, *slots):
@@ -120,7 +121,7 @@ def test_widest_pairs():
 class TestMinimalSuite:
     def test_2x2_needs_four(self):
         sys_ = make_system([2, 2])
-        suite, report = minimal_suite(sys_, ConstraintSet())
+        suite, report = minimal_suite(InteractionUniverse(sys_, ConstraintSet()))
         assert len(suite) == 4
         assert report["m"] == 4
 
@@ -140,14 +141,14 @@ class TestMinimalSuite:
                 want = oracle_min_suite_size(sys_, cs)
             except ValueError:  # an unsatisfiable must: draw again
                 continue
-            suite, _ = minimal_suite(sys_, cs)
+            suite, _ = minimal_suite(InteractionUniverse(sys_, cs))
             assert len(suite) == want, (cards, cs)
             checked += 1
 
     def test_bbu_case_study(self):
         # the paper's case study: m=16 is proven too small, 17 is reached
         sys_, cs = make_bbu()
-        suite, report = minimal_suite(sys_, cs, time_limit=60)
+        suite, report = minimal_suite(InteractionUniverse(sys_, cs), time_limit=60)
         assert len(suite) == 17 == report["m"]
         assert [a["m"] for a in report["attempts"]] == [16, 17]
         assert report["attempts"][0]["status"] == "infeasible"
@@ -157,17 +158,24 @@ class TestMinimalSuite:
     def test_3x3x3_needs_nine(self):
         # the built-in kernel could not decide m=9 within a minute here
         sys_ = make_system([3, 3, 3])
-        suite, report = minimal_suite(sys_, ConstraintSet(), time_limit=30)
+        suite, report = minimal_suite(InteractionUniverse(sys_, ConstraintSet()), time_limit=30)
         assert len(suite) == 9 == report["m"]
         ok, problems = verify_suite(suite, ConstraintSet())
         assert ok, problems
+
+    def test_undecided_slot_count_times_out(self):
+        # the first slot count of mca-5.3^8.2^2, 15, stays undecided well
+        # past half a second: no suite is given, since it might not be minimal
+        universe = InteractionUniverse(*classic_instances()["mca-5.3^8.2^2"])
+        with pytest.raises(MonolithicTimeout, match=r"^could not decide coverage at m=15 within 0\.5s$"):
+            minimal_suite(universe, time_limit=0.5)
 
     def test_avoid_can_force_extra_case(self):
         # 2x3: unconstrained minimum is 6; forbidding one combination keeps
         # it at 6 minus nothing here, but the suite must dodge the avoid
         sys_ = make_system([2, 3])
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
-        suite, _ = minimal_suite(sys_, cs)
+        suite, _ = minimal_suite(InteractionUniverse(sys_, cs))
         assert len(suite) == oracle_min_suite_size(sys_, cs)
         assert all(tc.levels != (0, 0) for tc in suite)
 
@@ -181,7 +189,7 @@ class TestMinimalSuite:
             )
         )
         with pytest.raises(StructureError, match="the avoid tuples rule out every test case"):
-            minimal_suite(sys_, cs)
+            minimal_suite(InteractionUniverse(sys_, cs))
 
     def test_must_with_no_valid_case_fails_before_any_solve(self, monkeypatch):
         # a0 is avoided with every level of B, so no case holds the must
@@ -198,4 +206,4 @@ class TestMinimalSuite:
         with pytest.raises(
             StructureError, match=r"must tuple \(\(0, 0\), \(2, 0\)\) has no constraint-valid"
         ):
-            minimal_suite(sys_, cs)
+            minimal_suite(InteractionUniverse(sys_, cs))

@@ -42,7 +42,7 @@ def test_traced_pipeline_run_counts_its_layers():
     spans = _load("spans")
     system, constraints = make_bbu()
     with spans.installed(spans.Tracer()) as tracer:
-        _, report = run_pipeline(system, constraints)
+        _, report = run_pipeline(interactions.InteractionUniverse(system, constraints))
     m = spans.layer_metrics(tracer)
     assert m["milp.step_nodes"] > 0 and m["pipeline.raw_size"] > 0
     # must-phase steps included: both phases call pipeline.generate_single_case

@@ -41,7 +41,7 @@ class TestApplyWarmStart:
     @staticmethod
     def run(warm, cs, alpha):
         return run_pipeline(
-            warm.system, cs, warm, PipelineConfig(alpha=alpha, minimize=False)
+            InteractionUniverse(warm.system, cs), warm, PipelineConfig(alpha=alpha, minimize=False)
         )
 
     def test_filters_invalid_rows(self):
@@ -80,7 +80,9 @@ class TestApplyWarmStart:
     def test_alpha_out_of_range_without_warm_start(self):
         sys_ = make_system([2, 2])
         with pytest.raises(PaircoverError, match="alpha"):
-            run_pipeline(sys_, ConstraintSet(), config=PipelineConfig(alpha=1.5))
+            run_pipeline(
+                InteractionUniverse(sys_, ConstraintSet()), config=PipelineConfig(alpha=1.5)
+            )
 
 
 class TestMinimizeSuite:
@@ -96,7 +98,7 @@ class TestMinimizeSuite:
 
     def test_never_larger_and_preserves_musts(self):
         sys_, cs = make_bbu()
-        raw = greedy_suite(sys_, cs, seed=3)
+        raw = greedy_suite(InteractionUniverse(sys_, cs), seed=3)
         carrier = TestCase((3, 3, 1, 0))
         raw.append(carrier)
         out, _ = minimize_suite(raw, cs)
@@ -111,7 +113,7 @@ class TestMinimizeSuite:
         # of an unseeded build
         sys_, cs = make_bbu()
         bad = TestCase((0, 3, 0, 0))
-        full = greedy_suite(sys_, cs)
+        full = greedy_suite(InteractionUniverse(sys_, cs))
         for rows in ([bad, *full], [*list(full)[:3], bad]):
             suite = TestSuite(sys_, rows)
             plain = InteractionUniverse(sys_, cs)
@@ -174,7 +176,8 @@ class TestMinimizeSuite:
         # 0.5 s, and a 250k-node slice in pure Python used to run for ~40 s
         sys_, cs = make_system([4] * 6), ConstraintSet()
         suite = TestSuite(
-            sys_, [tc for s in range(3) for tc in greedy_suite(sys_, cs, seed=s)]
+            sys_,
+            [tc for s in range(3) for tc in greedy_suite(InteractionUniverse(sys_, cs), seed=s)],
         )
         assert len(suite) == 72
         t0 = time.perf_counter()
@@ -222,7 +225,7 @@ class TestCoverSearch:
         instances += [random_instance(s) for s in range(25)]
         for system, cs in instances:
             for weighted in (True, False):
-                run_pipeline(system, cs, config=PipelineConfig(weighted=weighted))
+                run_pipeline(InteractionUniverse(system, cs, weighted=weighted))
         assert len(seen) == 2 * len(instances)
         dropped = sum(self._check(cover) < len(cover) for cover in seen)
         assert dropped > 0  # some covers leave a choice of rows to drop
@@ -292,7 +295,7 @@ class TestRunPipeline:
         import paircover.pipeline as pl
 
         sys_, cs = make_bbu()
-        _, report = run_pipeline(sys_, cs)
+        _, report = run_pipeline(InteractionUniverse(sys_, cs))
         assert report.cover["status"] == "optimal" and not report.degraded
         assert report.cover["rows"] == report.raw_size
 
@@ -301,13 +304,13 @@ class TestRunPipeline:
             return MilpSolution(SolveStatus.FEASIBLE, sol.objective, sol.values, sol.stats)
 
         monkeypatch.setattr(pl, "solve", unproven)
-        suite, report = run_pipeline(sys_, cs)
+        suite, report = run_pipeline(InteractionUniverse(sys_, cs))
         assert report.degraded and report.cover["status"] == "feasible"
         assert verify_suite(suite, cs)[0]
 
     def test_end_to_end_reference_instance(self):
         sys_, cs = make_bbu()
-        suite, report = run_pipeline(sys_, cs)
+        suite, report = run_pipeline(InteractionUniverse(sys_, cs))
         ok, problems = verify_suite(suite, cs)
         assert ok, problems
         assert report.final_size == len(suite)
@@ -318,25 +321,25 @@ class TestRunPipeline:
 
     def test_partition_is_timed_inside_the_must_phase(self):
         sys_, cs = make_bbu()
-        _, report = run_pipeline(sys_, cs)
+        _, report = run_pipeline(InteractionUniverse(sys_, cs))
         wall = report.phase_wall_s
         assert 0 <= wall["partition"] <= wall["must"]
         # a run whose must phase partitions nothing writes no partition time
-        _, report = run_pipeline(sys_, ConstraintSet(avoid=cs.avoid))
+        _, report = run_pipeline(InteractionUniverse(sys_, ConstraintSet(avoid=cs.avoid)))
         assert "partition" not in report.phase_wall_s and "must" in report.phase_wall_s
 
     def test_unconstrained_small(self):
         sys_ = make_system([3, 3, 3])
-        suite, report = run_pipeline(sys_, ConstraintSet())
+        suite, report = run_pipeline(InteractionUniverse(sys_, ConstraintSet()))
         ok, problems = verify_suite(suite, ConstraintSet())
         assert ok, problems
         assert len(suite) >= 9
 
     def test_warm_start_reduces_generation(self):
         sys_, cs = make_bbu()
-        warm = greedy_suite(sys_, cs, seed=11)
-        cold_suite, cold = run_pipeline(sys_, cs, config=PipelineConfig())
-        warm_suite, hot = run_pipeline(sys_, cs, warm_start=warm)
+        warm = greedy_suite(InteractionUniverse(sys_, cs), seed=11)
+        cold_suite, cold = run_pipeline(InteractionUniverse(sys_, cs), config=PipelineConfig())
+        warm_suite, hot = run_pipeline(InteractionUniverse(sys_, cs), warm_start=warm)
         assert hot.warm_retained > 0
         assert hot.phase2_cases <= cold.phase2_cases
         ok, problems = verify_suite(warm_suite, cs)
@@ -345,7 +348,9 @@ class TestRunPipeline:
     def test_must_group_case_holds_its_picks(self):
         sys_, cs = make_bbu()
         picks = ((0, 3), (1, 3), (2, 1))  # bbu's one must group
-        suite, report = run_pipeline(sys_, cs, config=PipelineConfig(minimize=False))
+        suite, report = run_pipeline(
+            InteractionUniverse(sys_, cs), config=PipelineConfig(minimize=False)
+        )
         assert report.must_groups == 1
         step = report.steps[0]
         assert step["phase"] == 1 and step["fixed"] == picks
@@ -358,7 +363,9 @@ class TestRunPipeline:
         sys_ = make_system([2, 2, 2])
         cs = ConstraintSet(must=(PartialAssignment(((0, 0), (1, 0), (2, 1))),))
         warm = TestSuite(sys_, [TestCase(lv) for lv in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))])
-        suite, report = run_pipeline(sys_, cs, warm_start=warm, config=PipelineConfig(alpha=1.0))
+        suite, report = run_pipeline(
+            InteractionUniverse(sys_, cs), warm_start=warm, config=PipelineConfig(alpha=1.0)
+        )
         assert report.warm_retained == 4 and report.must_groups == 1
         assert report.steps[0]["uncovered_before"] == 0 and report.phase2_cases == 0
         assert TestCase((0, 0, 1)) in suite.cases
@@ -366,28 +373,29 @@ class TestRunPipeline:
     def test_presatisfied_musts_skip_phase1(self):
         sys_, cs = make_bbu()
         warm = TestSuite(sys_, [TestCase((3, 3, 1, 0))])  # carries the must
-        _, report = run_pipeline(sys_, cs, warm_start=warm, config=PipelineConfig(alpha=1.0))
+        _, report = run_pipeline(
+            InteractionUniverse(sys_, cs), warm_start=warm, config=PipelineConfig(alpha=1.0)
+        )
         assert report.must_presatisfied == 1
         assert report.must_groups == 0
 
     def test_unweighted_config(self):
         sys_, cs = make_bbu()
-        suite, report = run_pipeline(sys_, cs, config=PipelineConfig(weighted=False))
-        assert not report.weighted
+        suite, report = run_pipeline(InteractionUniverse(sys_, cs, weighted=False))
         ok, problems = verify_suite(suite, cs)
         assert ok, problems
 
     def test_no_minimize_keeps_raw(self):
         sys_ = make_system([3, 3])
         suite, report = run_pipeline(
-            sys_, ConstraintSet(), config=PipelineConfig(minimize=False)
+            InteractionUniverse(sys_, ConstraintSet()), config=PipelineConfig(minimize=False)
         )
         assert report.cover == {}
         assert report.final_size == report.raw_size
 
     def test_curve_monotone(self):
         sys_, cs = make_bbu()
-        suite, _ = run_pipeline(sys_, cs)
+        suite, _ = run_pipeline(InteractionUniverse(sys_, cs))
         curve = coverage_curve(suite, InteractionUniverse(sys_, cs))
         assert curve == sorted(curve)
         assert curve[-1] == 1.0
@@ -402,7 +410,7 @@ class TestRunPipeline:
                 n_avoid=int(rng.integers(0, 3)),
                 n_must=int(rng.integers(0, 3)),
             )
-            suite, report = run_pipeline(sys_, cs)
+            suite, report = run_pipeline(InteractionUniverse(sys_, cs))
             ok, problems = verify_suite(suite, cs)
             assert ok, problems
             assert report.final_size <= report.raw_size
@@ -414,25 +422,29 @@ class TestRunPipeline:
             sys_ = make_system(cards)
             cs = ConstraintSet()
             want = oracle_min_suite_size(sys_, cs)
-            suite, _ = run_pipeline(sys_, cs)
+            suite, _ = run_pipeline(InteractionUniverse(sys_, cs))
             assert len(suite) <= want + 1
 
 
 def test_infinite_time_limits_match_the_defaults():
     # math.inf means no limit everywhere a time limit is taken
     sys_, cs = make_bbu()
-    suite, report = run_pipeline(sys_, cs)
-    unlimited, _ = run_pipeline(sys_, cs, config=PipelineConfig(step_time_limit=math.inf))
+    suite, report = run_pipeline(InteractionUniverse(sys_, cs))
+    unlimited, _ = run_pipeline(
+        InteractionUniverse(sys_, cs), config=PipelineConfig(step_time_limit=math.inf)
+    )
     assert unlimited.cases == suite.cases and not report.degraded
 
-    raw = TestSuite(sys_, [tc for s in range(2) for tc in greedy_suite(sys_, cs, seed=s)])
+    raw = TestSuite(
+        sys_, [tc for s in range(2) for tc in greedy_suite(InteractionUniverse(sys_, cs), seed=s)]
+    )
     kept, stats = minimize_suite(raw, cs)
     assert minimize_suite(raw, cs, time_limit=math.inf)[0].cases == kept.cases
     assert stats["status"] == "optimal"
 
-    exact, report = minimal_suite(sys_, cs)
-    assert minimal_suite(sys_, cs, time_limit=math.inf)[0].cases == exact.cases
-    mono = build_monolithic(sys_, cs, report["m"], InteractionUniverse(sys_, cs))
+    exact, report = minimal_suite(InteractionUniverse(sys_, cs))
+    assert minimal_suite(InteractionUniverse(sys_, cs), time_limit=math.inf)[0].cases == exact.cases
+    mono = build_monolithic(InteractionUniverse(sys_, cs), report["m"])
     sol = solve_highs(mono.milp, math.inf)
     assert sol.status == SolveStatus.OPTIMAL and mono.decode(sol.values).cases == exact.cases
 
@@ -444,7 +456,9 @@ def test_coverage_bookkeeping_matches_a_recount(name):
     # each step's uncovered_before and fresh, and the coverage curve,
     # against a plain recount of the universe pairs the rows placed so far hold
     sys_, cs = classic_instances().get(name) or random_instance(int(name[5:]))
-    suite, report = run_pipeline(sys_, cs, config=PipelineConfig(minimize=False))
+    suite, report = run_pipeline(
+        InteractionUniverse(sys_, cs), config=PipelineConfig(minimize=False)
+    )
     uni = InteractionUniverse(sys_, cs)
     pairs = set(universe_pairs(uni))
     covered, curve = set(), []

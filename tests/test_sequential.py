@@ -309,7 +309,7 @@ def test_proven_step_value_caps_the_next_step(avoid):
         upper = free.objective
         assert cov.mark_case(step.decode(free.values)) > 0
     assert sum(capped_nodes) < sum(free_nodes)
-    _, report = run_pipeline(sys_, cs)
+    _, report = run_pipeline(InteractionUniverse(sys_, cs))
     assert [st["nodes"] for st in report.steps] == capped_nodes
 
 
@@ -431,7 +431,9 @@ def test_cover_deadline_is_checked_within_1024_nodes():
     # the step's rule, from the same Budget: a cover search that starts
     # past its deadline counts 1024 nodes and keeps its incumbent
     sys_, cs = make_system([4] * 6), ConstraintSet()
-    suite = TestSuite(sys_, [tc for s in range(3) for tc in greedy_suite(sys_, cs, seed=s)])
+    suite = TestSuite(
+        sys_, [tc for s in range(3) for tc in greedy_suite(InteractionUniverse(sys_, cs), seed=s)]
+    )
     assert len(suite) == 72
     out, st = minimize_suite(suite, cs, time_limit=0)
     assert st["status"] == "feasible" and st["nodes"] == 1024
