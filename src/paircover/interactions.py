@@ -9,7 +9,6 @@ up front so coverage ratios are measured against what is actually coverable.
 from __future__ import annotations
 
 import math
-from itertools import count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +27,9 @@ from .core import (
 # models with at most this many full cases list them all to build their
 # universe; listing beats the witness search up to here (README, "Universe build")
 _ENUMERATE_CASES = 4096
+# random valid cases a searched build marks before its first search
+# (README, "Universe build")
+_SAMPLED_CASES = 128
 
 
 def wipes_out(
@@ -51,17 +53,15 @@ def find_extension(
     assignment: PartialAssignment,
     system: FactorSystem,
     constraints: ConstraintSet,
-    start: Sequence[int] | None = None,
 ) -> TestCase | None:
     """The first constraint-valid case extending ``assignment``.
 
-    Depth-first over the unassigned factors in index order, skipping any
-    level that completes an avoid tuple (``ConstraintSet.completes_avoid``).
-    Each factor f tries ``start[f]`` first, then the levels after it in
-    index order, wrapping around to 0; with ``start=None`` every factor
-    starts at 0, so the first leaf reached is the lexicographically smallest
-    valid extension.  Returns None when no valid extension exists,
-    including when the fixed picks already complete an avoid tuple.
+    Depth-first over the unassigned factors in index order, each trying its
+    levels in index order and skipping any level that completes an avoid
+    tuple (``ConstraintSet.completes_avoid``), so the first leaf reached is
+    the lexicographically smallest valid extension.  Returns None when no
+    valid extension exists, including when the fixed picks already complete
+    an avoid tuple.
 
     Forward checking (:func:`wipes_out`, the rule greedy's walk shares):
     after the fixed picks and after each pick, every unassigned factor
@@ -82,15 +82,12 @@ def find_extension(
     if any(wipes_out(constraints, card, f, v, levels) for f, v in assignment.picks):
         return None
     free = [f for f in range(system.n_factors) if levels[f] < 0]
-    if start is None:
-        start = [0] * system.n_factors
-    order = [(*range(start[f], card[f]), *range(start[f])) for f in free]
 
     def search(k: int) -> bool:
         if k == len(free):
             return True
         f = free[k]
-        for v in order[k]:
+        for v in range(card[f]):
             if not constraints.completes_avoid(f, v, levels):
                 levels[f] = v
                 if not wipes_out(constraints, card, f, v, levels) and search(k + 1):
@@ -114,6 +111,40 @@ def valid_cases(system: FactorSystem, constraints: ConstraintSet, start: int = 0
     return cases[:, ~bad]
 
 
+def sampled_cases(system: FactorSystem, constraints: ConstraintSet, count: int) -> np.ndarray:
+    """Up to ``count`` random avoid-valid full cases, as an (n, k) level
+    array with one column per case and k <= count.
+
+    Forward sampling with its own generator, so two calls return the same
+    cases: the factors are filled in index order, each with a random level
+    that completes no avoid tuple whose last pick is on that factor.  Picks
+    are sorted by factor, so every tuple is checked once, when all of its
+    picks are set.  A case left with no allowed level at some factor is
+    dropped.  A level is drawn with weight one over the number of cases
+    that allow it, so the levels the avoids often block still turn up about
+    as often as the others (exponential keys, largest wins).
+    """
+    n, card = system.n_factors, system.cardinalities
+    # one draw for the whole batch: draws[f, v, c] ranks level v of f in case c
+    draws = np.random.default_rng(0).standard_exponential((n, max(card), count))
+    by_last: list[list] = [[] for _ in range(n)]
+    for av in constraints.avoid:
+        by_last[av.picks[-1][0]].append(av.picks)
+    cases = np.zeros((n, count), dtype=np.int64)
+    alive = np.ones(count, dtype=bool)
+    for f, c in enumerate(card):
+        allowed = np.ones((c, count), dtype=bool)
+        for *rest, (_, v) in by_last[f]:
+            hit = np.True_  # a 1-pick tuple blocks its level in every case
+            for g, w in rest:
+                hit = hit & (cases[g] == w)
+            allowed[v] &= ~hit
+        keys = draws[f, :c] * -allowed.sum(axis=1, keepdims=True)
+        cases[f] = np.where(allowed, keys, -np.inf).argmax(axis=0)
+        alive &= allowed.any(axis=0)
+    return cases[:, alive]
+
+
 class InteractionUniverse:
     """All achievable interactions of a system, in a fixed canonical order.
 
@@ -125,18 +156,20 @@ class InteractionUniverse:
     marking is a single gather per case.
 
     A model with avoids and at most _ENUMERATE_CASES full cases marks the
-    pairs of its ``valid_cases``; a larger one searches for a witness per
-    pair (``_witnessed``).  Both mark exactly the pairs some valid case
-    holds.  Raises StructureError when no case is valid: every model has
-    two factors of two levels or more, so that is exactly when the
-    universe would be empty.
+    pairs of its ``valid_cases``; a larger one marks the pairs of a random
+    batch of valid cases (``sampled_cases``) and searches for a witness
+    only for each pair left (``_witnessed``).  Both mark exactly the pairs
+    some valid case holds.  Raises StructureError when no case is valid:
+    every model has two factors of two levels or more, so that is exactly
+    when the universe would be empty.
 
     ``witnesses`` are cases the caller already has, such as the suite being
     verified: on the search path the avoid-valid ones prove their pairs
-    achievable before any extension search, so they save searches and
-    change nothing else; the listed path needs none.  With
-    ``witnesses_checked`` the caller has already dropped the avoid-violating
-    ones (``validate_case``), and they are not checked again.
+    achievable before any extension search, in place of the random batch,
+    so they save searches and change nothing else; the listed path needs
+    none.  With ``witnesses_checked`` the caller has already dropped the
+    avoid-violating ones (``validate_case``), and they are not checked
+    again.
     """
 
     def __init__(
@@ -187,14 +220,13 @@ class InteractionUniverse:
         """Which candidate pairs ``[i, j, a, b]`` some valid case holds.
 
         Every valid case witnesses all of its pairs: first the
-        ``witnesses``, all avoid-valid, then each case an extension
-        search returns, so a pair is searched only while no witness holds
-        it.  A single level is searched only while no witness holds it: its
-        case witnesses many pairs at once, and a level with no valid case
-        rules out all of its pairs.  A pair whose two picks complete an
-        avoid tuple is dropped without a search.  Successive searches start
-        each factor at a different level (``find_extension``'s ``start``), so
-        their cases spread over the levels instead of crowding near level 0.
+        ``witnesses``, all avoid-valid, or with none of them
+        _SAMPLED_CASES random valid cases (``sampled_cases``), then each
+        case an extension search returns, so a pair is searched only while
+        no witness holds it.  A single level is searched only while no
+        witness holds it: its case witnesses many pairs at once, and a
+        level with no valid case rules out all of its pairs.  A pair whose
+        two picks complete an avoid tuple is dropped without a search.
         """
         system, constraints = self.system, self.constraints
         card = system.cardinalities
@@ -202,7 +234,6 @@ class InteractionUniverse:
         i, j = self._tri
         seen = np.zeros_like(candidates)
         held = np.zeros((n, candidates.shape[-1]), dtype=bool)  # [f, v]: a witness picks it
-        searches = count()
 
         def mark(levels) -> None:
             lv = np.array(levels, dtype=np.int64)  # one case or a stack of them
@@ -210,19 +241,14 @@ class InteractionUniverse:
             held[np.arange(n), lv] = True
 
         def witness(*picks) -> bool:
-            w = next(searches)
-            # each factor steps through its levels at its own stride, shifted
-            # once per lap, so successive cases share few pairs
-            start = [(w * (f + 1) + w // c) % c for f, c in enumerate(card)]
             # through the module attribute, which perfbench's tracer rebinds
-            tc = find_extension(PartialAssignment(picks), system, constraints, start)
+            tc = find_extension(PartialAssignment(picks), system, constraints)
             if tc is not None:
                 mark(tc.levels)
             return tc is not None
 
         valid = [tc.levels for tc in witnesses]
-        if valid:
-            mark(valid)
+        mark(valid or sampled_cases(system, constraints, _SAMPLED_CASES).T)
         dead = [
             (f, v)
             for f in range(n)

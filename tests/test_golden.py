@@ -12,11 +12,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from paircover import bench, greedy, io
+from paircover import bench, greedy, interactions, io
 from paircover.core import ConstraintSet, PartialAssignment
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, verify_suite
-from paircover.pipeline import PipelineConfig, run_pipeline
+from paircover.pipeline import PipelineConfig, minimize_suite, run_pipeline
 
 PIPELINE_DIGESTS = {
     ("bbu-5g", True): "1a2708cd10e3a572f08177f00a2dcdf4f8391639d5667407e10d718e5d946960",
@@ -108,6 +108,11 @@ PINNED_COVER_NODES = 821
 # calls, the forward checks' included (78,284 before the walk skipped dead
 # subtrees).
 PINNED_GREEDY_AVOID_CHECKS = 29_720
+
+# Over classic_instances(), random_instance seeds 0-24 and WIDE_SEEDS,
+# InteractionUniverse(system, cs): find_extension calls (580 before the
+# build marked a sampled batch of valid cases first).
+PINNED_BUILD_SEARCHES = 105
 
 # Wide models on which the greedy walk falls back to ``_progress_case``,
 # which no random_instance seed reaches.
@@ -204,6 +209,35 @@ def test_pinned_search_effort():
         step += sum(st["nodes"] for st in report.steps)
         cover += report.cover["nodes"]
     assert (step, cover) == (PINNED_STEP_NODES, PINNED_COVER_NODES)
+
+
+def test_pinned_build_effort(monkeypatch):
+    instances = list(bench.classic_instances().values())
+    instances += [bench.random_instance(s) for s in range(25)]
+    instances += [_wide_instance(s) for s in WIDE_SEEDS]
+    calls = []
+    search = interactions.find_extension
+    monkeypatch.setattr(
+        interactions, "find_extension", lambda *args: calls.append(None) or search(*args)
+    )
+    for system, cs in instances:
+        InteractionUniverse(system, cs)
+    assert len(calls) == PINNED_BUILD_SEARCHES
+
+
+def test_suite_seeded_builds_draw_no_sample(monkeypatch):
+    # verify and minimize mark their suite's rows, which hold nearly every
+    # pair, so a random batch would only add cost
+    system, cs = _wide_instance(4)
+    suite = greedy_suite(InteractionUniverse(system, cs), seed=0)
+
+    def refused(*args):
+        raise AssertionError("sampled_cases called")
+
+    monkeypatch.setattr(interactions, "sampled_cases", refused)
+    assert verify_suite(suite, cs) == (True, [])
+    reduced, _ = minimize_suite(suite, cs)
+    assert 0 < len(reduced) <= len(suite)
 
 
 def _avoid_checks(monkeypatch, system, cs, seed=0):
