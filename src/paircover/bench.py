@@ -112,11 +112,9 @@ def _method_greedy(universe, seed):
     return greedy_suite(universe, seed=seed), False
 
 
-# name -> (method, whether its universe is weighted)
 METHODS = {
-    "sequential": (_method_sequential, True),
-    "sequential-nw": (_method_sequential, False),
-    "greedy": (_method_greedy, True),
+    "sequential": _method_sequential,
+    "greedy": _method_greedy,
 }
 
 
@@ -126,20 +124,15 @@ def run_methods(
     seed: int = 0,
 ) -> list[BenchRecord]:
     """One record per instance and method.  The methods of an instance share
-    one universe per weighting, built when a method first needs it; a
-    record's ``wall_s`` counts the build of the universe it ran on."""
+    one universe; a record's ``wall_s`` counts its build."""
     records = []
     for name, (system, cs) in instances.items():
-        built = {}  # weighted -> (universe, build seconds)
+        t0 = time.perf_counter()
+        universe = InteractionUniverse(system, cs)
+        build_s = time.perf_counter() - t0
         for method in methods:
-            run, weighted = METHODS[method]
-            if weighted not in built:
-                t0 = time.perf_counter()
-                universe = InteractionUniverse(system, cs, weighted=weighted)
-                built[weighted] = universe, time.perf_counter() - t0
-            universe, build_s = built[weighted]
             t0 = time.perf_counter()
-            suite, degraded = run(universe, seed)
+            suite, degraded = METHODS[method](universe, seed)
             wall = build_s + time.perf_counter() - t0
             # the curve counts pairs, whatever their weights
             curve = coverage_curve(suite, universe)
@@ -165,13 +158,19 @@ def tail_fraction(curve) -> float:
     return 0.0
 
 
+def _sizes_by_instance(records: list[BenchRecord]) -> dict[str, dict[str, int]]:
+    """instance -> {method: suite size}."""
+    by_instance: dict[str, dict[str, int]] = {}
+    for r in records:
+        by_instance.setdefault(r.instance, {})[r.method] = r.size
+    return by_instance
+
+
 def performance_profile(
     records: list[BenchRecord], taus
 ) -> dict[str, list[float]]:
     """Dolan-More profile on sizes: per method, fraction within tau of best."""
-    by_instance: dict[str, dict[str, int]] = {}
-    for r in records:
-        by_instance.setdefault(r.instance, {})[r.method] = r.size
+    by_instance = _sizes_by_instance(records)
     methods = sorted({r.method for r in records})
     out = {m: [] for m in methods}
     for tau in taus:
@@ -189,11 +188,8 @@ def performance_profile(
 
 def competition_ranks(records: list[BenchRecord]) -> dict[str, float]:
     """Mean rank per method; equal sizes share the best (smallest) rank."""
-    by_instance: dict[str, dict[str, int]] = {}
-    for r in records:
-        by_instance.setdefault(r.instance, {})[r.method] = r.size
     totals: dict[str, list[int]] = {}
-    for sizes in by_instance.values():
+    for sizes in _sizes_by_instance(records).values():
         for m, s in sizes.items():
             rank = 1 + sum(1 for other in sizes.values() if other < s)
             totals.setdefault(m, []).append(rank)

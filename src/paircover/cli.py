@@ -55,9 +55,9 @@ _seconds = _in_range(float, 0.0, math.inf, "seconds >= 0")
 # the share of the warm-start suite kept; checked here so a bad value stops
 # the run before the universe is built
 _alpha = _in_range(float, 0.0, 1.0, "in [0, 1]")
-# the profile's taus run from 1 to --max-tau: below 1 there are none, and
-# an infinite one has no last tau
-_tau = _in_range(float, 1.0, sys.float_info.max, "finite and at least 1")
+# the profile's taus run from 1 to --max-tau in steps of 0.05: below 1
+# there are none, and the cap keeps the list at 1,981 taus
+_tau = _in_range(float, 1.0, 100.0, "finite and at least 1, up to 100")
 
 
 def _load_model(args):
@@ -86,7 +86,7 @@ def _cmd_generate(args) -> int:
         warm = pio.read_suite_csv(args.warm_start, system)
 
     t0 = time.perf_counter()
-    universe = InteractionUniverse(system, cs, weighted=not args.unweighted)
+    universe = InteractionUniverse(system, cs)
     universe_s = time.perf_counter() - t0
     degraded = False
     if args.method == "greedy":
@@ -111,7 +111,7 @@ def _cmd_generate(args) -> int:
     _emit_suite(args, suite)
     if args.report:  # built only when asked for: the curve and the deep copy cost time
         if args.method == "sequential":
-            info = {"weighted": not args.unweighted, **info.to_dict()}
+            info = info.to_dict()
         report = {
             "method": args.method,
             "final_size": len(suite),
@@ -183,11 +183,11 @@ def _cmd_bench(args) -> int:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
-    # every tau up to and including max_tau: the epsilon lifts (1.7 - 1) / 0.05,
-    # which is 13.999... in floating point, to 14
-    taus = [1.0 + 0.05 * k for k in range(int((args.max_tau - 1.0) / 0.05 + 1e-9) + 1)]
-    profile = bench_mod.performance_profile(records, taus)
     if args.profile:
+        # every tau up to and including max_tau: the epsilon lifts (1.7 - 1) / 0.05,
+        # which is 13.999... in floating point, to 14
+        taus = [1.0 + 0.05 * k for k in range(int((args.max_tau - 1.0) / 0.05 + 1e-9) + 1)]
+        profile = bench_mod.performance_profile(records, taus)
         with open(args.profile, "w", encoding="utf-8") as fh:
             fh.write(bench_mod.profile_to_csv(profile, taus))
     ranks = bench_mod.competition_ranks(records)
@@ -226,7 +226,6 @@ def build_parser() -> _Parser:
         default="sequential",
     )
     g.add_argument("--alpha", type=_alpha, default=PipelineConfig.alpha, help="warm-start retention")
-    g.add_argument("--unweighted", action="store_true")
     g.add_argument("--no-minimize", action="store_true")
     g.add_argument("--warm-start", help="suite CSV to warm-start from")
     g.add_argument("--seed", type=_non_negative_int, default=0, help="greedy tie rotation seed")

@@ -149,7 +149,8 @@ class InteractionUniverse:
     """All achievable interactions of a system, in a fixed canonical order.
 
     Interactions are ordered lexicographically by (i, j, a, b).  The level
-    data lives in flat numpy arrays ``f1, v1, f2, v2`` with ``weights``.
+    data lives in flat numpy arrays ``f1, v1, f2, v2`` with ``weights``, the
+    product of each pair's two factor cardinalities.
     ``pair_id[i, a, j, b]`` (shape (n, L, n, L), L the largest cardinality)
     is the universe index of the pair (i, a), (j, b), or -1 when i >= j,
     when a level is padding or when the pair is not achievable, so coverage
@@ -176,7 +177,6 @@ class InteractionUniverse:
         self,
         system: FactorSystem,
         constraints: ConstraintSet,
-        weighted: bool = True,
         witnesses: Iterable[TestCase] = (),
         witnesses_checked: bool = False,
     ):
@@ -212,7 +212,7 @@ class InteractionUniverse:
         self.v1 = a.astype(np.int32)
         self.f2 = j.astype(np.int32)
         self.v2 = b.astype(np.int32)
-        self.weights = card[i] * card[j] if weighted else np.ones(len(i), dtype=np.int64)
+        self.weights = card[i] * card[j]
         self.pair_id = np.full((n, top, n, top), -1, dtype=np.int64)
         self.pair_id[i, a, j, b] = np.arange(len(i))
 

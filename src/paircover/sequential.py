@@ -4,8 +4,7 @@ Each step picks one level per factor to maximize the weight of still
 uncovered pairs the case would close, respecting the avoid tuples and any
 picks fixed up front (the must-group phase fixes the group's picks this
 way).  The weight of a pair is the product of its two factors'
-cardinalities, so rarer combinations get priority; an unweighted universe
-makes every pair count 1.
+cardinalities, so rarer combinations get priority.
 
 The program is a max-weight clique in a k-partite graph (one part per
 factor), so it is solved by an exact depth-first search over the levels of

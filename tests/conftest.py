@@ -79,6 +79,14 @@ class Pair(NamedTuple):
     b: int
 
 
+def uniform_weights(universe):
+    """``universe`` with every pair weighing 1 in place of the product of
+    its factors' cardinalities, so the steps count uncovered pairs.  Call
+    it before any ``CoverageState`` copies the weights."""
+    universe.weights = np.ones(len(universe), dtype=np.int64)
+    return universe
+
+
 def universe_pairs(universe):
     """Every pair of ``universe`` as a ``Pair``, in its canonical order."""
     columns = (universe.f1, universe.v1, universe.f2, universe.v2)

@@ -31,6 +31,7 @@ from conftest import (
     oracle_min_suite_size,
     random_constraints,
     satisfied_musts,
+    uniform_weights,
 )
 from reference_kernel import solve_reference
 
@@ -109,7 +110,10 @@ def test_criterion_3_weight_ablation():
             avoid=random_avoids(system, np.random.default_rng(1000 + k), 2)
         )
         for flag, bucket in ((True, weighted_sizes), (False, unweighted_sizes)):
-            suite, _ = run_pipeline(InteractionUniverse(system, cs, weighted=flag))
+            universe = InteractionUniverse(system, cs)
+            if not flag:
+                uniform_weights(universe)
+            suite, _ = run_pipeline(universe)
             bucket.append(len(suite))
     mean_w = sum(weighted_sizes) / len(weighted_sizes)
     mean_u = sum(unweighted_sizes) / len(unweighted_sizes)
@@ -226,7 +230,9 @@ def test_criterion_6_soundness_suite():
         for weighted in (True, False):
             for do_min in (True, False):
                 cfg = PipelineConfig(minimize=do_min)
-                universe = InteractionUniverse(system, cs, weighted=weighted)
+                universe = InteractionUniverse(system, cs)
+                if not weighted:
+                    uniform_weights(universe)
                 suite, report = run_pipeline(universe, config=cfg)
                 ok, problems = verify_suite(suite, cs)
                 assert ok, f"{name} {cfg}: {problems[:2]}"

@@ -111,20 +111,19 @@ class TestInstances:
 
 
 def test_run_methods_builds_one_universe_per_instance(monkeypatch):
-    # the weighted universe serves every method and curve of an instance;
-    # only sequential-nw builds one more, with every pair weighing 1
+    # one universe serves every method and curve of an instance
     builds = []
     init = interactions.InteractionUniverse.__init__
 
-    def counting_init(self, *args, weighted=True, **kwargs):
-        builds.append(weighted)
-        init(self, *args, weighted=weighted, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(interactions.InteractionUniverse, "__init__", counting_init)
     instances = {"tiny": (make_system([2, 2, 2]), ConstraintSet()), "bbu": make_bbu()}
-    records = run_methods(instances, ["sequential", "sequential-nw", "greedy"])
-    assert len(records) == 6
-    assert builds == [True, False] * len(instances)
+    records = run_methods(instances, ["sequential", "greedy"])
+    assert len(records) == 4
+    assert builds == list(instances.values())
 
 
 def test_run_methods_records():

@@ -354,9 +354,19 @@ class TestBench:
         ]
 
     def test_unknown_method(self, capsys):
-        rc = cli.main(["bench", "--family", "random", "--count", "1", "--methods", "nope"])
-        assert rc == 1
-        assert "unknown method" in capsys.readouterr().err
+        for method in ("nope", "sequential-nw"):
+            rc = cli.main(["bench", "--family", "random", "--count", "1", "--methods", method])
+            assert rc == 1
+            assert "unknown method" in capsys.readouterr().err
+
+    def test_no_profile_without_profile_flag(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("performance_profile ran without --profile")
+
+        monkeypatch.setattr(cli.bench_mod, "performance_profile", refuse)
+        argv = ["bench", "--family", "random", "--count", "2", "--methods", "greedy"]
+        assert cli.main(argv + ["--max-tau", "100"]) == 0
+        assert "mean rank greedy" in capsys.readouterr().err
 
     @pytest.mark.parametrize("methods", [",", "", " , "])
     def test_empty_method_list(self, methods, capsys):
@@ -377,6 +387,12 @@ class TestErrors:
             cli.main(["generate", "--model", "x.model", "--backend", "scipy"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_unweighted_flag_is_gone(self, model_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--model", str(model_file), "--unweighted"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --unweighted" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         rc = cli.main(["generate", "--model", "/nonexistent/x.model"])
@@ -429,11 +445,20 @@ class TestErrors:
             (["generate", "--model", "MODEL", "--alpha", "1.5"], "must be in [0, 1]"),
             (["generate", "--model", "MODEL", "--alpha", "nan"], "must be in [0, 1]"),
             (["generate", "--model", "MODEL", "--seed", "abc"], "invalid int value: 'abc'"),
+            (
+                ["bench", "--methods", "greedy", "--max-tau", "100.01"],
+                "must be finite and at least 1, up to 100",
+            ),
+            (
+                ["bench", "--methods", "greedy", "--max-tau", "1e300"],
+                "must be finite and at least 1, up to 100",
+            ),
         ],
     )
     def test_bad_number_is_a_usage_error(self, argv, message, model_file, capsys):
         # a negative or NaN time limit would never fire, or HiGHS would drop
-        # it; a negative count or a max tau below 1 would write empty CSVs
+        # it; a negative count or a max tau below 1 would write empty CSVs,
+        # and a huge max tau would build millions of taus
         with pytest.raises(SystemExit) as exc:
             cli.main([str(model_file) if a == "MODEL" else a for a in argv])
         assert exc.value.code == 1

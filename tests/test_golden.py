@@ -18,6 +18,10 @@ from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.pipeline import PipelineConfig, minimize_suite, run_pipeline
 
+from conftest import uniform_weights
+
+# (instance, weighted): the False entries run with every pair weighing 1
+# (``uniform_weights``)
 PIPELINE_DIGESTS = {
     ("bbu-5g", True): "1a2708cd10e3a572f08177f00a2dcdf4f8391639d5667407e10d718e5d946960",
     ("ca-3^3", True): "350f8ad58f093800326a7ceee80612f24a51704894e0e90c272df3a1564a8a73",
@@ -145,10 +149,24 @@ def test_pipeline_suites(weighted):
     got = {}
     for (name, w) in PIPELINE_DIGESTS:
         if w == weighted:
-            system, cs = _instance(name)
-            suite, _ = run_pipeline(InteractionUniverse(system, cs, weighted=weighted))
+            universe = InteractionUniverse(*_instance(name))
+            if not weighted:
+                uniform_weights(universe)
+            suite, _ = run_pipeline(universe)
             got[(name, w)] = _digest(suite)
     assert got == {k: v for k, v in PIPELINE_DIGESTS.items() if k[1] == weighted}
+
+
+def test_scaled_weights_change_no_suite():
+    # a step ranks cases by their summed weights, which a common factor
+    # cannot reorder; so where every cardinality is equal, uniform weights
+    # give the suite of the default ones
+    for (name, weighted), digest in PIPELINE_DIGESTS.items():
+        if weighted:
+            universe = InteractionUniverse(*_instance(name))
+            universe.weights = universe.weights * 7
+            suite, _ = run_pipeline(universe)
+            assert _digest(suite) == digest, name
 
 
 def test_greedy_suites(monkeypatch):

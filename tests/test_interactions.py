@@ -351,11 +351,9 @@ class TestUniverse:
 
     def test_weights(self):
         sys_ = make_system([2, 3, 4])
-        w = InteractionUniverse(sys_, ConstraintSet(), weighted=True)
+        w = InteractionUniverse(sys_, ConstraintSet())
         assert w.interaction(0) == PartialAssignment(((0, 0), (1, 0)))
         assert w.weights[0] == 6  # 2 * 3
-        u = InteractionUniverse(sys_, ConstraintSet(), weighted=False)
-        assert set(np.unique(u.weights)) == {1}
 
     def test_case_pair_ids(self):
         sys_ = make_system([2, 2, 2])

@@ -32,6 +32,7 @@ from conftest import (
     oracle_min_suite_size,
     random_constraints,
     satisfied_musts,
+    uniform_weights,
     universe_pairs,
 )
 from reference_kernel import solve_reference
@@ -224,8 +225,8 @@ class TestCoverSearch:
         instances = list(classic_instances().values())
         instances += [random_instance(s) for s in range(25)]
         for system, cs in instances:
-            for weighted in (True, False):
-                run_pipeline(InteractionUniverse(system, cs, weighted=weighted))
+            run_pipeline(InteractionUniverse(system, cs))
+            run_pipeline(uniform_weights(InteractionUniverse(system, cs)))
         assert len(seen) == 2 * len(instances)
         dropped = sum(self._check(cover) < len(cover) for cover in seen)
         assert dropped > 0  # some covers leave a choice of rows to drop
@@ -381,7 +382,7 @@ class TestRunPipeline:
 
     def test_unweighted_config(self):
         sys_, cs = make_bbu()
-        suite, report = run_pipeline(InteractionUniverse(sys_, cs, weighted=False))
+        suite, report = run_pipeline(uniform_weights(InteractionUniverse(sys_, cs)))
         ok, problems = verify_suite(suite, cs)
         assert ok, problems
 

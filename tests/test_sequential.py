@@ -23,12 +23,20 @@ from paircover.milp import MilpSolution, SolveStatus, solve_highs
 from paircover.pipeline import minimize_suite, run_pipeline
 from paircover.sequential import StepTimeout, build_step, generate_single_case
 
-from conftest import brute_force_step, enumerate_valid_cases, step_milp, universe_pairs
+from conftest import (
+    brute_force_step,
+    enumerate_valid_cases,
+    step_milp,
+    uniform_weights,
+    universe_pairs,
+)
 from reference_kernel import solve_reference
 
 
 def fresh_state(system, constraints, weighted=True):
-    uni = InteractionUniverse(system, constraints, weighted=weighted)
+    uni = InteractionUniverse(system, constraints)
+    if not weighted:
+        uniform_weights(uni)
     return uni, CoverageState(uni)
 
 
@@ -72,7 +80,7 @@ class TestBuildStep:
 
     def test_objective_uses_weights(self):
         sys_ = make_system([2, 4])
-        _, cov = fresh_state(sys_, ConstraintSet(), weighted=True)
+        _, cov = fresh_state(sys_, ConstraintSet())
         step = build_step(cov)
         assert set(step.gain[0, :2, 1, :4].ravel().tolist()) == {8}  # 2 * 4
         assert step.gain.sum() == 8 * 8
@@ -390,7 +398,7 @@ class TestSuffixBlock:
             states = []
             for weighted in (True, False):
                 states += pipeline_states(sys_, cs, weighted, PartialAssignment(picks))
-                uni = InteractionUniverse(sys_, cs, weighted=weighted)
+                uni, _ = fresh_state(sys_, cs, weighted)
                 for _ in range(8):  # random coverage, with and without fixed picks
                     cov = CoverageState(uni)
                     cov.weights[:-1][rng.random(len(uni)) >= 0.5] = 0
