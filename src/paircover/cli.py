@@ -14,9 +14,15 @@ import time
 
 from . import bench as bench_mod
 from . import io as pio
-from .core import PaircoverError, TestSuite, validate_case
+from .core import PaircoverError, TestSuite
 from .greedy import greedy_suite
-from .interactions import InteractionUniverse, coverage_curve, verify_suite
+from .interactions import (
+    InteractionUniverse,
+    avoided,
+    case_levels,
+    coverage_curve,
+    verify_suite,
+)
 from .milp import SolveStatus
 from .monolithic import DEFAULT_TIME_LIMIT, minimal_suite
 from .pipeline import DEFAULT_MINIMIZE_TIME_LIMIT, PipelineConfig, minimize_suite, run_pipeline
@@ -58,6 +64,7 @@ _alpha = _in_range(float, 0.0, 1.0, "in [0, 1]")
 # the profile's taus run from 1 to --max-tau in steps of 0.05: below 1
 # there are none, and the cap keeps the list at 1,981 taus
 _tau = _in_range(float, 1.0, 100.0, "finite and at least 1, up to 100")
+DEFAULT_MAX_TAU = 2.0
 
 
 def _load_model(args):
@@ -146,9 +153,10 @@ def _cmd_minimize(args) -> int:
     system, cs = _load_model(args)
     suite = pio.read_suite_csv(args.suite, system)
     if cs.avoid:  # the cover would keep a bad row for the pairs it carries
-        for r, tc in enumerate(suite):
-            if not validate_case(tc, system, cs):
-                raise PaircoverError(f"case {r} violates an avoid tuple: {tc.levels}")
+        bad = avoided(case_levels(suite, system.n_factors), cs)
+        if bad.any():
+            r = int(bad.argmax())
+            raise PaircoverError(f"case {r} violates an avoid tuple: {suite.cases[r].levels}")
     out, stats = minimize_suite(suite, cs, time_limit=args.time_limit)
     _emit_suite(args, out)
     note = {
@@ -186,7 +194,8 @@ def _cmd_bench(args) -> int:
     if args.profile:
         # every tau up to and including max_tau: the epsilon lifts (1.7 - 1) / 0.05,
         # which is 13.999... in floating point, to 14
-        taus = [1.0 + 0.05 * k for k in range(int((args.max_tau - 1.0) / 0.05 + 1e-9) + 1)]
+        max_tau = DEFAULT_MAX_TAU if args.max_tau is None else args.max_tau
+        taus = [1.0 + 0.05 * k for k in range(int((max_tau - 1.0) / 0.05 + 1e-9) + 1)]
         profile = bench_mod.performance_profile(records, taus)
         with open(args.profile, "w", encoding="utf-8") as fh:
             fh.write(bench_mod.profile_to_csv(profile, taus))
@@ -267,13 +276,20 @@ def build_parser() -> _Parser:
     b.add_argument("--seed", type=_non_negative_int, default=0)
     b.add_argument("--out", help="records CSV (default: stdout)")
     b.add_argument("--profile", help="performance profile CSV")
-    b.add_argument("--max-tau", type=_tau, default=2.0)
+    b.add_argument(
+        "--max-tau",
+        type=_tau,
+        help=f"last tau of the --profile (default {DEFAULT_MAX_TAU:g})",
+    )
     b.set_defaults(fn=_cmd_bench)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "max_tau", None) is not None and not args.profile:
+        parser.error("argument --max-tau: only the --profile reads it")
     try:
         return args.fn(args)
     except (PaircoverError, OSError) as e:

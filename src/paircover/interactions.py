@@ -98,17 +98,31 @@ def find_extension(
     return TestCase(tuple(levels)) if search(0) else None
 
 
+def case_levels(cases: Sequence[TestCase], n_factors: int) -> np.ndarray:
+    """The cases as an (n_factors, len(cases)) level array, one column per
+    case."""
+    return np.array([tc.levels for tc in cases], dtype=np.int64).reshape(-1, n_factors).T
+
+
+def avoided(cases: np.ndarray, constraints: ConstraintSet, start: int = 0) -> np.ndarray:
+    """Which columns of ``cases``, a level array whose rows are factors
+    ``start..n-1``, hold an avoid tuple lying wholly among those factors:
+    one comparison per avoid tuple."""
+    bad = np.zeros(cases.shape[1], dtype=bool)
+    for av in constraints.avoid:
+        f, v = np.array(av.picks).T
+        if f[0] >= start:  # picks are sorted by factor
+            bad |= (cases[f - start] == v[:, None]).all(axis=0)
+    return bad
+
+
 def valid_cases(system: FactorSystem, constraints: ConstraintSet, start: int = 0) -> np.ndarray:
     """Every assignment of factors ``start..n-1`` that completes no avoid
     tuple lying wholly among them, as an (n - start, K) level array, one
     column per case, in descending lexicographic order."""
     sizes = system.cardinalities[start:]
     cases = np.array(sizes)[:, None] - 1 - np.indices(sizes).reshape(len(sizes), -1)
-    bad = np.zeros(cases.shape[1], dtype=bool)
-    for av in constraints.avoid:
-        if av.picks[0][0] >= start:  # picks are sorted by factor
-            bad |= np.logical_and.reduce([cases[f - start] == v for f, v in av.picks])
-    return cases[:, ~bad]
+    return cases[:, ~avoided(cases, constraints, start)]
 
 
 def sampled_cases(system: FactorSystem, constraints: ConstraintSet, count: int) -> np.ndarray:

@@ -19,12 +19,21 @@ import numpy as np
 from .core import (
     ConstraintSet,
     PaircoverError,
+    PartialAssignment,
+    StructureError,
     TestSuite,
     subsumes,
     validate_case,
 )
 from .gcp import partition_musts
-from .interactions import CoverageState, InteractionUniverse, verify_suite
+from .interactions import (
+    CoverageState,
+    InteractionUniverse,
+    avoided,
+    case_levels,
+    find_extension,
+    verify_suite,
+)
 from .milp import Budget, MilpSolution, SolveStatus
 from .sequential import DEFAULT_STEP_TIME_LIMIT, generate_single_case
 
@@ -72,100 +81,206 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _reduced(cover: list[int]) -> tuple[int, list[int], list[int]]:
+    """The cover after three exact reductions (Beasley, EJOR 1987), as
+    ``(forced, rows, carriers)``.
+
+    ``forced`` is the bitmask of the rows that are some element's only
+    carrier: every cover keeps them.  Of the elements they leave uncovered,
+    one per minimal carrier set stays, the lowest, in element order: an
+    element whose carrier rows include all those of another is covered
+    whenever that one is.  ``rows`` lists, in order, the rows holding a
+    remaining element, less each row whose remaining elements some later
+    row all holds: swapping it for that row keeps a cover no larger and
+    lexicographically smaller, so no result keeps it.  ``carriers[k]`` is
+    remaining element k's carrier set, bit t standing for ``rows[t]``.
+    Every cover keeps the forced rows and covers the remaining elements
+    with ``rows``, so the lexicographically smallest minimum keep vector is
+    unchanged.
+    """
+    carriers = {}  # element bit -> rows holding it
+    for r, mask in enumerate(cover):
+        row = 1 << r
+        while mask:
+            low = mask & -mask
+            carriers[low] = carriers.get(low, 0) | row
+            mask ^= low
+    forced = 0
+    for owners in carriers.values():
+        if not owners & (owners - 1):
+            forced |= owners
+    done = 0  # the elements the forced rows cover
+    for r in _bits(forced):
+        done |= cover[r]
+    first = {}  # carrier set -> its lowest element bit
+    for e in sorted(carriers):
+        if not e & done:
+            first.setdefault(carriers[e], e)
+    minimal = []  # a strict subset has fewer rows, so it comes first
+    for owners in sorted(first, key=int.bit_count):
+        outside = ~owners
+        for smaller in minimal:
+            if not smaller & outside:
+                break
+        else:
+            minimal.append(owners)
+    minimal.sort(key=first.__getitem__)
+
+    sets = {}  # row -> the carrier sets of the remaining elements it holds
+    for owners in minimal:
+        for r in _bits(owners):
+            sets.setdefault(r, []).append(owners)
+    rows = []
+    for r in sorted(sets):
+        common = -1  # the rows holding every remaining element row r holds
+        for owners in sets[r]:
+            common &= owners
+        if not common >> r + 1:
+            rows.append(r)
+    at = {r: 1 << t for t, r in enumerate(rows)}
+    out = []
+    for owners in minimal:
+        mask = 0
+        for r in _bits(owners):
+            mask |= at.get(r, 0)
+        out.append(mask)
+    return forced, rows, out
+
+
 def solve(cover: list[int], time_limit: float = math.inf) -> MilpSolution:
     """Fewest rows of ``cover`` whose union is the union of all rows.
 
-    ``cover[r]`` is the bitmask of the elements row r covers.  Depth-first
-    over the rows in order, "drop" before "keep": a row is dropped only
-    while every uncovered element keeps a carrier in a later row, and a row
-    that covers nothing uncovered is never kept.  A node is cut once the
-    rows kept plus a lower bound on the rows still needed reach the
-    incumbent, and only a strictly smaller cover replaces it, so the result
-    is the lexicographically smallest minimum keep vector.  The bound packs
-    uncovered elements, fewest remaining carriers first, whose remaining
-    carrier sets are pairwise disjoint: each needs a row of its own.  The
-    search stops once the incumbent reaches the root bound, or a ``Budget``
-    stops it on timeout.  ``values`` is the 0/1 keep vector, ``objective``
-    its size.
+    ``cover[r]`` is the bitmask of the elements row r covers.  The search
+    runs on the reduced cover (``_reduced``): the forced rows are kept, and
+    the remaining rows are walked depth-first in order, "drop" before
+    "keep".  A row is dropped only while every uncovered element keeps a
+    carrier in a later row, and a row that covers nothing uncovered is
+    never kept.  A node is cut once the rows kept plus a lower bound on the
+    rows still needed reach the incumbent, and only a strictly smaller
+    cover replaces it, so the result is the lexicographically smallest
+    minimum keep vector.  The bound packs uncovered elements, fewest
+    remaining carriers first, whose remaining carrier sets are pairwise
+    disjoint: each needs a row of its own.  That order is sorted once per
+    row index.  The search stops once the incumbent reaches the root
+    bound, or a ``Budget`` stops it on timeout.  ``values`` is the 0/1
+    keep vector, ``objective`` its size, and ``root_bound`` counts the
+    forced rows.
     """
     budget = Budget(time_limit)
-    m = len(cover)
-    everything = 0
-    for mask in cover:
-        everything |= mask
-    carriers = dict.fromkeys(_bits(everything), 0)  # element -> rows holding it
-    for r, mask in enumerate(cover):
-        for e in _bits(mask):
-            carriers[e] |= 1 << r
-    last = [0] * m  # last[r]: the elements row r is the final carrier of
-    for e, rows in carriers.items():
-        last[rows.bit_length() - 1] |= 1 << e
+    forced, rows, carriers = _reduced(cover)
+    held = [0] * len(rows)  # held[t]: the elements row t covers
+    last = [0] * len(rows)  # last[t]: the elements row t is the final carrier of
+    for k, mask in enumerate(carriers):
+        last[mask.bit_length() - 1] |= 1 << k
+        for t in _bits(mask):
+            held[t] |= 1 << k
+    order = {}  # t -> (element bit, carriers from row t on), fewest carriers first
 
-    def bound(r: int, uncovered: int) -> int:
-        left = sorted((carriers[e] >> r for e in _bits(uncovered)), key=int.bit_count)
+    def bound(t: int, uncovered: int) -> int:
+        if t not in order:
+            left = [mask >> t for mask in carriers]
+            count = [mask.bit_count() for mask in left]
+            ranked = sorted(range(len(left)), key=count.__getitem__)
+            order[t] = [(1 << k, left[k]) for k in ranked if count[k]]
         need, used = 0, 0
-        for rows in left:
-            if not rows & used:
+        for bit, mask in order[t]:
+            if uncovered & bit and not mask & used:
                 need += 1
-                used |= rows
+                used |= mask
         return need
 
+    everything = (1 << len(carriers)) - 1
     root = bound(0, everything)
-    best, best_keep = m + 1, None
+    best, best_keep = len(rows) + 1, None
     stack = [(0, everything, 0, 0)]  # row, uncovered elements, keep mask, rows kept
     while stack and not budget.spend():
-        r, uncovered, keep, kept = stack.pop()
+        t, uncovered, keep, kept = stack.pop()
         if not uncovered:  # every later row is dropped
             if kept < best:
                 best, best_keep = kept, keep
                 if best <= root:
                     break
             continue
-        if best_keep is not None and kept + bound(r, uncovered) >= best:
+        if best_keep is not None and kept + bound(t, uncovered) >= best:
             continue
         # pushed in reverse: "drop" is popped first
-        if uncovered & cover[r]:
-            stack.append((r + 1, uncovered & ~cover[r], keep | 1 << r, kept + 1))
-        if not uncovered & last[r]:
-            stack.append((r + 1, uncovered, keep, kept))
+        if uncovered & held[t]:
+            stack.append((t + 1, uncovered & ~held[t], keep | 1 << t, kept + 1))
+        if not uncovered & last[t]:
+            stack.append((t + 1, uncovered, keep, kept))
 
     values = None
     if best_keep is not None:
-        values = np.array([best_keep >> r & 1 for r in range(m)], dtype=np.int8)
-    return budget.solution(best, values, root_bound=root)
+        keep = forced
+        for t in _bits(best_keep):
+            keep |= 1 << rows[t]
+        values = np.array([keep >> r & 1 for r in range(len(cover))], dtype=np.int8)
+    n_forced = forced.bit_count()
+    return budget.solution(n_forced + best, values, root_bound=n_forced + root)
 
 
 def minimize_suite(
     suite: TestSuite,
     constraints: ConstraintSet,
-    universe: InteractionUniverse | None = None,
     time_limit: float = DEFAULT_MINIMIZE_TIME_LIMIT,
 ) -> tuple[TestSuite, dict]:
     """Smallest sub-suite keeping all covered pairs and all musts carried.
 
-    The elements to keep covered are the universe pairs the suite covers
-    and each must tuple some row carries: bit u of a row's mask is universe
-    pair u, and bit len(universe) + g is must tuple g.  Falls back to the
-    input suite when the solve finds no cover in time (status
-    ``timed_out``), so the result is never larger than what went in.  A
-    universe built here is seeded with the suite's avoid-valid rows
-    (``InteractionUniverse``'s ``witnesses``).
+    The elements to keep covered are the achievable pairs the rows hold and
+    each must tuple some row carries, with no universe built: a pair that
+    an avoid-valid row holds is achievable, and one that only
+    avoid-violating rows hold counts only if ``find_extension`` finds a
+    valid case for it, the universe's own rule.  Bit k of a row's mask is
+    the k-th of the held pairs in the universe's (i, j, a, b) order; the
+    carried musts follow, in order.  Falls back to the input suite when the
+    solve finds no cover in time (status ``timed_out``), so the result is
+    never larger than what went in.  Raises StructureError, as a universe
+    build does, when no case is valid; that is checked only when no row is.
     """
     t0 = time.perf_counter()
     system = suite.system
-    if universe is None:
-        universe = InteractionUniverse(system, constraints, witnesses=suite)
-    m = len(suite)
-    cover, everything = [], 0
-    for tc in suite:
-        mask = 0
-        for u in universe.case_pair_ids(tc.levels).tolist():
-            mask |= 1 << u
-        # a must no row carries sets no bit, so it is not required
-        for g, mu in enumerate(constraints.must, start=len(universe)):
-            if subsumes(tc, mu):
-                mask |= 1 << g
-        cover.append(mask)
+    constraints.validate_against(system)
+    m, n = len(suite), system.n_factors
+    levels = case_levels(suite, n)
+    valid = ~avoided(levels, constraints)
+    if constraints.avoid and not valid.any():
+        starts = (PartialAssignment(((0, v),)) for v in range(system.cardinalities[0]))
+        if not any(find_extension(pa, system, constraints) for pa in starts):
+            raise StructureError("the avoid tuples rule out every test case")
+    top = max(system.cardinalities)
+    factors = np.arange(n)
+    i, j = np.nonzero(factors[:, None] < factors)  # the factor pairs, in order
+    # keys[p, r]: the pair row r holds on factor pair p; ascending keys
+    # are the universe's (i, j, a, b) order
+    keys = (np.arange(len(i))[:, None] * top + levels[i]) * top + levels[j]
+    held = np.zeros(len(i) * top * top, dtype=bool)  # by key: an element
+    held[keys[:, valid]] = True
+    if not valid.all():  # a pair only bad rows hold needs a valid case of its own
+        bad = np.zeros_like(held)
+        bad[keys[:, ~valid]] = True
+        for key in np.flatnonzero(bad & ~held).tolist():
+            p, a, b = key // (top * top), key // top % top, key % top
+            pick = PartialAssignment(((int(i[p]), a), (int(j[p]), b)))
+            held[key] = find_extension(pick, system, constraints) is not None
+    ids = np.cumsum(held, dtype=np.int32) - 1  # a held key's element
+    # a must no row carries sets no bit, so it is not required
+    carries = [
+        (levels[f] == v[:, None]).all(axis=0)
+        for f, v in (np.array(mu.picks).T for mu in constraints.must)
+    ]
+    carried = [c for c in carries if c.any()]
+    n_pairs = int(ids[-1]) + 1
+    member = np.zeros((m, n_pairs + len(carried)), dtype=bool)
+    p, r = np.nonzero(held[keys])
+    member[r, ids[keys[p, r]]] = True
+    for g, c in enumerate(carried, start=n_pairs):
+        member[:, g] = c
+    cover = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(member, axis=1, bitorder="little")
+    ]
+    everything = 0
+    for mask in cover:
         everything |= mask
 
     sol = solve(cover, time_limit=time_limit)
@@ -181,7 +296,7 @@ def minimize_suite(
     stats = {
         "status": sol.status.value,
         "rows": m,
-        "elements": everything.bit_count(),
+        "elements": member.shape[1],
         **sol.stats,  # nodes, root_bound
         "wall_s": time.perf_counter() - t0,
         "removed": m - len(out),
@@ -256,7 +371,7 @@ def run_pipeline(
 
     t3 = time.perf_counter()
     if cfg.minimize:
-        suite, report.cover = minimize_suite(suite, constraints, universe)
+        suite, report.cover = minimize_suite(suite, constraints)
         report.phase_wall_s["minimize"] = time.perf_counter() - t3
     solves = [*report.steps, report.cover] if cfg.minimize else report.steps
     report.degraded = any(s["status"] != SolveStatus.OPTIMAL.value for s in solves)

@@ -365,8 +365,22 @@ class TestBench:
 
         monkeypatch.setattr(cli.bench_mod, "performance_profile", refuse)
         argv = ["bench", "--family", "random", "--count", "2", "--methods", "greedy"]
-        assert cli.main(argv + ["--max-tau", "100"]) == 0
+        assert cli.main(argv) == 0
         assert "mean rank greedy" in capsys.readouterr().err
+
+    def test_max_tau_without_profile_is_a_usage_error(self, monkeypatch, capsys):
+        # only the profile reads --max-tau, so alone it would do nothing
+        def refuse(*args):
+            raise AssertionError("bench ran")
+
+        monkeypatch.setattr(cli.bench_mod, "run_methods", refuse)
+        argv = ["bench", "--family", "random", "--count", "2", "--methods", "greedy"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--max-tau", "100"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --max-tau: only the --profile reads it" in captured.err
 
     @pytest.mark.parametrize("methods", [",", "", " , "])
     def test_empty_method_list(self, methods, capsys):

@@ -13,7 +13,9 @@ from pathlib import Path
 
 from paircover import cli, interactions
 from paircover.bench import make_bbu, make_system
-from paircover.core import ConstraintSet, PartialAssignment
+from paircover.core import ConstraintSet, PartialAssignment, TestSuite
+from paircover.greedy import greedy_suite
+from paircover.io import load_model, write_suite_csv
 from paircover.pipeline import run_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +83,23 @@ def test_traced_greedy_workload_counts_its_layers(tmp_path, capsys):
     m = spans.layer_metrics(tracer)
     assert m["greedy.cases"] == rows > 0 and m["greedy.suite_s"] > 0
     assert m["interactions.universe_builds"] == 2 and m["interactions.verify_s"] > 0
+
+
+def test_traced_minimize_counts_its_layers(tmp_path, capsys):
+    # minimize numbers the pairs its rows hold and builds no universe; the
+    # duplicated rows leave the cover a choice, so its search runs
+    spans = _load("spans")
+    model, suite = ROOT / "models" / "ca_3x4.model", tmp_path / "suite.csv"
+    system, constraints = load_model(model)
+    rows = list(greedy_suite(interactions.InteractionUniverse(system, constraints)))
+    write_suite_csv(suite, TestSuite(system, rows + rows))
+    with spans.installed(spans.Tracer()) as tracer:
+        assert cli.main(["minimize", "--model", str(model), "--suite", str(suite)]) == 0
+    capsys.readouterr()
+    m = spans.layer_metrics(tracer)
+    assert m["interactions.universe_builds"] == 0
+    assert m["milp.cover_nodes"] > 0
+    assert m["pipeline.raw_size"] == 2 * len(rows) and m["pipeline.final_size"] <= len(rows)
 
 
 def test_ready_loads_the_model_files():

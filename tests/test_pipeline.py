@@ -2,10 +2,12 @@ import json
 import math
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paircover import cli
 from paircover.bench import classic_instances, make_bbu, make_system, random_instance
 from paircover.core import (
     ConstraintSet,
@@ -16,6 +18,7 @@ from paircover.core import (
 )
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, coverage_curve, verify_suite
+from paircover.io import load_model, write_suite_csv
 from paircover.milp import MilpSolution, SolveStatus, solve_highs
 from paircover.monolithic import build_monolithic, minimal_suite
 from paircover.pipeline import (
@@ -36,6 +39,18 @@ from conftest import (
     universe_pairs,
 )
 from reference_kernel import solve_reference
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def held_pairs(universe, suite):
+    """The universe pairs some row of ``suite`` holds."""
+    return {u for tc in suite for u in universe.case_pair_ids(tc.levels).tolist()}
+
+
+def held_elements(universe, suite, cs):
+    """The set cover's element count: held universe pairs plus carried musts."""
+    return len(held_pairs(universe, suite)) + sum(satisfied_musts(suite, cs))
 
 
 class TestApplyWarmStart:
@@ -110,8 +125,8 @@ class TestMinimizeSuite:
 
     def test_avoid_violating_row_seeds_nothing(self):
         # the row avoided in bbu holds the one unachievable pair; a universe
-        # seeded with the suite skips it, so problems and output match those
-        # of an unseeded build
+        # seeded with the suite skips it, so problems match those of an
+        # unseeded build, and minimize counts only the achievable pairs
         sys_, cs = make_bbu()
         bad = TestCase((0, 3, 0, 0))
         full = greedy_suite(InteractionUniverse(sys_, cs))
@@ -122,9 +137,30 @@ class TestMinimizeSuite:
             assert not ok and (ok, problems) == verify_suite(suite, cs, plain)
             assert f"case {rows.index(bad)} violates an avoid tuple: {bad.levels}" in problems
             out, stats = minimize_suite(suite, cs)
-            want, want_stats = minimize_suite(suite, cs, plain)
-            assert list(out) == list(want)
-            assert {**stats, "wall_s": 0} == {**want_stats, "wall_s": 0}
+            assert stats["elements"] == held_elements(plain, suite, cs)
+            assert held_pairs(plain, out) == held_pairs(plain, suite)
+
+    def test_builds_no_universe(self, monkeypatch, tmp_path, capsys):
+        # the rows prove their own pairs achievable; bbu's bad row holds the
+        # one unachievable pair, which find_extension rules out
+        model, path = MODELS / "bbu_5g.model", tmp_path / "suite.csv"
+        sys_, cs = load_model(model)
+        rows = list(greedy_suite(InteractionUniverse(sys_, cs), seed=2))
+        suite = TestSuite(sys_, rows + rows[:5])
+        write_suite_csv(path, suite)
+        bad = TestSuite(sys_, [TestCase((0, 3, 0, 0)), *rows])
+        plain = InteractionUniverse(sys_, cs)
+
+        def refused(self, *args, **kwargs):
+            raise AssertionError("InteractionUniverse built")
+
+        monkeypatch.setattr(InteractionUniverse, "__init__", refused)
+        out, stats = minimize_suite(suite, cs)
+        assert len(out) <= len(rows) and stats["removed"] >= 5
+        assert held_pairs(plain, out) == held_pairs(plain, suite)
+        assert minimize_suite(bad, cs)[1]["elements"] == held_elements(plain, bad, cs)
+        assert cli.main(["minimize", "--model", str(model), "--suite", str(path)]) == 0
+        assert capsys.readouterr().err == f"{len(suite)} -> {len(out)} cases\n"
 
     def test_preserves_only_covered_pairs(self):
         # a suite covering a strict subset of the universe stays a cover of
@@ -216,6 +252,11 @@ class TestCoverSearch:
         assert sol.values.tolist() == solve_reference(cover_milp(cover)).values.tolist()
         k = sol.objective
         assert k == int(sol.values.sum())
+        union = everything = 0
+        for mask, z in zip(cover, sol.values.tolist()):
+            union |= mask * z
+            everything |= mask
+        assert union == everything
         assert covered_by_some(cover, k)
         assert k == 0 or not covered_by_some(cover, k - 1)
         return k
@@ -245,14 +286,13 @@ class TestCoverSearch:
             )
             levels = [rng.integers(c, size=int(rng.integers(1, 9))) for c in system.cardinalities]
             suite = TestSuite(system, [TestCase(tuple(map(int, lv))) for lv in zip(*levels)])
-            out, _ = minimize_suite(suite, cs)
+            out, stats = minimize_suite(suite, cs)
             cover = seen[-1]
             assert len(out) == self._check(cover)
 
             universe = InteractionUniverse(system, cs)
-            pairs = [set(universe.case_pair_ids(tc.levels).tolist()) for tc in suite]
-            kept = [set(universe.case_pair_ids(tc.levels).tolist()) for tc in out]
-            assert set().union(*pairs) == set().union(*kept)
+            assert stats["elements"] == held_elements(universe, suite, cs)
+            assert held_pairs(universe, suite) == held_pairs(universe, out)
             assert satisfied_musts(suite, cs) == satisfied_musts(out, cs)
 
             carriers = [sum(mask >> e & 1 for mask in cover) for e in range(max(cover).bit_length())]
@@ -266,7 +306,9 @@ class TestCoverSearch:
         # wider than the tiny suites, so the first dive is often not minimum
         # and an overstated bound shows; each cover gets one duplicated row
         rng = np.random.default_rng(9)
-        shapes = dict.fromkeys(("empty row", "sole carrier"), 0)
+        shapes = dict.fromkeys(
+            ("empty row", "sole carrier", "sole-carrier row", "dominated element", "dominated row"), 0
+        )
         for _ in range(300):
             n = int(rng.integers(0, 9))
             cover = [
@@ -278,6 +320,22 @@ class TestCoverSearch:
             carriers = [sum(mask >> e & 1 for mask in cover) for e in range(n)]
             shapes["empty row"] += 0 in cover
             shapes["sole carrier"] += 1 in carriers
+            # the reductions' shapes: a row some element needs that also
+            # holds an element other rows carry, an element whose carriers
+            # strictly include another's, a row whose elements a later row holds
+            rows_of = [sum(1 << r for r, mask in enumerate(cover) if mask >> e & 1) for e in range(n)]
+            sole = {rows.bit_length() - 1 for rows in rows_of if rows.bit_count() == 1}
+            shapes["sole-carrier row"] += any(
+                cover[r] >> e & 1 and rows_of[e].bit_count() > 1 for r in sole for e in range(n)
+            )
+            shapes["dominated element"] += any(
+                0 < low != high and low & high == low for low in rows_of for high in rows_of
+            )
+            shapes["dominated row"] += any(
+                cover[r] and cover[r] & cover[s] == cover[r]
+                for r in range(len(cover))
+                for s in range(r + 1, len(cover))
+            )
         assert min(shapes.values()) >= 20, shapes
 
     def test_no_elements_keeps_no_rows(self):
