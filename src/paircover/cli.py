@@ -16,13 +16,7 @@ from . import bench as bench_mod
 from . import io as pio
 from .core import PaircoverError, TestSuite
 from .greedy import greedy_suite
-from .interactions import (
-    InteractionUniverse,
-    avoided,
-    case_levels,
-    coverage_curve,
-    verify_suite,
-)
+from .interactions import InteractionUniverse, coverage_curve, verify_suite
 from .milp import SolveStatus
 from .monolithic import DEFAULT_TIME_LIMIT, minimal_suite
 from .pipeline import DEFAULT_MINIMIZE_TIME_LIMIT, PipelineConfig, minimize_suite, run_pipeline
@@ -152,11 +146,6 @@ def _cmd_verify(args) -> int:
 def _cmd_minimize(args) -> int:
     system, cs = _load_model(args)
     suite = pio.read_suite_csv(args.suite, system)
-    if cs.avoid:  # the cover would keep a bad row for the pairs it carries
-        bad = avoided(case_levels(suite, system.n_factors), cs)
-        if bad.any():
-            r = int(bad.argmax())
-            raise PaircoverError(f"case {r} violates an avoid tuple: {suite.cases[r].levels}")
     out, stats = minimize_suite(suite, cs, time_limit=args.time_limit)
     _emit_suite(args, out)
     note = {

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
 
 class PaircoverError(Exception):
     """Base class for errors raised by this package."""
@@ -185,8 +187,8 @@ class ConstraintSet:
 
     :meth:`completes_avoid` is the one avoid check every search uses
     (extension, greedy walk, per-case step), and :meth:`avoid_neighbours`
-    names the factors a pick can block; their index by pick is built on
-    first use and kept with the instance.
+    names the factors a pick can block; they and :attr:`avoid_by_size`, for
+    ``interactions.avoided``, are built on first use and kept with the instance.
     """
 
     avoid: tuple[PartialAssignment, ...] = ()
@@ -214,6 +216,14 @@ class ConstraintSet:
                     tuple(p for p in av.picks if p[0] != f)
                 )
         return out
+
+    @cached_property
+    def avoid_by_size(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per avoid tuple size k, the (t, k) factor and level arrays of
+        its t tuples, one row per tuple, picks in factor order."""
+        sizes = sorted({len(av) for av in self.avoid})
+        picks = (np.array([av.picks for av in self.avoid if len(av) == k]) for k in sizes)
+        return [(p[..., 0], p[..., 1]) for p in picks]
 
     def completes_avoid(self, factor: int, level: int, levels) -> bool:
         """True when picking ``level`` of ``factor`` completes an avoid tuple.

@@ -21,7 +21,6 @@ from .core import (
     TestCase,
     TestSuite,
     subsumes,
-    validate_case,
 )
 
 # models with at most this many full cases list them all to build their
@@ -82,20 +81,23 @@ def find_extension(
     if any(wipes_out(constraints, card, f, v, levels) for f, v in assignment.picks):
         return None
     free = [f for f in range(system.n_factors) if levels[f] < 0]
-
-    def search(k: int) -> bool:
-        if k == len(free):
-            return True
+    # per free factor, the levels left to try: a loop, not a frame per
+    # factor, so a wide model needs no deep recursion
+    untried = [iter(range(card[f])) for f in free]
+    k = 0
+    while 0 <= k < len(free):
         f = free[k]
-        for v in range(card[f]):
+        for v in untried[k]:
             if not constraints.completes_avoid(f, v, levels):
                 levels[f] = v
-                if not wipes_out(constraints, card, f, v, levels) and search(k + 1):
-                    return True
-        levels[f] = -1
-        return False
-
-    return TestCase(tuple(levels)) if search(0) else None
+                if not wipes_out(constraints, card, f, v, levels):
+                    k += 1
+                    break
+        else:
+            levels[f] = -1
+            untried[k] = iter(range(card[f]))
+            k -= 1
+    return TestCase(tuple(levels)) if k == len(free) else None
 
 
 def case_levels(cases: Sequence[TestCase], n_factors: int) -> np.ndarray:
@@ -107,12 +109,16 @@ def case_levels(cases: Sequence[TestCase], n_factors: int) -> np.ndarray:
 def avoided(cases: np.ndarray, constraints: ConstraintSet, start: int = 0) -> np.ndarray:
     """Which columns of ``cases``, a level array whose rows are factors
     ``start..n-1``, hold an avoid tuple lying wholly among those factors:
-    one comparison per avoid tuple."""
+    the tuples of one size (``ConstraintSet.avoid_by_size``) are compared
+    together, one pick position at a time."""
     bad = np.zeros(cases.shape[1], dtype=bool)
-    for av in constraints.avoid:
-        f, v = np.array(av.picks).T
-        if f[0] >= start:  # picks are sorted by factor
-            bad |= (cases[f - start] == v[:, None]).all(axis=0)
+    for f, v in constraints.avoid_by_size:
+        among = f[:, 0] >= start  # picks are sorted by factor
+        f, v = f[among] - start, v[among]
+        hit = cases[f[:, 0]] == v[:, :1]
+        for p in range(1, f.shape[1]):
+            hit &= cases[f[:, p]] == v[:, p : p + 1]
+        bad |= hit.any(axis=0)
     return bad
 
 
@@ -178,13 +184,11 @@ class InteractionUniverse:
     every model has two factors of two levels or more, so that is exactly
     when the universe would be empty.
 
-    ``witnesses`` are cases the caller already has, such as the suite being
-    verified: on the search path the avoid-valid ones prove their pairs
-    achievable before any extension search, in place of the random batch,
-    so they save searches and change nothing else; the listed path needs
-    none.  With ``witnesses_checked`` the caller has already dropped the
-    avoid-violating ones (``validate_case``), and they are not checked
-    again.
+    ``witnesses`` are cases of ``system`` the caller already has, such as
+    the suite being verified: on the search path the avoid-valid ones
+    (``avoided``) prove their pairs achievable before any extension search,
+    in place of the random batch, so they save searches and change nothing
+    else; the listed path needs none.
     """
 
     def __init__(
@@ -192,7 +196,6 @@ class InteractionUniverse:
         system: FactorSystem,
         constraints: ConstraintSet,
         witnesses: Iterable[TestCase] = (),
-        witnesses_checked: bool = False,
     ):
         constraints.validate_against(system)
         self.system = system
@@ -215,9 +218,7 @@ class InteractionUniverse:
                 ok = np.zeros_like(ok)
                 ok[i[:, None], j[:, None], cases[i], cases[j]] = True
             else:
-                if not witnesses_checked:
-                    witnesses = [tc for tc in witnesses if validate_case(tc, system, constraints)]
-                ok = self._witnessed(ok, witnesses)
+                ok = self._witnessed(ok, case_levels(witnesses, n))
 
         i, j, a, b = np.nonzero(ok)
         if len(i) == 0:
@@ -230,11 +231,11 @@ class InteractionUniverse:
         self.pair_id = np.full((n, top, n, top), -1, dtype=np.int64)
         self.pair_id[i, a, j, b] = np.arange(len(i))
 
-    def _witnessed(self, candidates: np.ndarray, witnesses: Iterable[TestCase]) -> np.ndarray:
+    def _witnessed(self, candidates: np.ndarray, witnesses: np.ndarray) -> np.ndarray:
         """Which candidate pairs ``[i, j, a, b]`` some valid case holds.
 
-        Every valid case witnesses all of its pairs: first the
-        ``witnesses``, all avoid-valid, or with none of them
+        Every valid case witnesses all of its pairs: first the avoid-valid
+        ``witnesses`` (an (n, k) level array), or with none of them
         _SAMPLED_CASES random valid cases (``sampled_cases``), then each
         case an extension search returns, so a pair is searched only while
         no witness holds it.  A single level is searched only while no
@@ -261,8 +262,8 @@ class InteractionUniverse:
                 mark(tc.levels)
             return tc is not None
 
-        valid = [tc.levels for tc in witnesses]
-        mark(valid or sampled_cases(system, constraints, _SAMPLED_CASES).T)
+        valid = witnesses[:, ~avoided(witnesses, constraints)]
+        mark((valid if valid.shape[1] else sampled_cases(system, constraints, _SAMPLED_CASES)).T)
         dead = [
             (f, v)
             for f in range(n)
@@ -346,21 +347,19 @@ def verify_suite(
     """Full-suite check: validity, must satisfaction, complete coverage.
 
     Returns (ok, problems); problems lists one message per violation.  A
-    universe built here is seeded with the suite's avoid-valid rows, so only
-    the pairs the suite leaves uncovered need an extension search; each row
-    is checked against the avoids once, for both jobs.
+    universe built here is seeded with the suite, whose avoid-valid rows
+    prove their pairs, so only the pairs the suite leaves uncovered need an
+    extension search.
     """
     system = suite.system
     constraints.validate_against(system)
-    problems: list[str] = []
-    valid = []
-    for r, tc in enumerate(suite):
-        if validate_case(tc, system, constraints):
-            valid.append(tc)
-        else:
-            problems.append(f"case {r} violates an avoid tuple: {tc.levels}")
+    bad = avoided(case_levels(suite, system.n_factors), constraints)
+    problems = [
+        f"case {r} violates an avoid tuple: {suite.cases[r].levels}"
+        for r in np.flatnonzero(bad).tolist()
+    ]
     if universe is None:
-        universe = InteractionUniverse(system, constraints, witnesses=valid, witnesses_checked=True)
+        universe = InteractionUniverse(system, constraints, witnesses=suite)
     for m in constraints.must:
         if not any(subsumes(tc, m) for tc in suite):
             problems.append(f"no case contains the must tuple {m.picks}")

@@ -137,8 +137,9 @@ class MilpSolution:
 
     ``values`` is None when no solution exists; otherwise it is what the
     producer found (module docstring).  ``objective`` is reported in the
-    model's own sense.  ``stats`` carries solver-specific counters (nodes,
-    wall time).
+    model's own sense.  ``stats`` holds counters: ``nodes`` and
+    ``root_bound`` (both searches), ``last_improved_node`` (step search)
+    and ``scipy_status`` (HiGHS).
     """
 
     status: SolveStatus

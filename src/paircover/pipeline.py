@@ -23,7 +23,6 @@ from .core import (
     StructureError,
     TestSuite,
     subsumes,
-    validate_case,
 )
 from .gcp import partition_musts
 from .interactions import (
@@ -226,24 +225,27 @@ def minimize_suite(
 ) -> tuple[TestSuite, dict]:
     """Smallest sub-suite keeping all covered pairs and all musts carried.
 
-    The elements to keep covered are the achievable pairs the rows hold and
-    each must tuple some row carries, with no universe built: a pair that
-    an avoid-valid row holds is achievable, and one that only
-    avoid-violating rows hold counts only if ``find_extension`` finds a
-    valid case for it, the universe's own rule.  Bit k of a row's mask is
-    the k-th of the held pairs in the universe's (i, j, a, b) order; the
-    carried musts follow, in order.  Falls back to the input suite when the
-    solve finds no cover in time (status ``timed_out``), so the result is
-    never larger than what went in.  Raises StructureError, as a universe
-    build does, when no case is valid; that is checked only when no row is.
+    Raises PaircoverError at the first row that violates an avoid tuple
+    (``avoided``), before any search.  The elements to keep covered are
+    then the pairs the rows hold, all achievable, and each must tuple some
+    row carries, with no universe built.  Bit k of a row's mask is the k-th
+    of the held pairs in the universe's (i, j, a, b) order; the carried
+    musts follow, in order.  Falls back to the input suite when the solve
+    finds no cover in time (status ``timed_out``), so the result is never
+    larger than what went in.  Raises StructureError, as a universe build
+    does, when no case is valid; that is checked only for a suite with no
+    rows.
     """
     t0 = time.perf_counter()
     system = suite.system
     constraints.validate_against(system)
     m, n = len(suite), system.n_factors
     levels = case_levels(suite, n)
-    valid = ~avoided(levels, constraints)
-    if constraints.avoid and not valid.any():
+    bad = avoided(levels, constraints)
+    if bad.any():
+        r = int(bad.argmax())
+        raise PaircoverError(f"case {r} violates an avoid tuple: {suite.cases[r].levels}")
+    if constraints.avoid and not m:
         starts = (PartialAssignment(((0, v),)) for v in range(system.cardinalities[0]))
         if not any(find_extension(pa, system, constraints) for pa in starts):
             raise StructureError("the avoid tuples rule out every test case")
@@ -254,14 +256,7 @@ def minimize_suite(
     # are the universe's (i, j, a, b) order
     keys = (np.arange(len(i))[:, None] * top + levels[i]) * top + levels[j]
     held = np.zeros(len(i) * top * top, dtype=bool)  # by key: an element
-    held[keys[:, valid]] = True
-    if not valid.all():  # a pair only bad rows hold needs a valid case of its own
-        bad = np.zeros_like(held)
-        bad[keys[:, ~valid]] = True
-        for key in np.flatnonzero(bad & ~held).tolist():
-            p, a, b = key // (top * top), key // top % top, key % top
-            pick = PartialAssignment(((int(i[p]), a), (int(j[p]), b)))
-            held[key] = find_extension(pick, system, constraints) is not None
+    held[keys] = True
     ids = np.cumsum(held, dtype=np.int32) - 1  # a held key's element
     # a must no row carries sets no bit, so it is not required
     carries = [
@@ -271,8 +266,7 @@ def minimize_suite(
     carried = [c for c in carries if c.any()]
     n_pairs = int(ids[-1]) + 1
     member = np.zeros((m, n_pairs + len(carried)), dtype=bool)
-    p, r = np.nonzero(held[keys])
-    member[r, ids[keys[p, r]]] = True
+    member[np.arange(m), ids[keys]] = True
     for g, c in enumerate(carried, start=n_pairs):
         member[:, g] = c
     cover = [
@@ -323,7 +317,10 @@ def run_pipeline(
     if warm_start is not None:
         # drop the rows that violate an avoid tuple, keep the first
         # ceil(alpha * valid) of the rest, in order
-        valid = [tc for tc in warm_start if validate_case(tc, system, constraints)]
+        for tc in warm_start:  # the warm suite may be over another system
+            tc.validate_against(system)
+        bad = avoided(case_levels(warm_start, system.n_factors), constraints).tolist()
+        valid = [tc for tc, b in zip(warm_start, bad) if not b]
         retained = valid[: math.ceil(cfg.alpha * len(valid))]
         for tc in retained:
             coverage.mark_case(tc)

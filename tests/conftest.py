@@ -26,10 +26,10 @@ from paircover.core import ConstraintSet, PartialAssignment, TestCase
 from paircover.milp import MilpModel
 
 
-def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):
-    """Random avoid pairs (``bench.random_avoids``) plus musts that do not
-    contain any avoid."""
-    avoid = random_avoids(system, rng, n_avoid)
+def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200, avoid=()):
+    """Random avoid pairs (``bench.random_avoids``) after the given
+    ``avoid`` tuples, plus musts that do not contain any avoid."""
+    avoid = tuple(avoid) + random_avoids(system, rng, n_avoid)
     musts = []
     tries = 0
     while len(musts) < n_must and tries < max_tries:
@@ -43,6 +43,16 @@ def random_constraints(system, rng, n_avoid=0, n_must=0, max_tries=200):
             continue
         musts.append(mu)
     return ConstraintSet(avoid=avoid, must=tuple(musts))
+
+
+def mixed_avoids(system, rng):
+    """0-1 one-pick, 0-2 two-pick and, with three factors or more, 0-2
+    three-pick random avoid tuples."""
+    avoid = random_avoids(system, rng, int(rng.integers(0, 2)), size=1)
+    avoid += random_avoids(system, rng, int(rng.integers(0, 3)))
+    if system.n_factors >= 3:
+        avoid += random_avoids(system, rng, int(rng.integers(0, 3)), size=3)
+    return avoid
 
 
 # ---------------------------------------------------------------- oracles

@@ -38,7 +38,9 @@ from conftest import (
     Pair,
     achievable_pairs,
     enumerate_valid_cases,
+    mixed_avoids,
     random_constraints,
+    satisfied_musts,
     universe_pairs,
 )
 
@@ -89,6 +91,15 @@ class TestFindExtension:
                 found += want is not None
                 missing += want is None
         assert found > 200 and missing > 20
+
+    def test_wide_model_needs_no_recursion(self):
+        # one frame per free factor would pass Python's recursion limit
+        sys_ = make_system([2] * 1200)
+        cs = ConstraintSet(avoid=(PartialAssignment(((0, 1), (1, 0))),))
+        tc = find_extension(PartialAssignment(((0, 1),)), sys_, cs)
+        assert tc == TestCase((1, 1) + (0,) * 1198)
+        tc = find_extension(PartialAssignment(((1199, 1),)), sys_, cs)
+        assert tc == TestCase((0,) * 1199 + (1,))
 
 
 def late_dead_end_model():
@@ -437,6 +448,56 @@ class TestVerifySuite:
         assert not ok
         assert any("must" in p for p in problems)
         assert any("uncovered" in p for p in problems)
+
+    @pytest.mark.parametrize("listed", [True, False])
+    def test_problems_match_enumeration(self, listed, monkeypatch):
+        # the exact problem list, built from the valid cases: the rows that
+        # hold an avoid tuple, the musts no row carries, then the first 20
+        # uncovered achievable pairs in (i, j, a, b) order and a count of the rest
+        if not listed:
+            monkeypatch.setattr(interactions, "_ENUMERATE_CASES", 0)
+        rng = np.random.default_rng(44)
+        shapes = dict.fromkeys(("ok", "bad row", "must", "more pairs"), 0)
+        for _ in range(200):
+            cards = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(2, 7)))]
+            sys_ = make_system(cards)
+            cs = random_constraints(
+                sys_, rng, n_must=int(rng.integers(0, 4)), avoid=mixed_avoids(sys_, rng)
+            )
+            valid = enumerate_valid_cases(sys_, cs)
+            rows = [
+                TestCase(tuple(int(rng.integers(c)) for c in cards))
+                for _ in range(int(rng.integers(0, 9)))
+            ]
+            if rng.random() < 0.3:
+                rows = valid + rows[:1]
+            suite = TestSuite(sys_, rows)
+            problems = [
+                f"case {r} violates an avoid tuple: {tc.levels}"
+                for r, tc in enumerate(rows)
+                if any(subsumes(tc, av) for av in cs.avoid)
+            ]
+            shapes["bad row"] += bool(problems)
+            carried = satisfied_musts(suite, cs)
+            problems += [
+                f"no case contains the must tuple {mu.picks}"
+                for mu, held in zip(cs.must, carried)
+                if not held
+            ]
+            shapes["must"] += not all(carried)
+            missing = sorted(
+                achievable_pairs(sys_, valid) - achievable_pairs(sys_, rows),
+                key=lambda p: (p[0], p[2], p[1], p[3]),
+            )
+            problems += [f"uncovered pair: factor {i}={a}, factor {j}={b}" for i, a, j, b in missing[:20]]
+            if len(missing) > 20:
+                problems.append(f"... and {len(missing) - 20} more uncovered pairs")
+                shapes["more pairs"] += 1
+            shapes["ok"] += not problems
+            want = (not problems, problems)
+            assert verify_suite(suite, cs) == want
+            assert verify_suite(suite, cs, InteractionUniverse(sys_, cs)) == want
+        assert min(shapes.values()) >= 20, shapes
 
     def test_complete_suite_searches_only_uncovered_pairs(self, monkeypatch):
         # a greedy-wide trap model: level 2 of factor 0 is avoided with both

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from itertools import combinations
 from pathlib import Path
@@ -15,6 +16,7 @@ from paircover.core import (
     PartialAssignment,
     TestCase,
     TestSuite,
+    subsumes,
 )
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, coverage_curve, verify_suite
@@ -32,6 +34,8 @@ from conftest import (
     Pair,
     cover_milp,
     covered_by_some,
+    enumerate_valid_cases,
+    mixed_avoids,
     oracle_min_suite_size,
     random_constraints,
     satisfied_musts,
@@ -123,10 +127,17 @@ class TestMinimizeSuite:
         ok, problems = verify_suite(out, cs)
         assert ok, problems
 
-    def test_avoid_violating_row_seeds_nothing(self):
+    def test_avoid_violating_row_seeds_nothing(self, monkeypatch):
         # the row avoided in bbu holds the one unachievable pair; a universe
         # seeded with the suite skips it, so problems match those of an
-        # unseeded build, and minimize counts only the achievable pairs
+        # unseeded build, and minimize refuses the row before any search
+        import paircover.pipeline as pl
+
+        def refused(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(pl, "solve", refused)
+        monkeypatch.setattr(pl, "find_extension", refused)
         sys_, cs = make_bbu()
         bad = TestCase((0, 3, 0, 0))
         full = greedy_suite(InteractionUniverse(sys_, cs))
@@ -135,14 +146,14 @@ class TestMinimizeSuite:
             plain = InteractionUniverse(sys_, cs)
             ok, problems = verify_suite(suite, cs)
             assert not ok and (ok, problems) == verify_suite(suite, cs, plain)
-            assert f"case {rows.index(bad)} violates an avoid tuple: {bad.levels}" in problems
-            out, stats = minimize_suite(suite, cs)
-            assert stats["elements"] == held_elements(plain, suite, cs)
-            assert held_pairs(plain, out) == held_pairs(plain, suite)
+            message = f"case {rows.index(bad)} violates an avoid tuple: {bad.levels}"
+            assert message in problems
+            with pytest.raises(PaircoverError, match=re.escape(message)):
+                minimize_suite(suite, cs)
 
     def test_builds_no_universe(self, monkeypatch, tmp_path, capsys):
-        # the rows prove their own pairs achievable; bbu's bad row holds the
-        # one unachievable pair, which find_extension rules out
+        # the rows prove their own pairs achievable; bbu's bad row is
+        # refused before any search
         model, path = MODELS / "bbu_5g.model", tmp_path / "suite.csv"
         sys_, cs = load_model(model)
         rows = list(greedy_suite(InteractionUniverse(sys_, cs), seed=2))
@@ -158,9 +169,42 @@ class TestMinimizeSuite:
         out, stats = minimize_suite(suite, cs)
         assert len(out) <= len(rows) and stats["removed"] >= 5
         assert held_pairs(plain, out) == held_pairs(plain, suite)
-        assert minimize_suite(bad, cs)[1]["elements"] == held_elements(plain, bad, cs)
+        with pytest.raises(PaircoverError, match=r"case 0 violates an avoid tuple"):
+            minimize_suite(bad, cs)
         assert cli.main(["minimize", "--model", str(model), "--suite", str(path)]) == 0
         assert capsys.readouterr().err == f"{len(suite)} -> {len(out)} cases\n"
+
+    def test_one_row_policy_for_every_caller(self):
+        # the warm start drops, verify reports and minimize refuses (at the
+        # first) exactly the rows that hold an avoid tuple
+        rng = np.random.default_rng(21)
+        shapes = dict.fromkeys(("bad rows", "clean"), 0)
+        for _ in range(60):
+            cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
+            sys_ = make_system(cards)
+            cs = random_constraints(sys_, rng, avoid=mixed_avoids(sys_, rng))
+            rows = [
+                TestCase(tuple(int(rng.integers(c)) for c in cards))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            warm = TestSuite(sys_, rows)
+            bad = [r for r, tc in enumerate(rows) if any(subsumes(tc, av) for av in cs.avoid)]
+            shapes["bad rows" if bad else "clean"] += 1
+
+            suite, report = run_pipeline(
+                InteractionUniverse(sys_, cs), warm, PipelineConfig(alpha=1.0, minimize=False)
+            )
+            kept = suite.cases[: report.warm_retained]
+            assert report.warm_valid == len(kept) == len(rows) - len(bad)
+            assert [r for r, tc in enumerate(rows) if tc not in kept] == bad
+            problems = verify_suite(warm, cs)[1]
+            assert [int(p.split()[1]) for p in problems if "violates an avoid" in p] == bad
+            if bad:
+                with pytest.raises(PaircoverError, match=rf"^case {bad[0]} violates an avoid tuple"):
+                    minimize_suite(warm, cs)
+            else:
+                minimize_suite(warm, cs)
+        assert min(shapes.values()) >= 15, shapes
 
     def test_preserves_only_covered_pairs(self):
         # a suite covering a strict subset of the universe stays a cover of
@@ -273,19 +317,19 @@ class TestCoverSearch:
         assert dropped > 0  # some covers leave a choice of rows to drop
 
     def test_matches_oracles_on_tiny_suites(self, monkeypatch):
-        # rows come from the whole product space: an avoided row of a
-        # 2-factor system holds no achievable pair and covers nothing
+        # rows are drawn from the valid cases: minimize refuses any other
         rng = np.random.default_rng(8)
         seen = self._recording(monkeypatch)
-        shapes = dict.fromkeys(("duplicate", "empty row", "must", "sole carrier"), 0)
+        shapes = dict.fromkeys(("duplicate", "must", "sole carrier"), 0)
         for _ in range(300):
             n = int(rng.integers(2, 4))
             system = make_system([int(rng.integers(2, 4)) for _ in range(n)])
             cs = random_constraints(
                 system, rng, n_avoid=int(rng.integers(0, 3)), n_must=int(rng.integers(0, 4))
             )
-            levels = [rng.integers(c, size=int(rng.integers(1, 9))) for c in system.cardinalities]
-            suite = TestSuite(system, [TestCase(tuple(map(int, lv))) for lv in zip(*levels)])
+            valid = enumerate_valid_cases(system, cs)
+            picks = rng.integers(len(valid), size=int(rng.integers(1, 9)))
+            suite = TestSuite(system, [valid[k] for k in picks.tolist()])
             out, stats = minimize_suite(suite, cs)
             cover = seen[-1]
             assert len(out) == self._check(cover)
@@ -297,7 +341,6 @@ class TestCoverSearch:
 
             carriers = [sum(mask >> e & 1 for mask in cover) for e in range(max(cover).bit_length())]
             shapes["duplicate"] += len(set(cover)) < len(cover)
-            shapes["empty row"] += 0 in cover
             shapes["must"] += any(satisfied_musts(suite, cs))
             shapes["sole carrier"] += 1 in carriers
         assert min(shapes.values()) >= 20, shapes
@@ -341,12 +384,12 @@ class TestCoverSearch:
     def test_no_elements_keeps_no_rows(self):
         sol = cover_search([0, 0, 0])
         assert sol.status == SolveStatus.OPTIMAL and sol.values.tolist() == [0, 0, 0]
-        # the one pair these rows hold is avoided, so no row covers anything
+        # the one pair these rows hold is avoided: minimize refuses the rows
         sys_ = make_system([2, 2])
         cs = ConstraintSet(avoid=(PartialAssignment(((0, 0), (1, 0))),))
         suite = TestSuite(sys_, [TestCase((0, 0))] * 3)
-        out, stats = minimize_suite(suite, cs)
-        assert len(out) == 0 and stats["elements"] == 0
+        with pytest.raises(PaircoverError, match=re.escape("case 0 violates an avoid tuple: (0, 0)")):
+            minimize_suite(suite, cs)
 
 
 class TestRunPipeline:
