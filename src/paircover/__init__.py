@@ -16,7 +16,6 @@ from .core import (
     StructureError,
     TestCase,
     TestSuite,
-    subsumes,
     validate_case,
 )
 from .interactions import (

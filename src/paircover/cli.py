@@ -160,6 +160,8 @@ def _cmd_minimize(args) -> int:
 def _cmd_bench(args) -> int:
     if args.family == "classic":
         instances = bench_mod.classic_instances()
+    elif not args.count:
+        raise PaircoverError("--count 0 names no instance")
     else:
         instances = {}
         for k in range(args.count):
@@ -279,6 +281,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_tau", None) is not None and not args.profile:
         parser.error("argument --max-tau: only the --profile reads it")
+    if getattr(args, "warm_start", None) and args.method != "sequential":
+        parser.error("argument --warm-start: only --method sequential reads it")
     try:
         return args.fn(args)
     except (PaircoverError, OSError) as e:

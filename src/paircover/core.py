@@ -171,11 +171,6 @@ class TestCase:
         )
 
 
-def subsumes(case: TestCase, assignment: PartialAssignment) -> bool:
-    """True when ``case`` agrees with every pick of ``assignment``."""
-    return all(case.levels[f] == v for f, v in assignment.picks)
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """Exclusionary (avoid) and inclusionary (must) tuples.

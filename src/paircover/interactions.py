@@ -20,7 +20,6 @@ from .core import (
     StructureError,
     TestCase,
     TestSuite,
-    subsumes,
 )
 
 # models with at most this many full cases list them all to build their
@@ -106,6 +105,14 @@ def case_levels(cases: Sequence[TestCase], n_factors: int) -> np.ndarray:
     return np.array([tc.levels for tc in cases], dtype=np.int64).reshape(-1, n_factors).T
 
 
+def _holding(cases: np.ndarray, factors: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(t, k): which columns of ``cases`` hold each tuple of the (t, s) picks."""
+    hit = cases[factors[:, 0]] == levels[:, :1]
+    for p in range(1, factors.shape[1]):
+        hit &= cases[factors[:, p]] == levels[:, p : p + 1]
+    return hit
+
+
 def avoided(cases: np.ndarray, constraints: ConstraintSet, start: int = 0) -> np.ndarray:
     """Which columns of ``cases``, a level array whose rows are factors
     ``start..n-1``, hold an avoid tuple lying wholly among those factors:
@@ -114,12 +121,18 @@ def avoided(cases: np.ndarray, constraints: ConstraintSet, start: int = 0) -> np
     bad = np.zeros(cases.shape[1], dtype=bool)
     for f, v in constraints.avoid_by_size:
         among = f[:, 0] >= start  # picks are sorted by factor
-        f, v = f[among] - start, v[among]
-        hit = cases[f[:, 0]] == v[:, :1]
-        for p in range(1, f.shape[1]):
-            hit &= cases[f[:, p]] == v[:, p : p + 1]
-        bad |= hit.any(axis=0)
+        bad |= _holding(cases, f[among] - start, v[among]).any(axis=0)
     return bad
+
+
+def carried(cases: np.ndarray, constraints: ConstraintSet) -> np.ndarray:
+    """A (len(must), k) table of which columns of ``cases``, an (n, k) level
+    array, hold each must tuple, all compared together as in :func:`avoided`."""
+    width = max(map(len, constraints.must), default=1)
+    # a shorter tuple repeats its last pick, which changes no comparison
+    picks = [mu.picks + mu.picks[-1:] * (width - len(mu)) for mu in constraints.must]
+    picks = np.array(picks, dtype=np.int64).reshape(-1, width, 2)
+    return _holding(cases, picks[..., 0], picks[..., 1])
 
 
 def valid_cases(system: FactorSystem, constraints: ConstraintSet, start: int = 0) -> np.ndarray:
@@ -173,8 +186,8 @@ class InteractionUniverse:
     product of each pair's two factor cardinalities.
     ``pair_id[i, a, j, b]`` (shape (n, L, n, L), L the largest cardinality)
     is the universe index of the pair (i, a), (j, b), or -1 when i >= j,
-    when a level is padding or when the pair is not achievable, so coverage
-    marking is a single gather per case.
+    when a level is padding or when the pair is not achievable, so reading
+    the pairs of one case or of a whole suite (``pair_ids``) is one gather.
 
     A model with avoids and at most _ENUMERATE_CASES full cases marks the
     pairs of its ``valid_cases``; a larger one marks the pairs of a random
@@ -293,12 +306,13 @@ class InteractionUniverse:
             ((int(self.f1[k]), int(self.v1[k])), (int(self.f2[k]), int(self.v2[k])))
         )
 
-    def case_pair_ids(self, levels: Iterable[int]) -> np.ndarray:
-        """Universe indices of the achievable pairs a case contains."""
-        arr = np.asarray(tuple(levels), dtype=np.int64)
+    def pair_ids(self, levels) -> np.ndarray:
+        """Per factor pair (i, j), i < j, in order, the universe id of its pair
+        or -1: (P,) for one case's levels, (P, k) for an (n, k) level array."""
+        lv = np.asarray(levels, dtype=np.int64)
         i, j = self._tri
-        ids = self.pair_id[i, arr[i], j, arr[j]]
-        return ids[ids >= 0]
+        # transposed, so the factor-pair axis is last and broadcasts
+        return self.pair_id[i, lv[i].T, j, lv[j].T].T
 
 
 class CoverageState:
@@ -311,10 +325,6 @@ class CoverageState:
         self.weights = np.append(universe.weights, 0)
 
     @property
-    def ratio(self) -> float:
-        return int((self.weights[:-1] == 0).sum()) / len(self.universe)
-
-    @property
     def is_full(self) -> bool:
         return not self.weights.any()
 
@@ -323,7 +333,7 @@ class CoverageState:
 
     def mark_case(self, case: TestCase) -> int:
         """Mark the case's pairs covered; returns how many were new."""
-        ids = self.universe.case_pair_ids(case.levels)
+        ids = self.universe.pair_ids(case.levels)  # id -1 reads, and writes, the trailing 0
         fresh = int(np.count_nonzero(self.weights[ids]))
         self.weights[ids] = 0
         return fresh
@@ -331,12 +341,13 @@ class CoverageState:
 
 def coverage_curve(suite: TestSuite, universe: InteractionUniverse) -> list[float]:
     """Cumulative coverage ratio after each case of the suite, in order."""
-    state = CoverageState(universe)
-    out: list[float] = []
-    for tc in suite:
-        state.mark_case(tc)
-        out.append(state.ratio)
-    return out
+    m = len(suite)
+    ids = universe.pair_ids(case_levels(suite, universe.system.n_factors))
+    first = np.full(len(universe) + 1, m)  # [u]: the first row holding pair u
+    # broadcast by hand: numpy's ufunc.at can get an unbroadcast operand wrong
+    np.minimum.at(first, ids, np.broadcast_to(np.arange(m), ids.shape))
+    gained = np.bincount(first[:-1], minlength=m + 1)[:m]  # [r]: the pairs row r adds
+    return (np.cumsum(gained) / len(universe)).tolist()
 
 
 def verify_suite(
@@ -353,24 +364,23 @@ def verify_suite(
     """
     system = suite.system
     constraints.validate_against(system)
-    bad = avoided(case_levels(suite, system.n_factors), constraints)
+    levels = case_levels(suite, system.n_factors)
+    bad = avoided(levels, constraints)
     problems = [
         f"case {r} violates an avoid tuple: {suite.cases[r].levels}"
         for r in np.flatnonzero(bad).tolist()
     ]
     if universe is None:
         universe = InteractionUniverse(system, constraints, witnesses=suite)
-    for m in constraints.must:
-        if not any(subsumes(tc, m) for tc in suite):
+    for m, held in zip(constraints.must, carried(levels, constraints).any(axis=1).tolist()):
+        if not held:
             problems.append(f"no case contains the must tuple {m.picks}")
-    state = CoverageState(universe)
-    for tc in suite:
-        state.mark_case(tc)
-    if not state.is_full:
-        missing = state.uncovered_indices()
-        for k in missing[:20]:
-            (i, a), (j, b) = universe.interaction(int(k)).picks
-            problems.append(f"uncovered pair: factor {i}={a}, factor {j}={b}")
-        if len(missing) > 20:
-            problems.append(f"... and {len(missing) - 20} more uncovered pairs")
+    covered = np.zeros(len(universe) + 1, dtype=bool)
+    covered[universe.pair_ids(levels)] = True
+    missing = np.flatnonzero(~covered[:-1])
+    for k in missing[:20]:
+        (i, a), (j, b) = universe.interaction(int(k)).picks
+        problems.append(f"uncovered pair: factor {i}={a}, factor {j}={b}")
+    if len(missing) > 20:
+        problems.append(f"... and {len(missing) - 20} more uncovered pairs")
     return (not problems, problems)

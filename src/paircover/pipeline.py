@@ -22,13 +22,13 @@ from .core import (
     PartialAssignment,
     StructureError,
     TestSuite,
-    subsumes,
 )
 from .gcp import partition_musts
 from .interactions import (
     CoverageState,
     InteractionUniverse,
     avoided,
+    carried,
     case_levels,
     find_extension,
     verify_suite,
@@ -258,17 +258,10 @@ def minimize_suite(
     held = np.zeros(len(i) * top * top, dtype=bool)  # by key: an element
     held[keys] = True
     ids = np.cumsum(held, dtype=np.int32) - 1  # a held key's element
-    # a must no row carries sets no bit, so it is not required
-    carries = [
-        (levels[f] == v[:, None]).all(axis=0)
-        for f, v in (np.array(mu.picks).T for mu in constraints.must)
-    ]
-    carried = [c for c in carries if c.any()]
-    n_pairs = int(ids[-1]) + 1
-    member = np.zeros((m, n_pairs + len(carried)), dtype=bool)
+    member = np.zeros((m, int(ids[-1]) + 1), dtype=bool)
     member[np.arange(m), ids[keys]] = True
-    for g, c in enumerate(carried, start=n_pairs):
-        member[:, g] = c
+    musts = carried(levels, constraints)
+    member = np.hstack([member, musts[musts.any(axis=1)].T])  # a must no row carries sets no bit
     cover = [
         int.from_bytes(row.tobytes(), "little")
         for row in np.packbits(member, axis=1, bitorder="little")
@@ -331,11 +324,8 @@ def run_pipeline(
     report.phase_wall_s["warm"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    open_musts = [
-        mu
-        for mu in constraints.must
-        if not any(subsumes(tc, mu) for tc in suite)
-    ]
+    held = carried(case_levels(suite, system.n_factors), constraints).any(axis=1)
+    open_musts = [mu for mu, h in zip(constraints.must, held.tolist()) if not h]
     report.must_presatisfied = report.must_total - len(open_musts)
     if open_musts:
         tp = time.perf_counter()

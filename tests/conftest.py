@@ -72,6 +72,11 @@ def enumerate_valid_cases(system, constraints):
     return out
 
 
+def subsumes(case, assignment):
+    """True when ``case`` agrees with every pick of ``assignment``."""
+    return all(case.levels[f] == v for f, v in assignment.picks)
+
+
 def satisfied_musts(suite, constraints):
     """Per must tuple, whether some row of ``suite`` holds all its picks."""
     return [

@@ -206,6 +206,20 @@ class TestGenerate:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("method", ["greedy", "monolithic"])
+    def test_warm_start_needs_sequential(self, method, model_file, tmp_path, capsys):
+        # only the sequential pipeline reads a warm start; the others would drop it
+        warm = tmp_path / "warm.csv"
+        warm.write_text("A,B,C\na1,b1,c0\n")
+        argv = ["generate", "--model", str(model_file), "--method", method]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--warm-start", str(warm)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --warm-start: only --method sequential reads it" in captured.err
+
+
 class TestVerify:
     def test_incomplete_suite_fails(self, model_file, tmp_path, capsys):
         suite = tmp_path / "one.csv"
@@ -388,6 +402,13 @@ class TestBench:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "error: --methods names no method" in captured.err
+
+
+    def test_zero_count(self, capsys):
+        rc = cli.main(["bench", "--family", "random", "--count", "0", "--methods", "greedy"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --count 0 names no instance" in captured.err
 
 
 class TestErrors:

@@ -12,11 +12,11 @@ from paircover.core import (
     StructureError,
     TestCase,
     TestSuite,
-    subsumes,
     validate_case,
 )
+from paircover.interactions import carried, case_levels
 
-from conftest import satisfied_musts
+from conftest import satisfied_musts, subsumes
 
 
 class TestFactor:
@@ -101,8 +101,9 @@ class TestTestCase:
 
     def test_subsumes(self):
         tc = TestCase((1, 0, 2))
-        assert subsumes(tc, PartialAssignment(((0, 1), (2, 2))))
-        assert not subsumes(tc, PartialAssignment(((1, 1),)))
+        musts = (PartialAssignment(((0, 1), (2, 2))), PartialAssignment(((1, 1),)))
+        held = carried(case_levels([tc], 3), ConstraintSet(must=musts))
+        assert held.tolist() == [[True], [False]]
 
 
 class TestConstraintSet:
@@ -195,7 +196,7 @@ def test_partial_assignment_order_free(picks):
 def test_case_always_subsumes_its_projection(base, sub):
     tc = TestCase(tuple(base))
     pa = PartialAssignment(tuple((f, base[f]) for f in sorted(sub)))
-    assert subsumes(tc, pa)
+    assert carried(case_levels([tc], 3), ConstraintSet(must=(pa,))).tolist() == [[True]]
 
 
 @st.composite

@@ -20,13 +20,14 @@ from paircover.core import (
     StructureError,
     TestCase,
     TestSuite,
-    subsumes,
     validate_case,
 )
 from paircover.greedy import greedy_suite
 from paircover.interactions import (
     CoverageState,
     InteractionUniverse,
+    carried,
+    case_levels,
     coverage_curve,
     find_extension,
     sampled_cases,
@@ -41,6 +42,7 @@ from conftest import (
     mixed_avoids,
     random_constraints,
     satisfied_musts,
+    subsumes,
     universe_pairs,
 )
 
@@ -369,7 +371,8 @@ class TestUniverse:
     def test_case_pair_ids(self):
         sys_ = make_system([2, 2, 2])
         uni = InteractionUniverse(sys_, ConstraintSet())
-        ids = uni.case_pair_ids((0, 1, 0))
+        ids = uni.pair_ids((0, 1, 0))
+        ids = ids[ids >= 0]
         assert len(ids) == 3
         got = {tuple(map(int, (uni.f1[k], uni.v1[k], uni.f2[k], uni.v2[k]))) for k in ids}
         assert got == {(0, 0, 1, 1), (0, 0, 2, 0), (1, 1, 2, 0)}
@@ -387,7 +390,8 @@ class TestUniverse:
                 want[it.i, it.a, it.j, it.b] = k
             assert (uni.pair_id == want).all()
             for tc in enumerate_valid_cases(sys_, cs):
-                ids = uni.case_pair_ids(tc.levels)
+                ids = uni.pair_ids(tc.levels)
+                ids = ids[ids >= 0]
                 assert ids.tolist() == sorted(ids.tolist())
                 assert set(ids.tolist()) == {
                     k
@@ -398,7 +402,7 @@ class TestUniverse:
     def test_covered_by(self):
         sys_, cs = make_bbu()
         uni = InteractionUniverse(sys_, cs)
-        pairs = [uni.interaction(int(k)) for k in uni.case_pair_ids((3, 3, 1, 0))]
+        pairs = [uni.interaction(int(k)) for k in uni.pair_ids((3, 3, 1, 0)) if k >= 0]
         assert len(pairs) == 6
         assert PartialAssignment(((0, 3), (1, 3))) in pairs
 
@@ -408,13 +412,14 @@ class TestCoverageState:
         sys_ = make_system([2, 2])
         uni = InteractionUniverse(sys_, ConstraintSet())
         state = CoverageState(uni)
-        assert state.ratio == 0.0 and not state.is_full
+        assert state.weights.tolist() == [4, 4, 4, 4, 0] and not state.is_full
         assert state.mark_case(TestCase((0, 0))) == 1
         assert state.mark_case(TestCase((0, 0))) == 0
         assert state.mark_case(TestCase((1, 1))) == 1
+        assert state.weights.tolist() == [0, 4, 4, 0, 0] and not state.is_full
         state.mark_case(TestCase((0, 1)))
         state.mark_case(TestCase((1, 0)))
-        assert state.is_full and state.ratio == 1.0
+        assert state.is_full and not state.weights.any()
 
 
 def test_coverage_curve_monotone_and_complete():
@@ -425,6 +430,96 @@ def test_coverage_curve_monotone_and_complete():
     assert curve == sorted(curve)
     assert curve[-1] == 1.0
     assert len(curve) == 9
+
+
+class TestRowReads:
+    """The one-call reads of a suite's rows against per-row enumeration."""
+
+    @pytest.mark.parametrize("listed", [True, False])
+    def test_pair_ids_match_per_case_gather(self, listed, monkeypatch):
+        if not listed:
+            monkeypatch.setattr(interactions, "_ENUMERATE_CASES", 0)
+        rng = np.random.default_rng(45)
+        absent = 0  # row pairs the universe does not hold
+        for _ in range(80):
+            cards = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(2, 7)))]
+            sys_ = make_system(cards)
+            cs = ConstraintSet(avoid=mixed_avoids(sys_, rng))
+            uni = InteractionUniverse(sys_, cs)
+            rows = [
+                TestCase(tuple(int(rng.integers(c)) for c in cards))
+                for _ in range(int(rng.integers(0, 9)))
+            ]
+            n = len(cards)
+            factor_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            got = uni.pair_ids(case_levels(rows, n))
+            assert got.shape == (len(factor_pairs), len(rows))
+            for r, tc in enumerate(rows):
+                lv = tc.levels
+                want = [int(uni.pair_id[i, lv[i], j, lv[j]]) for i, j in factor_pairs]
+                assert got[:, r].tolist() == want
+                assert uni.pair_ids(lv).tolist() == want
+                absent += want.count(-1)
+        assert absent >= 20
+
+    def test_coverage_curve_matches_row_loop(self, rng):
+        def row_loop(suite, universe):
+            # the per-row loop coverage_curve ran before its single pass
+            state = CoverageState(universe)
+            out = []
+            for tc in suite:
+                state.mark_case(tc)
+                out.append(int((state.weights[:-1] == 0).sum()) / len(universe))
+            return out
+
+        shapes = dict.fromkeys(("repeated row", "idle row", "uncovered pair", "shared pair"), 0)
+        for _ in range(120):
+            cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
+            sys_ = make_system(cards)
+            cs = ConstraintSet(avoid=mixed_avoids(sys_, rng))
+            uni = InteractionUniverse(sys_, cs)
+            rows = [
+                TestCase(tuple(int(rng.integers(c)) for c in cards))
+                for _ in range(int(rng.integers(0, 10)))
+            ]
+            if rows and rng.random() < 0.5:
+                rows.insert(int(rng.integers(len(rows) + 1)), rows[int(rng.integers(len(rows)))])
+            suite = TestSuite(sys_, rows)
+            want = row_loop(suite, uni)
+            assert coverage_curve(suite, uni) == want
+            shapes["repeated row"] += len(set(rows)) < len(rows)
+            shapes["idle row"] += any(a == b for a, b in zip([0.0] + want, want))
+            shapes["uncovered pair"] += not want or want[-1] < 1.0
+            held = [
+                {(i, tc.levels[i], j, tc.levels[j]) for j in range(len(cards)) for i in range(j)}
+                & set(universe_pairs(uni))
+                for tc in dict.fromkeys(rows)
+            ]
+            shapes["shared pair"] += any(a & b for k, a in enumerate(held) for b in held[:k])
+        assert min(shapes.values()) >= 10, shapes
+
+    def test_carried_matches_enumeration(self, rng):
+        shapes = dict.fromkeys(("uncarried must", "carried must", "no rows"), 0)
+        for _ in range(120):
+            cards = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 6)))]
+            sys_ = make_system(cards)
+            cs = random_constraints(
+                sys_, rng, n_must=int(rng.integers(0, 5)), avoid=mixed_avoids(sys_, rng)
+            )
+            rows = [
+                TestCase(tuple(int(rng.integers(c)) for c in cards))
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            got = carried(case_levels(rows, len(cards)), cs)
+            want = [
+                [all(tc.levels[f] == v for f, v in mu.picks) for tc in rows] for mu in cs.must
+            ]
+            assert got.shape == (len(cs.must), len(rows))
+            assert got.tolist() == want
+            shapes["uncarried must"] += any(not any(row) for row in want)
+            shapes["carried must"] += any(any(row) for row in want)
+            shapes["no rows"] += not rows
+        assert min(shapes.values()) >= 5, shapes
 
 
 class TestVerifySuite:

@@ -16,7 +16,6 @@ from paircover.core import (
     PartialAssignment,
     TestCase,
     TestSuite,
-    subsumes,
 )
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, coverage_curve, verify_suite
@@ -39,6 +38,7 @@ from conftest import (
     oracle_min_suite_size,
     random_constraints,
     satisfied_musts,
+    subsumes,
     uniform_weights,
     universe_pairs,
 )
@@ -49,7 +49,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def held_pairs(universe, suite):
     """The universe pairs some row of ``suite`` holds."""
-    return {u for tc in suite for u in universe.case_pair_ids(tc.levels).tolist()}
+    return {u for tc in suite for u in universe.pair_ids(tc.levels).tolist() if u >= 0}
 
 
 def held_elements(universe, suite, cs):
