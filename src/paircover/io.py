@@ -152,18 +152,20 @@ def suite_to_csv(suite: TestSuite) -> str:
 
 
 def suite_from_csv(text: str, system: FactorSystem) -> TestSuite:
-    rows = list(csv.reader(_io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    reader = csv.reader(_io.StringIO(text))
+    # each non-blank row with the number of the line it ends on
+    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
     if not rows:
         raise ParseError("suite CSV has no header row")
-    header = [c.strip() for c in rows[0]]
+    (head_ln, head), *body = rows
+    header = [c.strip() for c in head]
     want = [f.name for f in system.factors]
     if header != want:
         raise ParseError(
-            f"suite header {header} does not match the model's factors {want}", 1
+            f"suite header {header} does not match the model's factors {want}", head_ln
         )
     suite = TestSuite(system)
-    for ln, row in enumerate(rows[1:], start=2):
+    for ln, row in body:
         if len(row) != system.n_factors:
             raise ParseError(
                 f"row has {len(row)} cells, expected {system.n_factors}", ln

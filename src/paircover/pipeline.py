@@ -80,9 +80,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reduced(cover: list[int]) -> tuple[int, list[int], list[int]]:
+def _reduced(columns: list[int]) -> tuple[int, list[int], list[int]]:
     """The cover after three exact reductions (Beasley, EJOR 1987), as
     ``(forced, rows, carriers)``.
+
+    ``columns[k]`` is element k's carrier set, bit r for row r; an empty
+    set, a column no row holds, is no element.
 
     ``forced`` is the bitmask of the rows that are some element's only
     carrier: every cover keeps them.  Of the elements they leave uncovered,
@@ -97,33 +100,22 @@ def _reduced(cover: list[int]) -> tuple[int, list[int], list[int]]:
     with ``rows``, so the lexicographically smallest minimum keep vector is
     unchanged.
     """
-    carriers = {}  # element bit -> rows holding it
-    for r, mask in enumerate(cover):
-        row = 1 << r
-        while mask:
-            low = mask & -mask
-            carriers[low] = carriers.get(low, 0) | row
-            mask ^= low
     forced = 0
-    for owners in carriers.values():
-        if not owners & (owners - 1):
+    for owners in columns:
+        if not owners & (owners - 1):  # one carrier, or none
             forced |= owners
-    done = 0  # the elements the forced rows cover
-    for r in _bits(forced):
-        done |= cover[r]
-    first = {}  # carrier set -> its lowest element bit
-    for e in sorted(carriers):
-        if not e & done:
-            first.setdefault(carriers[e], e)
-    minimal = []  # a strict subset has fewer rows, so it comes first
+    # the carrier sets of the elements the forced rows leave uncovered, in
+    # the order of their lowest elements
+    first = dict.fromkeys(owners for owners in columns if owners and not owners & forced)
+    minimal = {}  # a strict subset has fewer rows, so it comes first
     for owners in sorted(first, key=int.bit_count):
         outside = ~owners
         for smaller in minimal:
             if not smaller & outside:
                 break
         else:
-            minimal.append(owners)
-    minimal.sort(key=first.__getitem__)
+            minimal[owners] = None
+    minimal = [owners for owners in first if owners in minimal]
 
     sets = {}  # row -> the carrier sets of the remaining elements it holds
     for owners in minimal:
@@ -146,15 +138,19 @@ def _reduced(cover: list[int]) -> tuple[int, list[int], list[int]]:
     return forced, rows, out
 
 
-def solve(cover: list[int], time_limit: float = math.inf) -> MilpSolution:
-    """Fewest rows of ``cover`` whose union is the union of all rows.
+def solve(member: np.ndarray, time_limit: float = math.inf) -> MilpSolution:
+    """Fewest rows of ``member`` that together hold every element.
 
-    ``cover[r]`` is the bitmask of the elements row r covers.  The search
-    runs on the reduced cover (``_reduced``): the forced rows are kept, and
-    the remaining rows are walked depth-first in order, "drop" before
-    "keep".  A row is dropped only while every uncovered element keeps a
-    carrier in a later row, and a row that covers nothing uncovered is
-    never kept.  A node is cut once the rows kept plus a lower bound on the
+    ``member`` is the (rows, elements) bool table: ``member[r, k]`` says
+    row r holds element k, and a column no row holds is no element.  Each
+    column is packed into one int, the element's carrier set, bit r for
+    row r.
+
+    The search runs on the reduced cover (``_reduced``): the forced rows
+    are kept, and the remaining rows are walked depth-first in order,
+    "drop" before "keep".  A row is dropped only while every uncovered
+    element keeps a carrier in a later row, and a row that covers nothing
+    uncovered is never kept.  A node is cut once the rows kept plus a lower bound on the
     rows still needed reach the incumbent, and only a strictly smaller
     cover replaces it, so the result is the lexicographically smallest
     minimum keep vector.  The bound packs uncovered elements, fewest
@@ -166,7 +162,8 @@ def solve(cover: list[int], time_limit: float = math.inf) -> MilpSolution:
     forced rows.
     """
     budget = Budget(time_limit)
-    forced, rows, carriers = _reduced(cover)
+    packed = np.packbits(member.T, axis=1, bitorder="little")
+    forced, rows, carriers = _reduced([int.from_bytes(col.tobytes(), "little") for col in packed])
     held = [0] * len(rows)  # held[t]: the elements row t covers
     last = [0] * len(rows)  # last[t]: the elements row t is the final carrier of
     for k, mask in enumerate(carriers):
@@ -213,7 +210,7 @@ def solve(cover: list[int], time_limit: float = math.inf) -> MilpSolution:
         keep = forced
         for t in _bits(best_keep):
             keep |= 1 << rows[t]
-        values = np.array([keep >> r & 1 for r in range(len(cover))], dtype=np.int8)
+        values = np.array([keep >> r & 1 for r in range(len(member))], dtype=np.int8)
     n_forced = forced.bit_count()
     return budget.solution(n_forced + best, values, root_bound=n_forced + root)
 
@@ -228,13 +225,13 @@ def minimize_suite(
     Raises PaircoverError at the first row that violates an avoid tuple
     (``avoided``), before any search.  The elements to keep covered are
     then the pairs the rows hold, all achievable, and each must tuple some
-    row carries, with no universe built.  Bit k of a row's mask is the k-th
-    of the held pairs in the universe's (i, j, a, b) order; the carried
-    musts follow, in order.  Falls back to the input suite when the solve
-    finds no cover in time (status ``timed_out``), so the result is never
-    larger than what went in.  Raises StructureError, as a universe build
-    does, when no case is valid; that is checked only for a suite with no
-    rows.
+    row carries, with no universe built.  ``solve`` reads them as one
+    (rows, elements) bool table: column k is the k-th of the held pairs in
+    the universe's (i, j, a, b) order, and the carried musts follow, in
+    order.  Falls back to the input suite when the solve finds no cover in
+    time (status ``timed_out``), so the result is never larger than what
+    went in.  Raises StructureError, as a universe build does, when no case
+    is valid; that is checked only for a suite with no rows.
     """
     t0 = time.perf_counter()
     system = suite.system
@@ -261,23 +258,12 @@ def minimize_suite(
     member = np.zeros((m, int(ids[-1]) + 1), dtype=bool)
     member[np.arange(m), ids[keys]] = True
     musts = carried(levels, constraints)
-    member = np.hstack([member, musts[musts.any(axis=1)].T])  # a must no row carries sets no bit
-    cover = [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(member, axis=1, bitorder="little")
-    ]
-    everything = 0
-    for mask in cover:
-        everything |= mask
+    member = np.hstack([member, musts[musts.any(axis=1)].T])  # a must no row carries is no column
 
-    sol = solve(cover, time_limit=time_limit)
+    sol = solve(member, time_limit=time_limit)
     out = suite  # no cover found in time: keep the input
     if sol.has_solution:
-        union = 0
-        for mask, z in zip(cover, sol.values.tolist()):
-            if z == 1:
-                union |= mask
-        if union != everything:
+        if not member[sol.values == 1].any(axis=0).all():
             raise PaircoverError("set cover solve left an element uncovered")
         out = TestSuite(system, [tc for tc, z in zip(suite, sol.values) if z == 1])
     stats = {

@@ -258,38 +258,31 @@ def step_milp(system, constraints, universe, uncovered_ids, fixed=None):
     return milp
 
 
-def cover_milp(cover):
-    """The set cover over row bitmasks as a binary MILP.
+def cover_milp(member):
+    """The set cover over a (rows, elements) bool table as a binary MILP.
 
     One variable per row with objective 1 (minimize), and one ">= 1" row
-    per element in ascending element order: the program ``minimize_suite``
-    handed the reference kernel before the bitset search replaced it.
+    per column some row holds, in column order: the program
+    ``minimize_suite`` handed the reference kernel before the search
+    replaced it.
     """
     milp = MilpModel(sense="min")
-    z = [milp.add_var(obj=1) for _ in cover]
-    everything = 0
-    for mask in cover:
-        everything |= mask
-    for e in range(everything.bit_length()):
-        if everything >> e & 1:
-            milp.add_constraint({z[r]: 1 for r, mask in enumerate(cover) if mask >> e & 1}, ">=", 1)
+    z = [milp.add_var(obj=1) for _ in range(len(member))]
+    for column in member.T:
+        if column.any():
+            milp.add_constraint({z[r]: 1 for r in np.flatnonzero(column).tolist()}, ">=", 1)
     return milp
 
 
-def covered_by_some(cover, k):
-    """Whether some k rows of ``cover`` reach the union of all rows.
+def covered_by_some(member, k):
+    """Whether some k rows of ``member`` hold every column some row holds.
 
     Plain subset enumeration.  Covering is monotone in the subset, so a
     cover of size k is minimum exactly when this holds for k and not k - 1.
     """
-    everything = 0
-    for mask in cover:
-        everything |= mask
-    for rows in itertools.combinations(cover, k):
-        union = 0
-        for mask in rows:
-            union |= mask
-        if union == everything:
+    need = member.any(axis=0)
+    for rows in itertools.combinations(range(len(member)), k):
+        if (member[list(rows)].any(axis=0) == need).all():
             return True
     return False
 

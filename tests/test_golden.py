@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from paircover import bench, greedy, interactions, io
-from paircover.core import ConstraintSet, PartialAssignment
+from paircover.core import ConstraintSet, PartialAssignment, TestSuite
 from paircover.greedy import greedy_suite
 from paircover.interactions import InteractionUniverse, verify_suite
 from paircover.pipeline import PipelineConfig, minimize_suite, run_pipeline
@@ -108,6 +108,13 @@ WIDE_ROTATION_DIGESTS = {
 # reduced the cover first).
 PINNED_STEP_NODES = 73_003
 PINNED_COVER_NODES = 31
+# Over random_instance seeds 0-24, minimize_suite on greedy_suite at seed 0
+# joined with greedy_suite at seed 1: cover nodes summed, and the SHA-256 of
+# the minimized suites' CSVs in seed order (1,244 rows in, 607 kept).  The
+# reductions settle nearly every pipeline cover, so this is where the cover
+# search does its work.
+PINNED_JOINED_COVER_NODES = 49_953
+JOINED_MINIMIZED_DIGEST = "076ed07108ac6ecee1595ea43995f192a78fc8658c02c28790345a67a5c0fd81"
 # Over classic_instances(), random_instance seeds 0-24 and WIDE_SEEDS,
 # greedy_suite at seed 0 on a prebuilt universe: ConstraintSet.completes_avoid
 # calls, the forward checks' included (78,284 before the walk skipped dead
@@ -228,6 +235,22 @@ def test_pinned_search_effort():
         step += sum(st["nodes"] for st in report.steps)
         cover += report.cover["nodes"]
     assert (step, cover) == (PINNED_STEP_NODES, PINNED_COVER_NODES)
+
+
+def test_pinned_joined_cover_effort():
+    digest, nodes, sizes = hashlib.sha256(), 0, [0, 0]
+    for s in range(25):
+        system, cs = bench.random_instance(s)
+        universe = InteractionUniverse(system, cs)
+        joined = [*greedy_suite(universe, seed=0), *greedy_suite(universe, seed=1)]
+        out, stats = minimize_suite(TestSuite(system, joined), cs)
+        assert stats["status"] == "optimal"
+        nodes += stats["nodes"]
+        sizes[0] += len(joined)
+        sizes[1] += len(out)
+        digest.update(io.suite_to_csv(out).encode())
+    assert sizes == [1_244, 607]
+    assert (nodes, digest.hexdigest()) == (PINNED_JOINED_COVER_NODES, JOINED_MINIMIZED_DIGEST)
 
 
 def test_pinned_build_effort(monkeypatch):

@@ -149,6 +149,21 @@ class TestSuiteCsv:
         with pytest.raises(ParseError):
             suite_from_csv("", sys_)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("A,B,C,D\n\n\na0,b0,c0,d0\n\na9,b0,c0,d0\n", 6, "factor 'A' has no level 'a9'"),
+            ("\n\nA,B,C,X\n", 3, "does not match the model's factors"),
+            ("\nA,B,C,D\n \na0,b0,c0\n", 4, "row has 3 cells, expected 4"),
+        ],
+        ids=["bad level", "header", "short row"],
+    )
+    def test_errors_name_the_line_past_blank_lines(self, text, line, message):
+        sys_, _ = load_model(Path(__file__).parent.parent / "models" / "ca_3x4.model")
+        with pytest.raises(ParseError, match=re.escape(f"line {line}: ")) as exc:
+            suite_from_csv(text, sys_)
+        assert exc.value.line == line and message in str(exc.value)
+
     def test_file_round_trip(self, tmp_path):
         sys_ = make_system([2, 3])
         suite = TestSuite(sys_, [TestCase((1, 2)), TestCase((0, 0))])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paircover import cli
+from paircover import cli, interactions
 from paircover.bench import classic_instances, make_bbu, make_system, random_instance
 from paircover.core import (
     ConstraintSet,
@@ -18,7 +18,13 @@ from paircover.core import (
     TestSuite,
 )
 from paircover.greedy import greedy_suite
-from paircover.interactions import InteractionUniverse, coverage_curve, verify_suite
+from paircover.interactions import (
+    InteractionUniverse,
+    carried,
+    case_levels,
+    coverage_curve,
+    verify_suite,
+)
 from paircover.io import load_model, write_suite_csv
 from paircover.milp import MilpSolution, SolveStatus, solve_highs
 from paircover.monolithic import build_monolithic, minimal_suite
@@ -282,27 +288,23 @@ class TestCoverSearch:
 
         seen = []
 
-        def recording(cover, time_limit=math.inf):
-            seen.append(cover)
-            return cover_search(cover, time_limit=time_limit)
+        def recording(member, time_limit=math.inf):
+            seen.append(member)
+            return cover_search(member, time_limit=time_limit)
 
         monkeypatch.setattr(pl, "solve", recording)
         return seen
 
     @staticmethod
-    def _check(cover):
-        sol = cover_search(cover)
+    def _check(member):
+        sol = cover_search(member)
         assert sol.status == SolveStatus.OPTIMAL
-        assert sol.values.tolist() == solve_reference(cover_milp(cover)).values.tolist()
+        assert sol.values.tolist() == solve_reference(cover_milp(member)).values.tolist()
         k = sol.objective
         assert k == int(sol.values.sum())
-        union = everything = 0
-        for mask, z in zip(cover, sol.values.tolist()):
-            union |= mask * z
-            everything |= mask
-        assert union == everything
-        assert covered_by_some(cover, k)
-        assert k == 0 or not covered_by_some(cover, k - 1)
+        assert (member[sol.values == 1].any(axis=0) == member.any(axis=0)).all()
+        assert covered_by_some(member, k)
+        assert k == 0 or not covered_by_some(member, k - 1)
         return k
 
     def test_matches_oracles_along_pipeline_runs(self, monkeypatch):
@@ -313,7 +315,7 @@ class TestCoverSearch:
             run_pipeline(InteractionUniverse(system, cs))
             run_pipeline(uniform_weights(InteractionUniverse(system, cs)))
         assert len(seen) == 2 * len(instances)
-        dropped = sum(self._check(cover) < len(cover) for cover in seen)
+        dropped = sum(self._check(member) < len(member) for member in seen)
         assert dropped > 0  # some covers leave a choice of rows to drop
 
     def test_matches_oracles_on_tiny_suites(self, monkeypatch):
@@ -331,18 +333,17 @@ class TestCoverSearch:
             picks = rng.integers(len(valid), size=int(rng.integers(1, 9)))
             suite = TestSuite(system, [valid[k] for k in picks.tolist()])
             out, stats = minimize_suite(suite, cs)
-            cover = seen[-1]
-            assert len(out) == self._check(cover)
+            member = seen[-1]
+            assert len(out) == self._check(member)
 
             universe = InteractionUniverse(system, cs)
             assert stats["elements"] == held_elements(universe, suite, cs)
             assert held_pairs(universe, suite) == held_pairs(universe, out)
             assert satisfied_musts(suite, cs) == satisfied_musts(out, cs)
 
-            carriers = [sum(mask >> e & 1 for mask in cover) for e in range(max(cover).bit_length())]
-            shapes["duplicate"] += len(set(cover)) < len(cover)
+            shapes["duplicate"] += len(np.unique(member, axis=0)) < len(member)
             shapes["must"] += any(satisfied_musts(suite, cs))
-            shapes["sole carrier"] += 1 in carriers
+            shapes["sole carrier"] += 1 in member.sum(axis=0)
         assert min(shapes.values()) >= 20, shapes
 
     def test_matches_oracles_on_random_covers(self):
@@ -354,35 +355,33 @@ class TestCoverSearch:
         )
         for _ in range(300):
             n = int(rng.integers(0, 9))
-            cover = [
-                sum(1 << e for e in range(n) if rng.random() < 0.35)
-                for _ in range(int(rng.integers(1, 11)))
-            ]
-            cover.insert(int(rng.integers(len(cover))), cover[int(rng.integers(len(cover)))])
-            self._check(cover)
-            carriers = [sum(mask >> e & 1 for mask in cover) for e in range(n)]
-            shapes["empty row"] += 0 in cover
+            member = rng.random((int(rng.integers(1, 11)), n)) < 0.35
+            at, copied = int(rng.integers(len(member))), int(rng.integers(len(member)))
+            member = np.insert(member, at, member[copied], axis=0)
+            self._check(member)
+            carriers = member.sum(axis=0)
+            shapes["empty row"] += not member.any(axis=1).all()
             shapes["sole carrier"] += 1 in carriers
             # the reductions' shapes: a row some element needs that also
             # holds an element other rows carry, an element whose carriers
             # strictly include another's, a row whose elements a later row holds
-            rows_of = [sum(1 << r for r, mask in enumerate(cover) if mask >> e & 1) for e in range(n)]
-            sole = {rows.bit_length() - 1 for rows in rows_of if rows.bit_count() == 1}
-            shapes["sole-carrier row"] += any(
-                cover[r] >> e & 1 and rows_of[e].bit_count() > 1 for r in sole for e in range(n)
-            )
+            sole = member[:, carriers == 1].any(axis=1)
+            shapes["sole-carrier row"] += bool((member[sole] & (carriers > 1)).any())
+            columns = member.T
             shapes["dominated element"] += any(
-                0 < low != high and low & high == low for low in rows_of for high in rows_of
+                low.any() and (low != high).any() and not (low & ~high).any()
+                for low in columns
+                for high in columns
             )
             shapes["dominated row"] += any(
-                cover[r] and cover[r] & cover[s] == cover[r]
-                for r in range(len(cover))
-                for s in range(r + 1, len(cover))
+                member[r].any() and not (member[r] & ~member[s]).any()
+                for r in range(len(member))
+                for s in range(r + 1, len(member))
             )
         assert min(shapes.values()) >= 20, shapes
 
     def test_no_elements_keeps_no_rows(self):
-        sol = cover_search([0, 0, 0])
+        sol = cover_search(np.zeros((3, 0), dtype=bool))
         assert sol.status == SolveStatus.OPTIMAL and sol.values.tolist() == [0, 0, 0]
         # the one pair these rows hold is avoided: minimize refuses the rows
         sys_ = make_system([2, 2])
@@ -390,6 +389,66 @@ class TestCoverSearch:
         suite = TestSuite(sys_, [TestCase((0, 0))] * 3)
         with pytest.raises(PaircoverError, match=re.escape("case 0 violates an avoid tuple: (0, 0)")):
             minimize_suite(suite, cs)
+
+
+class TestCoverTable:
+    """The (rows, elements) table ``solve`` reads and ``minimize_suite``
+    builds."""
+
+    @staticmethod
+    def _result(sol):
+        return sol.status, sol.objective, sol.values.tolist(), sol.stats
+
+    def test_unheld_column_is_no_element(self):
+        # each table gets one more column that no row holds, besides those
+        # a sparse draw leaves
+        rng = np.random.default_rng(33)
+        for _ in range(300):
+            member = rng.random((int(rng.integers(0, 10)), int(rng.integers(0, 10)))) < 0.3
+            member = np.insert(member, int(rng.integers(member.shape[1] + 1)), False, axis=1)
+            held = member[:, member.any(axis=0)]
+            assert self._result(cover_search(member)) == self._result(cover_search(held))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_no_rows_or_no_columns(self, shape):
+        sol = cover_search(np.zeros(shape, dtype=bool))
+        assert sol.status == SolveStatus.OPTIMAL and sol.objective == 0
+        assert sol.values.tolist() == [0] * shape[0]
+
+    @pytest.mark.parametrize("listed", [True, False])
+    def test_columns_are_held_pairs_then_carried_musts(self, listed, monkeypatch):
+        if not listed:
+            monkeypatch.setattr(interactions, "_ENUMERATE_CASES", 0)
+        seen = TestCoverSearch._recording(monkeypatch)
+        rng = np.random.default_rng(47)
+        shapes = dict.fromkeys(("carried must", "must no row carries"), 0)
+        for _ in range(80):
+            cards = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(2, 7)))]
+            sys_ = make_system(cards)
+            cs = random_constraints(
+                sys_, rng, n_must=int(rng.integers(0, 4)), avoid=mixed_avoids(sys_, rng)
+            )
+            universe = InteractionUniverse(sys_, cs)
+            rows = [
+                tc
+                for tc in (
+                    TestCase(tuple(int(rng.integers(c)) for c in cards))
+                    for _ in range(int(rng.integers(0, 9)))
+                )
+                if not any(subsumes(tc, av) for av in cs.avoid)
+            ]
+            minimize_suite(TestSuite(sys_, rows), cs)
+
+            levels = case_levels(rows, len(cards))
+            ids = universe.pair_ids(levels).T  # (rows, factor pairs)
+            assert (ids >= 0).all()  # a valid row's pairs are all achievable
+            pairs = np.unique(ids)  # ascending universe ids
+            musts = carried(levels, cs)
+            want = np.hstack([(ids[:, :, None] == pairs).any(axis=1), musts[musts.any(axis=1)].T])
+            assert seen[-1].dtype == bool and np.array_equal(seen[-1], want)
+            shapes["carried must"] += bool(musts.any())
+            shapes["must no row carries"] += not musts.any(axis=1).all()
+        assert min(shapes.values()) >= 15, shapes
 
 
 class TestRunPipeline:
