@@ -168,10 +168,6 @@ def build_step(coverage: CoverageState, fixed: PartialAssignment | None = None) 
     return StepModel(universe, root, block, w.take(block.pair_ids).sum(axis=0), w)
 
 
-class _Stop(Exception):
-    """Unwinds the search: the incumbent reached its cap or time ran out."""
-
-
 def solve(
     step: StepModel, time_limit: float = math.inf, upper: int | None = None
 ) -> MilpSolution:
@@ -194,6 +190,10 @@ def solve(
     uncovered weights can only have fallen since).  The first case in
     search order worth the optimum is still the one returned.
 
+    The search is one loop over a stack of frames, one per factor picked so
+    far.  Each pass scores a leaf or pushes a frame, then pops the frames
+    with no level left worth entering and enters the deepest one's next.
+
     ``nodes`` counts the search's nodes plus one per block scoring, and
     ``last_improved_node`` is that count when the incumbent last improved
     (None with no incumbent).  ``root_bound`` is ``tail[0]``, or with no
@@ -205,31 +205,23 @@ def solve(
     budget = Budget(time_limit)
     block, block_score = step.block, step.block_score
     s, cases, cells, straddling = block.start, block.cases, block.cells, block.straddling
-    if not s:  # no prefix, so nothing straddles: one scoring is the whole search
-        budget.spend()
-        score = block_score
-        if step.root is not block.root:  # fixed picks exclude some levels
-            score = score + step.root.take(cells).sum(axis=0)
-        k = int(score.argmax())
-        value = int(score[k])
-        if value < 0:  # every case breaks a fixed pick
-            return budget.solution(None, None, last_improved_node=None, root_bound=None)
-        return budget.solution(value, cases[:, k].tolist(), last_improved_node=1, root_bound=value)
-
     card = step.universe.system.cardinalities
     completes_avoid = step.universe.constraints.completes_avoid
     levels = [-1] * len(card)  # factors at or past the current depth stay -1
     best, best_levels, improved = -1, None, None
-    gain, tail = step.gain, step.tail
-    cap = tail[0] if upper is None else min(tail[0], upper)
-
-    def visit(d: int, cur: int, reach: np.ndarray) -> None:
-        # reach[j, b]: what level b of factor j adds to the picks on factors < d
-        nonlocal best, best_levels, improved
+    if s:
+        gain, tail = step.gain, step.tail
+        cap = tail[0] if upper is None else min(tail[0], upper)
+    frames = []  # per factor picked: (value before it, here, rest, child, untried levels)
+    cur, reach = 0, step.root  # reach[j, b]: what level b of factor j adds to the picks
+    while True:
+        d = len(frames)
         if d == s:
             if budget.spend():
-                raise _Stop
-            score = block_score + reach.take(cells).sum(axis=0)
+                break
+            score = block_score
+            if reach is not block.root:  # picks made, or fixed picks exclude levels
+                score = score + reach.take(cells).sum(axis=0)
             for picks, rows in straddling:
                 if all(levels[g] == v for g, v in picks):
                     score[rows] = _UNREACHABLE
@@ -238,28 +230,30 @@ def solve(
             if value > best:
                 best, best_levels = value, levels[:s] + cases[:, k].tolist()
                 improved = budget.nodes
-                if best >= cap:
-                    raise _Stop
-            return
-        here = reach[d].tolist()
-        child = reach + gain[d]
-        rest = (child[:, d + 1 :].max(axis=2).sum(axis=1) + tail[d + 1]).tolist()
-        for a in range(card[d] - 1, -1, -1):
-            value = cur + here[a]
-            if value + rest[a] <= best or completes_avoid(d, a, levels):
+                if s and best >= cap:
+                    break
+        else:
+            child = reach + gain[d]
+            rest = (child[:, d + 1 :].max(axis=2).sum(axis=1) + tail[d + 1]).tolist()
+            frames.append((cur, reach[d].tolist(), rest, child, iter(range(card[d] - 1, -1, -1))))
+        while frames:  # back up to the deepest factor with a level worth entering
+            d = len(frames) - 1
+            base, here, rest, child, untried = frames[d]
+            for a in untried:
+                if base + here[a] + rest[a] > best and not completes_avoid(d, a, levels):
+                    break
+            else:
+                frames.pop()
+                levels[d] = -1
                 continue
-            if budget.spend():
-                raise _Stop
-            levels[d] = a
-            visit(d + 1, value, child[a])
-        levels[d] = -1
+            break
+        if not frames or budget.spend():
+            break
+        levels[d] = a
+        cur, reach = base + here[a], child[a]
 
-    try:
-        visit(0, 0, step.root)
-    except _Stop:
-        pass
-
-    return budget.solution(best, best_levels, last_improved_node=improved, root_bound=tail[0])
+    root_bound = tail[0] if s else (best if best_levels is not None else None)
+    return budget.solution(best, best_levels, last_improved_node=improved, root_bound=root_bound)
 
 
 def generate_single_case(

@@ -68,3 +68,32 @@ def test_public_names_have_a_library_caller():
         if used[node.name] <= own(node)[node.name]:
             unused.append(where)
     assert not unused, f"public names no library code uses: {unused}"
+
+
+def _calls_itself(fn) -> bool:
+    """Whether ``fn``'s body calls ``fn`` by name or through ``self.``/``cls.``."""
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.Call):
+            f = sub.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            ):
+                return True
+    return False
+
+
+def test_no_function_recurses():
+    # every search walks with an explicit stack or iterator, so a wide model
+    # cannot exhaust Python's recursion limit
+    recursive = []
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node):
+                recursive.append(f"{path.relative_to(ROOT)}::{node.name} (line {node.lineno})")
+    assert not recursive, f"functions that call themselves: {recursive}"

@@ -108,6 +108,11 @@ WIDE_ROTATION_DIGESTS = {
 # reduced the cover first).
 PINNED_STEP_NODES = 73_003
 PINNED_COVER_NODES = 31
+# Over the same runs' 790 steps: last_improved_node and root_bound summed,
+# so a search that visits the same nodes but reports other incumbents or
+# bounds shows.
+PINNED_STEP_LAST_IMPROVED = 56_455
+PINNED_STEP_ROOT_BOUNDS = 188_122
 # Over random_instance seeds 0-24, minimize_suite on greedy_suite at seed 0
 # joined with greedy_suite at seed 1: cover nodes summed, and the SHA-256 of
 # the minimized suites' CSVs in seed order (1,244 rows in, 607 kept).  The
@@ -235,6 +240,17 @@ def test_pinned_search_effort():
         step += sum(st["nodes"] for st in report.steps)
         cover += report.cover["nodes"]
     assert (step, cover) == (PINNED_STEP_NODES, PINNED_COVER_NODES)
+
+
+def test_pinned_step_stats():
+    instances = list(bench.classic_instances().values())
+    instances += [bench.random_instance(s) for s in range(25)]
+    steps = []
+    for system, cs in instances:
+        steps += run_pipeline(InteractionUniverse(system, cs))[1].steps
+    assert len(steps) == 790
+    assert sum(st["last_improved_node"] for st in steps) == PINNED_STEP_LAST_IMPROVED
+    assert sum(st["root_bound"] for st in steps) == PINNED_STEP_ROOT_BOUNDS
 
 
 def test_pinned_joined_cover_effort():

@@ -473,3 +473,24 @@ def test_block_tables_are_freed_with_their_universe():
     del uni, cov
     gc.collect()
     assert ref() is None
+
+
+def _wide_binary():
+    # 1,100 factors search deeper than Python's default recursion limit
+    _, cov = fresh_state(make_system([2] * 1100), ConstraintSet())
+    return cov
+
+
+def test_a_wide_model_is_searched_without_recursion():
+    n = 1100
+    tc, st = generate_single_case(_wide_binary())
+    assert st["status"] == "optimal"
+    assert st["objective"] == 4 * n * (n - 1) // 2
+    assert st["nodes"] == 1091
+    assert tc.levels == (1,) * n  # the lexicographically largest optimum
+
+
+def test_a_wide_search_stops_partway_down_its_first_dive():
+    # the budget stops it at 1,024 nodes, before the first leaf
+    with pytest.raises(StepTimeout):
+        generate_single_case(_wide_binary(), time_limit=0.0)
