@@ -34,6 +34,6 @@ from .monolithic import (
     minimal_suite,
 )
 from .pipeline import PipelineConfig, RunReport, minimize_suite, run_pipeline
-from .sequential import StepTimeout, build_step, generate_single_case
+from .sequential import build_step, generate_single_case
 
 __version__ = "0.1.0"

@@ -99,8 +99,8 @@ class BenchRecord:
     method: str
     size: int
     wall_s: float
-    degraded: bool = False
-    tail: float | None = None
+    degraded: bool
+    tail: float
 
 
 def _method_sequential(universe, seed):
@@ -201,9 +201,7 @@ def records_to_csv(records: list[BenchRecord]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["instance", "method", "size", "wall_s", "degraded", "tail"])
     for r in records:
-        w.writerow(
-            [r.instance, r.method, r.size, f"{r.wall_s:.4f}", int(r.degraded), "" if r.tail is None else f"{r.tail:.4f}"]
-        )
+        w.writerow([r.instance, r.method, r.size, f"{r.wall_s:.4f}", int(r.degraded), f"{r.tail:.4f}"])
     return buf.getvalue()
 
 

@@ -1,7 +1,9 @@
 """Command line entry points.
 
 Exit codes: 0 success, 2 finished but degraded (a time limit forced an
-unproven or fallback result), 1 any error including bad usage.
+unproven or fallback result; a step that runs out of time falls back to a
+witness case, so a time limit alone never gives 1), 1 any error including
+bad usage.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import PaircoverError, TestCase, TestSuite
+# find_extension is not called here: perfbench's tracer rebinds it on this module
 from .interactions import CoverageState, InteractionUniverse, find_extension, wipes_out
 
 MAX_BACKTRACKS_PER_CASE = 10_000
@@ -104,7 +105,7 @@ def greedy_suite(universe: InteractionUniverse, seed: int = 0) -> TestSuite:
         if tc is None or state.mark_case(tc) == 0:
             # constraints cornered the walk, or its case marked nothing new:
             # fall back to a witness of an uncovered pair
-            tc = _progress_case(state)
+            tc = state.witness()
             state.mark_case(tc)
         suite.append(tc)
     return suite
@@ -115,12 +116,3 @@ def _live_levels(sym: np.ndarray, card) -> list[list[int]]:
     held = (sym >= 0).any(axis=(2, 3))
     return [np.flatnonzero(held[f, :c]).tolist() for f, c in enumerate(card)]
 
-
-def _progress_case(state: CoverageState) -> TestCase:
-    """A valid case containing the first uncovered pair; always exists."""
-    universe = state.universe
-    u = int(state.uncovered_indices()[0])
-    tc = find_extension(universe.interaction(u), universe.system, universe.constraints)
-    if tc is None:
-        raise PaircoverError("universe contains an unachievable pair")
-    return tc

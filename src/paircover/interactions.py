@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     ConstraintSet,
     FactorSystem,
+    PaircoverError,
     PartialAssignment,
     StructureError,
     TestCase,
@@ -337,6 +338,19 @@ class CoverageState:
         fresh = int(np.count_nonzero(self.weights[ids]))
         self.weights[ids] = 0
         return fresh
+
+    def witness(self, fixed: PartialAssignment | None = None) -> TestCase:
+        """The first valid case extending ``fixed`` or, with none given, the
+        first uncovered pair (pair 0 once every pair is covered): what either
+        generator falls back to when it has no case that makes progress."""
+        universe = self.universe
+        if fixed is None:
+            left = self.uncovered_indices()
+            fixed = universe.interaction(int(left[0]) if len(left) else 0)
+        tc = find_extension(fixed, universe.system, universe.constraints)
+        if tc is None:
+            raise PaircoverError(f"no valid case extends the picks {fixed.picks}")
+        return tc
 
 
 def coverage_curve(suite: TestSuite, universe: InteractionUniverse) -> list[float]:

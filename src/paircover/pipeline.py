@@ -40,10 +40,6 @@ from .sequential import DEFAULT_STEP_TIME_LIMIT, generate_single_case
 DEFAULT_MINIMIZE_TIME_LIMIT = 60.0
 
 
-class PipelineStallError(PaircoverError):
-    """A generation step made no progress; the run cannot terminate."""
-
-
 @dataclass
 class PipelineConfig:
     alpha: float = 0.9
@@ -331,10 +327,9 @@ def run_pipeline(
         tc, st = generate_single_case(coverage, time_limit=cfg.step_time_limit, upper=upper)
         upper = st["objective"] if st["status"] == SolveStatus.OPTIMAL.value else None
         fresh = coverage.mark_case(tc)
-        if fresh == 0:
-            raise PipelineStallError(
-                "generated case covers nothing new; solver returned a stale case"
-            )
+        if fresh == 0:  # a step cut short can hold a case worth nothing
+            tc = coverage.witness()
+            fresh = coverage.mark_case(tc)
         suite.append(tc)
         st["fresh"] = fresh
         report.steps.append({"phase": 2, **st})

@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    PaircoverError,
     PartialAssignment,
     StructureError,
     TestCase,
@@ -36,10 +35,6 @@ from .milp import Budget, MilpSolution, SolveStatus
 DEFAULT_STEP_TIME_LIMIT = 60.0
 BLOCK_CASES = 1024  # most cases the suffix block scores in one pass
 _UNREACHABLE = -(2**40)  # gain of a level or case the step does not allow
-
-
-class StepTimeout(PaircoverError):
-    """A per-case solve produced no usable case within its budget."""
 
 
 class _SuffixBlock:
@@ -268,7 +263,8 @@ def generate_single_case(
     group still needs its case.  ``upper``, when given, is a proven bound
     on the step's value that ``solve`` may stop at (see there).  A solve
     that times out with an incumbent still returns that case, with status
-    ``feasible``; with no incumbent it raises StepTimeout.
+    ``feasible``; with none it returns ``coverage.witness(fixed)``, and
+    the stats stay the search's own (status ``timed_out``, objective None).
     """
     t0 = time.perf_counter()
     step = build_step(coverage, fixed)
@@ -285,5 +281,5 @@ def generate_single_case(
             "step model infeasible: the fixed picks conflict with the avoid tuples"
         )
     if not sol.has_solution:
-        raise StepTimeout(f"no case found within {time_limit}s")
+        return coverage.witness(fixed), stats
     return step.decode(sol.values), stats

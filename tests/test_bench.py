@@ -41,10 +41,10 @@ class TestTailFraction:
 class TestPerformanceProfile:
     def records(self):
         return [
-            BenchRecord("i1", "a", 10, 0.1),
-            BenchRecord("i1", "b", 12, 0.1),
-            BenchRecord("i2", "a", 10, 0.1),
-            BenchRecord("i2", "b", 10, 0.1),
+            BenchRecord("i1", "a", 10, 0.1, False, 1.0),
+            BenchRecord("i1", "b", 12, 0.1, False, 1.0),
+            BenchRecord("i2", "a", 10, 0.1, False, 1.0),
+            BenchRecord("i2", "b", 10, 0.1, False, 1.0),
         ]
 
     def test_fractions(self):
@@ -63,10 +63,10 @@ class TestPerformanceProfile:
 class TestCompetitionRanks:
     def test_ties_share_best_rank(self):
         records = [
-            BenchRecord("i1", "a", 10, 0.1),
-            BenchRecord("i1", "b", 12, 0.1),
-            BenchRecord("i2", "a", 10, 0.1),
-            BenchRecord("i2", "b", 10, 0.1),
+            BenchRecord("i1", "a", 10, 0.1, False, 1.0),
+            BenchRecord("i1", "b", 12, 0.1, False, 1.0),
+            BenchRecord("i2", "a", 10, 0.1, False, 1.0),
+            BenchRecord("i2", "b", 10, 0.1, False, 1.0),
         ]
         ranks = competition_ranks(records)
         assert ranks["a"] == 1.0
@@ -74,9 +74,9 @@ class TestCompetitionRanks:
 
     def test_three_way(self):
         records = [
-            BenchRecord("i1", "a", 5, 0.1),
-            BenchRecord("i1", "b", 7, 0.1),
-            BenchRecord("i1", "c", 7, 0.1),
+            BenchRecord("i1", "a", 5, 0.1, False, 1.0),
+            BenchRecord("i1", "b", 7, 0.1, False, 1.0),
+            BenchRecord("i1", "c", 7, 0.1, False, 1.0),
         ]
         ranks = competition_ranks(records)
         assert ranks == {"a": 1.0, "b": 2.0, "c": 2.0}

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import io
 import json
@@ -218,6 +219,24 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument --warm-start: only --method sequential reads it" in captured.err
+
+    def test_a_zero_step_limit_exits_degraded(self, tmp_path, capsys):
+        # its 34th step's best case at 1,024 nodes covers nothing new; the
+        # step falls back to a witness case, and the run ends degraded, not
+        # with an error
+        from test_golden import ZERO_LIMIT_DIGEST, zero_limit_model
+
+        system, cs = zero_limit_model()
+        model, out = tmp_path / "m.model", tmp_path / "suite.csv"
+        lines = [f"F{f}: v0, v1, v2, v3" for f in range(system.n_factors)]
+        lines += ["AVOID: " + ", ".join(f"F{f}=v{v}" for f, v in av.picks) for av in cs.avoid]
+        model.write_text("\n".join(lines) + "\n")
+        argv = ["generate", "--model", str(model), "--step-time-limit", "0", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "DEGRADED" in capsys.readouterr().err
+        # a second run, the library's, gives the same bytes
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ZERO_LIMIT_DIGEST
+        assert cli.main(["verify", "--model", str(model), "--suite", str(out)]) == 0
 
 
 class TestVerify:

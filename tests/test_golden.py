@@ -15,7 +15,7 @@ import pytest
 from paircover import bench, greedy, interactions, io
 from paircover.core import ConstraintSet, PartialAssignment, TestSuite
 from paircover.greedy import greedy_suite
-from paircover.interactions import InteractionUniverse, verify_suite
+from paircover.interactions import CoverageState, InteractionUniverse, verify_suite
 from paircover.pipeline import PipelineConfig, minimize_suite, run_pipeline
 
 from conftest import uniform_weights
@@ -113,6 +113,11 @@ PINNED_COVER_NODES = 31
 # bounds shows.
 PINNED_STEP_LAST_IMPROVED = 56_455
 PINNED_STEP_ROOT_BOUNDS = 188_122
+# run_pipeline at step_time_limit=0.0 on zero_limit_model(): 73 of its 106
+# steps stop at 1,024 nodes holding a case worth nothing and fall back to
+# the first uncovered pair's witness; the cover keeps 98 cases.
+ZERO_LIMIT_SIZE = 98
+ZERO_LIMIT_DIGEST = "b5b3140c22dc57500f62e7012ed0b7419df72559759c000ee44d99aecf894ca8"
 # Over random_instance seeds 0-24, minimize_suite on greedy_suite at seed 0
 # joined with greedy_suite at seed 1: cover nodes summed, and the SHA-256 of
 # the minimized suites' CSVs in seed order (1,244 rows in, 607 kept).  The
@@ -131,7 +136,7 @@ PINNED_GREEDY_AVOID_CHECKS = 29_720
 # build marked a sampled batch of valid cases first).
 PINNED_BUILD_SEARCHES = 105
 
-# Wide models on which the greedy walk falls back to ``_progress_case``,
+# Wide models on which the greedy walk falls back to ``CoverageState.witness``,
 # which no random_instance seed reaches.
 WIDE_SEEDS = (4, 10, 13)
 
@@ -155,6 +160,13 @@ def _wide_instance(seed):
     system = bench.make_system(cards)
     trap = (PartialAssignment(((0, 2), (3, 0))), PartialAssignment(((0, 2), (3, 1))))
     return system, ConstraintSet(avoid=bench.random_avoids(system, rng, 5 * n // 2) + trap)
+
+
+def zero_limit_model():
+    """4^12 with six three-pick avoids, on which a step at a zero time
+    limit often holds a case that covers nothing new."""
+    system = bench.make_system([4] * 12)
+    return system, ConstraintSet(avoid=bench.random_avoids(system, np.random.default_rng(3), 6, size=3))
 
 
 @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
@@ -185,14 +197,14 @@ def test_scaled_weights_change_no_suite():
 def test_greedy_suites(monkeypatch):
     instances = [bench.random_instance(s) for s in range(25)]
     instances += [_wide_instance(s) for s in WIDE_SEEDS]
-    progress = greedy._progress_case
+    progress = CoverageState.witness
     calls = []
 
     def counted(*args):
         calls.append(len(got))  # the index of the instance being built
         return progress(*args)
 
-    monkeypatch.setattr(greedy, "_progress_case", counted)
+    monkeypatch.setattr(CoverageState, "witness", counted)
     got = []
     for system, cs in instances:
         got.append(_digest(greedy_suite(InteractionUniverse(system, cs), seed=0)))
@@ -202,16 +214,16 @@ def test_greedy_suites(monkeypatch):
 
 def test_greedy_backtrack_cap_falls_back(monkeypatch):
     # _wide_instance(13)'s walk backtracks thousands of times in some cases;
-    # capped at 50, more cases end in the _progress_case fallback, and the
-    # suite still covers every pair
-    progress = greedy._progress_case
+    # capped at 50, more cases end in the witness fallback, and the suite
+    # still covers every pair
+    progress = CoverageState.witness
     calls = []
 
     def counted(*args):
         calls.append(None)
         return progress(*args)
 
-    monkeypatch.setattr(greedy, "_progress_case", counted)
+    monkeypatch.setattr(CoverageState, "witness", counted)
     universe = InteractionUniverse(*_wide_instance(13))
     greedy_suite(universe, seed=0)
     uncapped = len(calls)
@@ -331,3 +343,23 @@ def test_greedy_walk_skips_a_dead_level(monkeypatch):
     trap = (PartialAssignment(((0, 2), (8, 0))), PartialAssignment(((0, 2), (8, 1))))
     for seed in range(5):
         assert _avoid_checks(monkeypatch, system, ConstraintSet(avoid=trap), seed) <= 300
+
+
+def test_a_zero_step_limit_degrades_the_run():
+    system, cs = zero_limit_model()
+    suite, report = run_pipeline(InteractionUniverse(system, cs), config=PipelineConfig(step_time_limit=0.0))
+    assert report.degraded
+    assert verify_suite(suite, cs) == (True, [])
+    assert (len(suite), _digest(suite)) == (ZERO_LIMIT_SIZE, ZERO_LIMIT_DIGEST)
+
+
+def test_a_zero_step_limit_gives_sound_suites():
+    # _wide_instance(4) and (13) hold steps whose best case at 1,024 nodes
+    # covers nothing new; each such step falls back to the witness case
+    instances = list(bench.classic_instances().values())
+    instances += [bench.random_instance(s) for s in range(25)]
+    instances += [_wide_instance(s) for s in WIDE_SEEDS]
+    for system, cs in instances:
+        universe = InteractionUniverse(system, cs)
+        suite, _ = run_pipeline(universe, config=PipelineConfig(step_time_limit=0.0))
+        assert verify_suite(suite, cs, universe) == (True, [])

@@ -21,7 +21,7 @@ from paircover.greedy import greedy_suite
 from paircover.interactions import CoverageState, InteractionUniverse, verify_suite
 from paircover.milp import MilpSolution, SolveStatus, solve_highs
 from paircover.pipeline import minimize_suite, run_pipeline
-from paircover.sequential import StepTimeout, build_step, generate_single_case
+from paircover.sequential import build_step, generate_single_case
 
 from conftest import (
     brute_force_step,
@@ -153,15 +153,19 @@ class TestGenerateSingleCase:
             assert steps <= len(uni)
         assert cov.is_full
 
-    def test_no_incumbent_raises_step_timeout(self, monkeypatch):
+    def test_no_incumbent_returns_the_witness(self, monkeypatch):
         def starved(step, time_limit=math.inf, upper=None):
             return MilpSolution(SolveStatus.TIMED_OUT, None, None, {"nodes": 0})
 
         monkeypatch.setattr(sequential, "solve", starved)
         sys_ = make_system([2, 2])
         _, cov = fresh_state(sys_, ConstraintSet())
-        with pytest.raises(StepTimeout):
-            generate_single_case(cov)
+        tc, st = generate_single_case(cov)
+        assert tc.levels == (0, 0)  # the first uncovered pair's witness
+        assert st["status"] == "timed_out" and st["objective"] is None
+        # a must step's witness holds the group's picks
+        tc, _ = generate_single_case(cov, PartialAssignment(((1, 1),)))
+        assert tc.levels == (0, 1)
 
 
 def snapshot(cov):
@@ -491,6 +495,9 @@ def test_a_wide_model_is_searched_without_recursion():
 
 
 def test_a_wide_search_stops_partway_down_its_first_dive():
-    # the budget stops it at 1,024 nodes, before the first leaf
-    with pytest.raises(StepTimeout):
-        generate_single_case(_wide_binary(), time_limit=0.0)
+    # the budget stops it at 1,024 nodes, before the first leaf, so the
+    # step falls back to the witness of the first uncovered pair
+    tc, st = generate_single_case(_wide_binary(), time_limit=0.0)
+    assert st["status"] == "timed_out"
+    assert st["nodes"] == 1024
+    assert tc.levels == (0,) * 1100
